@@ -223,6 +223,12 @@ def bench_figure2_sweep(jobs_list: list[int], passes: int = 3) -> list[dict]:
                         artifact_cache().stats_by_kind().items()
                     )
                 },
+                # Tasks that ran in a pool worker: 0 at jobs > 1 means the
+                # executor took its serial shortcut and this count's
+                # timing says nothing about parallel dispatch.
+                "pool_tasks": int(
+                    obs.counters().get("executor.pool_tasks", 0)
+                ),
                 "bound_reseed": {
                     "hits": reseed_hits,
                     "misses": reseed_misses,
@@ -406,6 +412,10 @@ def history_entry(report: dict) -> dict:
             str(entry.get("jobs")): entry.get("procedures_per_second")
             for entry in figure2
         },
+        "pool_tasks": {
+            str(entry.get("jobs")): entry.get("pool_tasks")
+            for entry in figure2
+        },
         "retried": sum(int(entry.get("retried", 0)) for entry in figure2),
         "quarantined": sum(
             int(entry.get("quarantined", 0)) for entry in figure2
@@ -489,8 +499,14 @@ def main(argv: list[str] | None = None) -> int:
             f"{entry['cache'].get('instance', {}).get('hit_rate', 0.0)}, "
             f"bound reseed hit rate "
             f"{entry['bound_reseed']['hit_rate']}, "
+            f"{entry['pool_tasks']} pool tasks, "
             f"{entry['retried']} retried, {entry['quarantined']} quarantined"
         )
+        if entry["jobs"] > 1 and not entry["pool_tasks"]:
+            print(
+                f"  jobs={entry['jobs']} never used the pool: its comparison "
+                "with jobs=1 is vacuous"
+            )
 
     if not args.skip_service:
         print(

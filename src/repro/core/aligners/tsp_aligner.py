@@ -1,7 +1,9 @@
 """The paper's contribution: near-optimal alignment via the DTSP reduction.
 
 Build the §2.2 cost matrix, solve the DTSP with iterated 3-Opt (exact DP on
-small procedures), and read the tour back as a layout.  Also exposes the
+small procedures), and read the tour back as a layout.  The search stops
+as soon as its tour is proved optimal — by the assignment bound or by a
+small branch-and-bound certificate (see ``_stop_rule``).  Also exposes the
 per-procedure Held–Karp lower bound — the provable floor under any layout's
 control penalty.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro import faults
+from repro import faults, obs
 from repro.budget import Budget, BudgetTimer, ensure_timer
 from repro.cfg.graph import ControlFlowGraph
 from repro.core.aligners.greedy import pettis_hansen_layout
@@ -35,6 +37,7 @@ from repro.errors import ReproError, SolverBudgetExceeded
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
 from repro.profiles.edge_profile import EdgeProfile
+from repro.tsp.assignment import assignment_cycle_cover
 from repro.tsp.branch_and_bound import branch_and_bound
 from repro.tsp.construction import (
     greedy_edge_tour,
@@ -43,10 +46,15 @@ from repro.tsp.construction import (
 )
 from repro.tsp.held_karp import held_karp_bound_directed
 from repro.tsp.instance import tour_cost
-from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp
+from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp, solves_exactly
 
 #: Rung names of the degradation ladder, in order of decreasing quality.
 DEGRADATION_RUNGS = ("none", "construction", "greedy", "original")
+
+#: Node cap of the first run's optimality certificate, per city.  Small on
+#: purpose: a certificate that does not close quickly costs more than the
+#: remaining starts it would save.
+CERTIFY_NODES_PER_CITY = 8
 
 
 @dataclass
@@ -94,6 +102,35 @@ def _best_construction_layout(
     return layout, instance.layout_cost(layout)
 
 
+def _stop_rule(matrix, effort: Effort, timer: BudgetTimer | None):
+    """The certify-and-stop rule for one solve: ``(target, certify)``.
+
+    The target is the assignment (AP) bound, which no tour beats, so a tour
+    that meets it is optimal.  ``certify`` runs branch and bound on the
+    first run's tour, capped at :data:`CERTIFY_NODES_PER_CITY` nodes per
+    city and polling the budget; it returns the proven optimum, or None.
+    Only the proof is used — BnB's own tour never becomes a layout, so
+    layouts stay the kernel's whichever assignment backend broke ties.
+    The exact-DP path needs neither: ``(None, None)``.
+    """
+    n = matrix.shape[0]
+    if solves_exactly(n, effort):
+        return None, None
+
+    def certify(tour: list[int], cost: float) -> float | None:
+        proof = branch_and_bound(
+            matrix,
+            upper_bound=cost,
+            initial_tour=tour,
+            max_nodes=CERTIFY_NODES_PER_CITY * n,
+            budget=timer,
+        )
+        obs.count("tsp.certified_bnb", int(proof.optimal))
+        return proof.cost if proof.optimal else None
+
+    return assignment_cycle_cover(matrix).cost, certify
+
+
 def tsp_align(
     cfg: ControlFlowGraph,
     profile: EdgeProfile,
@@ -132,9 +169,13 @@ def tsp_align(
     salvaged: list[list[int]] = []
     warning: str
     try:
+        target, certify = _stop_rule(instance.matrix, effort, timer)
         result = solve_dtsp(
-            instance.matrix, effort=effort, seed=seed, budget=timer
+            instance.matrix, effort=effort, seed=seed, budget=timer,
+            target=target, certify=certify,
         )
+        if target is not None:
+            obs.count("tsp.certified_ap", int(result.cost <= target + 1e-9))
         if result.cost < instance.big:
             return TspAlignment(
                 layout=instance.layout_from_cycle(result.tour),
@@ -214,11 +255,17 @@ def alignment_lower_bound(
     """Certified lower bound on the procedure's achievable control penalty.
 
     No layout of this procedure can have a smaller total penalty under this
-    profile and machine model.  The bound is the branch-and-bound optimum
-    when it certifies within ``exact_nodes`` subproblems (alignment
-    instances usually certify in well under a hundred nodes), otherwise the
-    Held–Karp subgradient bound — the paper's appendix bound.  Pass
-    ``exact_nodes=0`` to force pure Held–Karp.
+    profile and machine model.  The bound is the optimum when it can be
+    proved: directly, when the assignment (AP) relaxation's cycle cover is
+    a single tour, or by branch and bound within ``exact_nodes``
+    subproblems (alignment instances usually certify in well under a
+    hundred nodes).  Otherwise it is the Held–Karp subgradient bound — the
+    paper's appendix bound.  Pass ``exact_nodes=0`` to force pure
+    Held–Karp.
+
+    ``upper_bound`` should be the cost of a known tour (the tsp aligner's);
+    without one, a quick solve supplies it.  Either way branch and bound
+    starts from that incumbent and runs no heuristic of its own.
 
     Degrades, never raises: on an exhausted budget (or injected fault) the
     loosest certified bound — 0.0, since penalties are non-negative — is
@@ -231,19 +278,30 @@ def alignment_lower_bound(
         faults.check_bound_timeout()
         if instance is None:
             instance = build_alignment_instance(cfg, profile, model)
+        if exact_nodes > 0 and (timer is None or not timer.expired):
+            cover = assignment_cycle_cover(instance.matrix)
+            if cover.is_tour:
+                # A tour as cheap as the relaxation is optimal.
+                if upper_bound is None:
+                    return cover.cost
+                return min(cover.cost, upper_bound)
+        incumbent = None
         if upper_bound is None:
             # A tight upper bound keeps the subgradient step sizes sane; a
             # quick heuristic tour is far tighter than the original layout.
             original_cost = instance.layout_cost(original_layout(cfg))
+            upper_bound = original_cost
             try:
                 quick = solve_dtsp(instance.matrix, effort="quick", budget=timer)
-                upper_bound = min(original_cost, quick.cost)
+                if quick.cost < original_cost:
+                    incumbent, upper_bound = quick.tour, quick.cost
             except SolverBudgetExceeded:
-                upper_bound = original_cost
+                pass
         if exact_nodes > 0:
             exact = branch_and_bound(
                 instance.matrix,
                 upper_bound=upper_bound,
+                initial_tour=incumbent,
                 max_nodes=exact_nodes,
                 budget=timer,
             )

@@ -109,6 +109,8 @@ class Tracer:
         self._stack: list[Span] = []
         self._counters: dict[str, float] = {}
         self._stable: dict[str, bool] = {}
+        #: Names touched inside the innermost ``collect()`` window.
+        self._touched: set[str] | None = None
         self._epoch = time.monotonic()
 
     # -- lifecycle ---------------------------------------------------------
@@ -179,6 +181,8 @@ class Tracer:
         they are reported but never merged across processes or compared
         for determinism."""
         self._counters[name] = self._counters.get(name, 0) + n
+        if self._touched is not None:
+            self._touched.add(name)
         # Once unstable, always unstable: mixed-origin totals cannot be
         # promoted back to deterministic.
         self._stable[name] = self._stable.get(name, True) and stable
@@ -187,6 +191,8 @@ class Tracer:
         """Set a named value to its latest observation."""
         self._counters[name] = value
         self._stable[name] = stable
+        if self._touched is not None:
+            self._touched.add(name)
 
     def counters(self, *, stable_only: bool = False) -> dict[str, float]:
         return {
@@ -216,27 +222,33 @@ class Tracer:
     @contextlib.contextmanager
     def collect(self) -> Iterator[list[dict]]:
         """Capture span events (and, on exit, counter deltas) into a list
-        instead of a sink — the worker half of the merge protocol."""
-        outer_buffer = self._buffer
+        instead of a sink — the worker half of the merge protocol.
+
+        Every counter touched inside the window ships, zero deltas
+        included: ``count(name, 0)`` creates a counter in serial work, so
+        the same work merged from a worker must create it too, or trace
+        content would depend on the worker count."""
+        outer_buffer, outer_touched = self._buffer, self._touched
         before = dict(self._counters)
         captured: list[dict] = []
-        self._buffer = captured
+        touched: set[str] = set()
+        self._buffer, self._touched = captured, touched
         try:
             yield captured
         finally:
-            self._buffer = outer_buffer
-            for name, value in sorted(self._counters.items()):
-                delta = value - before.get(name, 0)
-                if delta:
-                    captured.append(
-                        {
-                            "v": SCHEMA_VERSION,
-                            "type": "counter",
-                            "name": name,
-                            "value": delta,
-                            "stable": self._stable.get(name, True),
-                        }
-                    )
+            self._buffer, self._touched = outer_buffer, outer_touched
+            if outer_touched is not None:
+                outer_touched |= touched
+            for name in sorted(touched):
+                captured.append(
+                    {
+                        "v": SCHEMA_VERSION,
+                        "type": "counter",
+                        "name": name,
+                        "value": self._counters.get(name, 0) - before.get(name, 0),
+                        "stable": self._stable.get(name, True),
+                    }
+                )
 
     def absorb(self, events: list[dict] | None) -> None:
         """Merge a worker's captured events into this tracer: span events

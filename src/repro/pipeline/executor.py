@@ -582,6 +582,9 @@ def _run_parallel(
                     # retried task contributes one attempt's worth of
                     # events.
                     obs.absorb(events)
+                    # Proof that the pool really ran: a jobs comparison
+                    # whose runs all took the serial path compares nothing.
+                    obs.count("executor.pool_tasks", stable=False)
                     outcome.result = value
                     outcome.ok = True
         if unshippable:

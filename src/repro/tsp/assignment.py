@@ -10,7 +10,9 @@ comparison with this module.
 
 The from-scratch solver is the O(n³) shortest-augmenting-path Hungarian
 algorithm with row/column potentials (the same scheme as Jonker–Volgenant),
-implemented with numpy inner loops.  When SciPy is importable its C
+implemented with numpy inner loops; its potentials let branch and bound
+re-optimize a subproblem from its parent's solution
+(:meth:`PureAssignment.resolve`).  When SciPy is importable its C
 ``linear_sum_assignment`` is used instead for the *value*-consuming callers
 (bounds, branch and bound); both backends find a minimum-cost matching, so
 the optimal total is identical, but tie-broken matchings may differ — code
@@ -20,6 +22,7 @@ pins ``backend="pure"``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,56 +76,95 @@ def solve_assignment(
         rows, cols = _scipy_assignment(cost)
         match = np.asarray(cols, dtype=np.int64)
         return match, float(cost[rows, cols].sum())
-    return _solve_assignment_pure(cost)
+    solution = PureAssignment(cost)
+    return solution.match, solution.total
 
 
-def _solve_assignment_pure(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    n = cost.shape[0]
-    inf = float("inf")
-    # 1-based arrays; p[j] = row matched to column j (0 = none).
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
+class PureAssignment:
+    """The pure backend's optimal matching together with the row/column
+    potentials that prove it optimal.
 
-    padded = np.zeros((n + 1, n + 1))
-    padded[1:, 1:] = cost
+    :meth:`resolve` re-optimizes after costs *rise* — branch and bound only
+    ever forbids arcs — by re-inserting just the rows whose matched arc got
+    dearer: one augmenting path each, instead of one per row.  The old
+    potentials stay feasible because no reduced cost fell.
+    """
 
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            # Relax all unused columns against row i0 (vectorized).
-            free = ~used
-            free[0] = False
-            cur = padded[i0] - u[i0] - v
-            better = free & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            candidates = np.where(free, minv, inf)
-            j1 = int(np.argmin(candidates))
-            delta = candidates[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
+    def __init__(self, cost: np.ndarray) -> None:
+        n = cost.shape[0]
+        self.cost = cost
+        # 1-based arrays; p[j] = row matched to column j (0 = none).
+        self.u = np.zeros(n + 1)
+        self.v = np.zeros(n + 1)
+        self.p = np.zeros(n + 1, dtype=np.int64)
+        self._insert(range(1, n + 1))
 
-    match = np.zeros(n, dtype=np.int64)
-    total = 0.0
-    for j in range(1, n + 1):
-        match[p[j] - 1] = j - 1
-        total += float(cost[p[j] - 1, j - 1])
-    return match, total
+    def resolve(self, cost: np.ndarray) -> "PureAssignment":
+        """The optimal matching for ``cost``, which must be ≥ this
+        solution's cost matrix entry by entry."""
+        child = copy.copy(self)
+        child.cost = cost
+        child.u, child.v, child.p = self.u.copy(), self.v.copy(), self.p.copy()
+        rows = np.arange(cost.shape[0])
+        match = self.match
+        dearer = np.flatnonzero(cost[rows, match] > self.cost[rows, match])
+        child.p[match[dearer] + 1] = 0
+        child._insert(int(row) + 1 for row in dearer)
+        return child
+
+    def _insert(self, rows) -> None:
+        """Match each 1-based row in ``rows`` by a shortest augmenting path
+        over reduced costs (vectorized Dijkstra), updating the potentials."""
+        n = self.cost.shape[0]
+        inf = float("inf")
+        u, v, p = self.u, self.v, self.p
+        way = np.zeros(n + 1, dtype=np.int64)
+        padded = np.zeros((n + 1, n + 1))
+        padded[1:, 1:] = self.cost
+
+        for i in rows:
+            p[0] = i
+            j0 = 0
+            minv = np.full(n + 1, inf)
+            used = np.zeros(n + 1, dtype=bool)
+            while True:
+                used[j0] = True
+                i0 = p[j0]
+                # Relax all unused columns against row i0 (vectorized).
+                free = ~used
+                free[0] = False
+                cur = padded[i0] - u[i0] - v
+                better = free & (cur < minv)
+                minv[better] = cur[better]
+                way[better] = j0
+                candidates = np.where(free, minv, inf)
+                j1 = int(np.argmin(candidates))
+                delta = candidates[j1]
+                u[p[used]] += delta
+                v[used] -= delta
+                minv[free] -= delta
+                j0 = j1
+                if p[j0] == 0:
+                    break
+            while j0 != 0:
+                j1 = int(way[j0])
+                p[j0] = p[j1]
+                j0 = j1
+
+    @property
+    def match(self) -> np.ndarray:
+        """``match[i]`` = the column assigned to row ``i``."""
+        n = self.cost.shape[0]
+        match = np.zeros(n, dtype=np.int64)
+        match[self.p[1:] - 1] = np.arange(n)
+        return match
+
+    @property
+    def total(self) -> float:
+        total = 0.0
+        for j in range(1, self.cost.shape[0] + 1):
+            total += float(self.cost[self.p[j] - 1, j - 1])
+        return total
 
 
 @dataclass

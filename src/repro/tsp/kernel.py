@@ -40,6 +40,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -473,6 +474,8 @@ def kernel_iterated_three_opt(
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
     mode: str = "guarded",
+    target: float | None = None,
+    certify: Callable[[list[int], float], float | None] | None = None,
 ) -> SolveResult:
     """Iterated 3-opt/Or-opt over the flat-array kernel.
 
@@ -484,6 +487,15 @@ def kernel_iterated_three_opt(
     :data:`KERNEL_MODES` for the guarded/turbo trade-off; in guarded mode
     the result cost is never worse than the legacy solver's for the same
     effort and seed.
+
+    ``target`` is a cost no tour can beat (a certified lower bound): once
+    the incumbent is within ``1e-9`` of it, the solve stops — no more
+    kicks, no polish, no further starts.  ``certify`` is called at most
+    once, with the first run's tour and cost when that run ends above
+    ``target`` and more starts remain; it returns a proven optimum (which
+    becomes the target) or None.  Until the stop, the trajectory is the
+    same as without a target; ``target=None`` and ``certify=None`` replay
+    the full-effort solve bit for bit.
     """
     if mode not in KERNEL_MODES:
         known = ", ".join(KERNEL_MODES)
@@ -514,8 +526,11 @@ def kernel_iterated_three_opt(
             seen_tour = state.tour.tolist()
             seen_cost = cost
 
+    def reached(cost: float) -> bool:
+        return target is not None and cost <= target + 1e-9
+
     try:
-        for start_kind in starts:
+        for run_index, start_kind in enumerate(starts):
             if timer is not None:
                 timer.check(where="iterated-3opt")
             with obs.span("tsp_run", start=start_kind):
@@ -526,7 +541,9 @@ def kernel_iterated_three_opt(
                 )
                 note(current_cost)
                 run_best = current_cost
-                for _ in range(kicks):
+                kicked = 0
+                while kicked < kicks and not reached(current_cost):
+                    kicked += 1
                     if timer is not None:
                         timer.tick(where="iterated-3opt")
                     obs.count("tsp.kicks")
@@ -545,7 +562,7 @@ def kernel_iterated_three_opt(
                         note(current_cost)
                     else:
                         kernel.restore(state, snap)
-                if guarded:
+                if guarded and not reached(current_cost):
                     # Or-opt polish: a full descent with relocations enabled
                     # from the run's final tour.  Only improving moves apply,
                     # so this can only lower the run's cost — the dominance
@@ -554,10 +571,19 @@ def kernel_iterated_three_opt(
                     current_cost = kernel.descend(state, budget=timer)
                     run_best = min(run_best, current_cost)
                     note(current_cost)
-                runs.append(RunResult(start_kind, run_best, kicks))
+                runs.append(RunResult(start_kind, run_best, kicked))
             if current_cost < best_cost:
                 best_tour = state.tour.tolist()
                 best_cost = current_cost
+            if (
+                certify is not None and run_index == 0 and len(starts) > 1
+                and not reached(best_cost)
+            ):
+                proven = certify(list(best_tour), best_cost)
+                if proven is not None:
+                    target = proven
+            if reached(best_cost):
+                break
     except SolverBudgetExceeded as exc:
         if state is not None and state.cost < seen_cost:
             # descend() syncs the state before raising, so this is a

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -83,6 +84,12 @@ def get_effort(effort: "Effort | str") -> Effort:
         ) from None
 
 
+def solves_exactly(n: int, effort: Effort | str = DEFAULT) -> bool:
+    """True when :func:`solve_dtsp` answers an ``n``-city instance by
+    exact DP rather than iterated 3-Opt."""
+    return n <= min(get_effort(effort).exact_threshold, MAX_EXACT_CITIES)
+
+
 def solve_dtsp(
     matrix: np.ndarray,
     *,
@@ -90,6 +97,8 @@ def solve_dtsp(
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
     engine: str | None = None,
+    target: float | None = None,
+    certify: Callable[[list[int], float], float | None] | None = None,
 ) -> SolveResult:
     """Find a (near-)optimal directed tour.
 
@@ -100,6 +109,11 @@ def solve_dtsp(
     :class:`~repro.errors.SolverBudgetExceeded` is raised (carrying the
     best tour found so far, if any) so callers can degrade to a cheaper
     construction.
+
+    ``target`` (a certified lower bound) and ``certify`` (an optimality
+    certificate for the first run) let the kernel stop at a proven optimum
+    — see :func:`~repro.tsp.kernel.kernel_iterated_three_opt`.  The exact
+    path and the legacy engine ignore both.
     """
     faults.check_solver_timeout()
     matrix = check_matrix(matrix)
@@ -107,7 +121,7 @@ def solve_dtsp(
     engine = resolve_solver_engine(engine)
     timer = ensure_timer(budget)
     n = matrix.shape[0]
-    if n <= min(effort.exact_threshold, MAX_EXACT_CITIES):
+    if solves_exactly(n, effort):
         with obs.span("dtsp_solve", cities=n, mode="exact"):
             if timer is not None:
                 timer.check(where="exact")
@@ -133,6 +147,8 @@ def solve_dtsp(
             seed=seed,
             budget=timer,
             mode=engine,
+            target=target,
+            certify=certify,
         )
 
 

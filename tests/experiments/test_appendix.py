@@ -54,3 +54,25 @@ class TestAnalyze:
         for name, matrix in instances:
             assert matrix.shape[0] >= 3
             assert matrix.shape[0] == matrix.shape[1]
+
+    def test_paper_effort_statistics_are_pinned(self):
+        """The appendix study solves at full effort (no target), so its
+        per-run statistics — 10 runs, how many found the best tour — and
+        its certified optima stay exactly what they were."""
+        instances = [
+            (name, matrix)
+            for name, matrix in esp_scale_instances(procedures=16, seed=7)
+            if name in ("proc2", "proc5", "proc6")
+        ]
+        stats = analyze_instances(
+            instances, effort="paper", seed=0, certify_nodes=2000
+        )
+        assert [
+            (q.name, q.cities, q.tour_cost, q.runs_finding_best,
+             q.runs_total, q.optimum)
+            for q in stats.instances
+        ] == [
+            ("proc2", 56, 1454.0, 5, 10, 1454.0),
+            ("proc5", 25, 31.0, 10, 10, 31.0),
+            ("proc6", 29, 42.0, 10, 10, 42.0),
+        ]

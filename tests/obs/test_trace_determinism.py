@@ -106,6 +106,12 @@ class TestTraceContentDeterminism:
         # The trace is not vacuously equal: real work was recorded.
         assert sum(serial_spans.values()) > 0
         assert serial_counters.get("tsp.runs", 0) > 0
+        # Certify-and-stop's work counters are part of the contract too
+        # (the dict equality above compares them across worker counts).
+        for name in ("tsp.certified_ap", "tsp.certified_bnb", "bnb.nodes"):
+            assert name in serial_counters, name
+        assert serial_counters["tsp.certified_bnb"] > 0
+        assert serial_counters["bnb.nodes"] > 0
         assert (
             serial_counters["align.cache_hits"]
             + serial_counters["align.cache_misses"]

@@ -92,6 +92,37 @@ class TestCollectAbsorb:
                   if e["type"] == "counter"}
         assert deltas == {"pre": 2, "fresh": 1}
 
+    def test_collect_ships_touched_counters_with_zero_deltas(self):
+        """A counter touched with 0 exists after serial work, so it must
+        ship from a worker too — even when an earlier task in the same
+        worker already created it — while untouched counters stay home."""
+        worker = Tracer()
+        worker.count("exttsp.splits", 0)  # an earlier task in this worker
+        worker.count("untouched", 4)
+        with worker.collect() as shipped:
+            worker.count("exttsp.splits", 0)
+            worker.count("exttsp.refine_moves", 0)
+        deltas = {e["name"]: e["value"] for e in shipped
+                  if e["type"] == "counter"}
+        assert deltas == {"exttsp.refine_moves": 0, "exttsp.splits": 0}
+
+        serial = Tracer()
+        serial.count("exttsp.splits", 0)
+        serial.count("exttsp.refine_moves", 0)
+        parent = Tracer()
+        parent.absorb(shipped)
+        assert parent.counters() == serial.counters()
+
+    def test_nested_collect_reports_inner_touches_outward(self):
+        tracer = Tracer()
+        with tracer.collect() as outer:
+            with tracer.collect() as inner:
+                tracer.count("tsp.kicks", 0)
+        for events in (inner, outer):
+            assert [e["name"] for e in events if e["type"] == "counter"] == [
+                "tsp.kicks"
+            ]
+
     def test_absorb_merges_stable_and_drops_unstable_counters(self):
         worker = Tracer()
         with worker.collect() as shipped:

@@ -77,6 +77,36 @@ def test_parallel_matches_serial_on_real_tasks():
         assert a.degraded == b.degraded
 
 
+def test_pool_tasks_counter_proves_the_pool_ran():
+    """``executor.pool_tasks`` counts tasks finished in a pool worker, so a
+    ``jobs > 1`` run that took the serial shortcut (one usable core) is
+    visible as such."""
+    import os
+
+    from repro import obs
+    from repro.experiments.runner import profiled_run
+    from repro.machine.models import ALPHA_21164
+    from repro.pipeline.task import procedure_tasks
+    from repro.tsp.solve import get_effort
+    from repro.workloads.suite import compile_benchmark
+
+    tasks = procedure_tasks(
+        compile_benchmark("com").program, profiled_run("com", "in").profile,
+        method="greedy", model=ALPHA_21164, effort=get_effort("quick"),
+    )
+
+    def pool_tasks():
+        return obs.counters().get("executor.pool_tasks", 0)
+
+    before = pool_tasks()
+    run_tasks("align", tasks, jobs=1)
+    assert pool_tasks() == before
+    run_tasks("align", tasks, jobs=2)
+    shutdown_pool()
+    expected = len(tasks) if (os.cpu_count() or 1) > 1 else 0
+    assert pool_tasks() - before == expected
+
+
 def test_fault_plans_ship_to_workers_and_counters_merge():
     """A plan armed in the parent fires inside pool workers, and the
     workers' call/trip counters fold back into the parent plan."""

@@ -152,6 +152,29 @@ class TestAssignmentBackends:
         assert a.successor.tolist() == b.successor.tolist()
         assert a.cost == b.cost
 
+    def test_pure_resolve_after_costs_rise_matches_a_fresh_solve(self):
+        """Warm-started re-optimization (what branch and bound does on the
+        pure backend) reaches the same optimal total as solving anew."""
+        from repro.tsp.assignment import PureAssignment
+
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 17, 40):
+            m = random_matrix(n, n)
+            solution = PureAssignment(m)
+            for _ in range(4):
+                dearer = m.copy()
+                rows = rng.integers(0, n, size=3)
+                dearer[rows, solution.match[rows]] += 1000.0
+                dearer[rng.integers(0, n), :] += 50.0
+                solution = solution.resolve(dearer)
+                m = dearer
+                _, fresh = solve_assignment(m, backend="pure")
+                assert solution.total == pytest.approx(fresh)
+                assert sorted(solution.match.tolist()) == list(range(n))
+                assert m[np.arange(n), solution.match].sum() == (
+                    pytest.approx(solution.total)
+                )
+
     def test_scipy_backend_explicitly_requested_without_scipy(self):
         from repro.tsp import assignment as mod
 

@@ -55,6 +55,24 @@ class TestBranchAndBound:
             assert result.cost == pytest.approx(optimal)
             check_tour(result.tour, 9)
 
+    def test_pure_backend_warm_starts_reach_the_same_optimum(
+        self, monkeypatch
+    ):
+        """Without SciPy every node re-optimizes its parent's matching;
+        the certified optimum must not change."""
+        from repro.tsp import assignment
+
+        optima = [branch_and_bound(random_matrix(n, n)) for n in (9, 14, 22)]
+        monkeypatch.setattr(assignment, "_scipy_assignment", None)
+        for n, reference in zip((9, 14, 22), optima):
+            m = random_matrix(n, n)
+            result = branch_and_bound(m)
+            assert result.optimal and reference.optimal
+            assert result.cost == pytest.approx(reference.cost)
+            check_tour(result.tour, n)
+        _, optimal = exact_tour(random_matrix(9, 9))
+        assert optima[0].cost == pytest.approx(optimal)
+
     def test_handles_structured_instances(self, loop_cfg, loop_profile):
         from repro.core import build_alignment_instance
         from repro.machine import ALPHA_21164
