@@ -173,12 +173,14 @@ def _exttsp_result(task: ProcedureTask, *, refine: bool) -> ProcedureResult:
         sp["merges"] = stats.merges
         sp["splits"] = stats.splits
         sp["refine_moves"] = stats.refine_moves
+        sp["refine_candidates"] = stats.refine_candidates
         sp["score"] = stats.score
     # Deterministic per-task work, so these counters are stable (identical
     # for every worker count), like tsp.runs.
     obs.count("exttsp.merges", stats.merges)
     obs.count("exttsp.splits", stats.splits)
     obs.count("exttsp.refine_moves", stats.refine_moves)
+    obs.count("exttsp.refine_candidates", stats.refine_candidates)
     return _priced_result(task, layout)
 
 

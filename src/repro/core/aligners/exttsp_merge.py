@@ -19,6 +19,11 @@ the BOLT ordering that keeps hot code dense up front.
 ``exttsp_layout(..., refine=True)`` follows the merge phase with a
 deterministic hill-climb: repeatedly move one block to the position that
 most improves the Ext-TSP score, until a fixed point (or a pass cap).
+The climb scores a move by its *exact* change in executed counts per
+weight class (fall-through, forward, backward), all candidates of one
+removed block in a few NumPy calls, so a move that changes nothing
+gains exactly 0.0.  The merge phase keeps float re-summed gains: its
+tie-breaking is part of the layouts it has always produced.
 The registered ``chain-merge`` method is the pure merge heuristic; the
 ``exttsp`` method is merge + refinement.
 
@@ -29,6 +34,8 @@ ids — so results are identical for every worker count and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.core.exttsp import (
@@ -55,6 +62,8 @@ class MergeStats:
     merges: int = 0
     splits: int = 0
     refine_moves: int = 0
+    #: Single-block moves the climb scored: (n-1)(n-2) per pass.
+    refine_candidates: int = 0
     score: float = 0.0
 
 
@@ -62,8 +71,11 @@ class MergeStats:
 class _Instance:
     """Preprocessed per-procedure scoring state."""
 
+    entry: int
     sizes: dict[int, int]
-    #: Scored profile edges, grouped by the blocks they touch.
+    #: Scored profile edges ``(src, dst, count)``, in profile-key order.
+    edges: list[tuple[int, int, int]] = field(default_factory=list)
+    #: The same edges (counts as floats), grouped by the blocks they touch.
     edges_of: dict[int, list[tuple[int, int, float]]] = field(
         default_factory=dict
     )
@@ -75,12 +87,14 @@ def _build(
     cfg: ControlFlowGraph, profile: EdgeProfile, params: ExtTSPParams
 ) -> _Instance:
     inst = _Instance(
+        entry=cfg.entry,
         sizes={b: block_size_words(cfg.block(b)) for b in cfg.block_ids},
         params=params,
     )
     for (src, dst), count in sorted(profile.counts.items()):
         if count <= 0 or src not in cfg or dst not in cfg.successors(src):
             continue
+        inst.edges.append((src, dst, count))
         edge = (src, dst, float(count))
         inst.edges_of.setdefault(src, []).append(edge)
         if dst != src:
@@ -175,21 +189,17 @@ def _best_merge(
 
 
 def chain_merge_order(
-    cfg: ControlFlowGraph,
-    profile: EdgeProfile,
-    params: ExtTSPParams = DEFAULT_PARAMS,
-    *,
-    stats: MergeStats | None = None,
+    inst: _Instance, *, stats: MergeStats | None = None
 ) -> list[int]:
     """The merge phase: block order maximizing Ext-TSP gain greedily."""
-    inst = _build(cfg, profile, params)
-    block_ids = sorted(cfg.block_ids)
+    entry = inst.entry
+    block_ids = sorted(inst.sizes)
     chains: dict[int, list[int]] = {i: [b] for i, b in enumerate(block_ids)}
     scores: dict[int, float] = {
         i: _sequence_score(inst, chain) for i, chain in chains.items()
     }
     entry_chain = next(
-        i for i, chain in chains.items() if chain[0] == cfg.entry
+        i for i, chain in chains.items() if chain[0] == entry
     )
 
     # Candidate gains, maintained incrementally: only pairs touching a
@@ -199,7 +209,7 @@ def chain_merge_order(
     def rescore(pairs) -> None:
         for pair in pairs:
             found = _best_merge(
-                inst, chains, scores, entry_chain, cfg.entry, pair
+                inst, chains, scores, entry_chain, entry, pair
             )
             if found is None:
                 best_of.pop(pair, None)
@@ -245,7 +255,7 @@ def chain_merge_order(
     ordered = sorted(
         chains.values(),
         key=lambda chain: (
-            chain[0] != cfg.entry,
+            chain[0] != entry,
             -density(chain),
             chain[0],
         ),
@@ -257,40 +267,79 @@ def chain_merge_order(
 
 
 def refine_order(
-    cfg: ControlFlowGraph,
-    order: list[int],
-    profile: EdgeProfile,
-    params: ExtTSPParams = DEFAULT_PARAMS,
-    *,
-    stats: MergeStats | None = None,
+    inst: _Instance, order: list[int], *, stats: MergeStats | None = None
 ) -> list[int]:
     """Deterministic best-improvement hill climb over single-block moves.
 
     Each pass tries every (block, position) move with the entry pinned at
     position 0, applies the best strictly-improving one, and repeats
-    until a pass finds nothing (or :data:`MAX_REFINE_PASSES` is hit)."""
-    inst = _build(cfg, profile, params)
-    current = list(order)
-    score = _sequence_score(inst, current)
+    until a pass finds nothing (or :data:`MAX_REFINE_PASSES` is hit).
+    Moves are scanned removed block first, target position second; the
+    first of equal gains wins.
+
+    A move's gain is exact: the change in executed counts per weight
+    class, priced once by the class weights.  All moves of one removed
+    block are scored together as a ``(n-2, n)`` matrix of candidate
+    orders (a batch per block keeps peak memory at O(n·edges))."""
+    n = len(order)
+    blocks = np.array(order)
+    index = {block_id: i for i, block_id in enumerate(order)}
+    sizes = np.array([inst.sizes[b] for b in order], dtype=np.int64)
+    src = np.array([index[s] for s, _d, _c in inst.edges], dtype=np.intp)
+    dst = np.array([index[d] for _s, d, _c in inst.edges], dtype=np.intp)
+    counts = np.array([c for _s, _d, c in inst.edges])
+    params = inst.params
+
+    def class_counts(candidates: np.ndarray) -> np.ndarray:
+        """Executed counts per class (fall-through, forward, backward)
+        of each candidate order (rows of block indices): shape (3, rows)."""
+        rows = np.arange(len(candidates))[:, None]
+        widths = sizes[candidates]
+        ends = np.cumsum(widths, axis=1)
+        start_of = np.empty_like(ends)
+        end_of = np.empty_like(ends)
+        start_of[rows, candidates] = ends - widths
+        end_of[rows, candidates] = ends
+        gap = start_of[:, dst] - end_of[:, src]
+        classes = np.stack([
+            gap == 0,
+            (gap > 0) & (gap <= params.forward_window),
+            (gap < 0) & (gap >= -params.backward_window),
+        ])
+        return classes @ counts
+
+    current = np.arange(n)
+    slots = np.arange(n)
+    row_ids = np.arange(n - 2)
     for _pass in range(MAX_REFINE_PASSES):
-        best: tuple[float, list[int]] | None = None
-        for at in range(1, len(current)):
-            block = current[at]
-            rest = current[:at] + current[at + 1:]
-            for to in range(1, len(current)):
-                if to == at:
-                    continue
-                candidate = rest[:to] + [block] + rest[to:]
-                gain = _sequence_score(inst, candidate) - score
-                if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                    best = (gain, candidate)
+        base = class_counts(current[None, :])
+        best: tuple[float, np.ndarray] | None = None
+        for at in range(1, n):
+            # Row r moves the block at slot ``at`` to slot targets[r]; the
+            # other blocks keep their order around it.
+            targets = slots[slots != at][1:]
+            picks = slots - (slots > targets[:, None])
+            picks += picks >= at
+            picks[row_ids, targets] = at
+            candidates = current[picks]
+            delta = class_counts(candidates) - base
+            gains = (
+                params.fallthrough_weight * delta[0]
+                + params.forward_weight * delta[1]
+                + params.backward_weight * delta[2]
+            )
+            for row in np.flatnonzero(gains > 1e-12):
+                gain = float(gains[row])
+                if best is None or gain > best[0] + 1e-12:
+                    best = (gain, candidates[row].copy())
+        if stats is not None:
+            stats.refine_candidates += (n - 1) * (n - 2)
         if best is None:
             break
-        score += best[0]
         current = best[1]
         if stats is not None:
             stats.refine_moves += 1
-    return current
+    return blocks[current].tolist()
 
 
 def chain_merge_layout(
@@ -314,9 +363,10 @@ def exttsp_layout(
 ) -> Layout:
     """Chain merging, optionally followed by the single-block hill climb
     (the registered ``exttsp`` method)."""
-    order = chain_merge_order(cfg, profile, params, stats=stats)
+    inst = _build(cfg, profile, params)
+    order = chain_merge_order(inst, stats=stats)
     if refine and len(order) > 2:
-        order = refine_order(cfg, order, profile, params, stats=stats)
+        order = refine_order(inst, order, stats=stats)
     if stats is not None:
-        stats.score = _sequence_score(_build(cfg, profile, params), order)
+        stats.score = _sequence_score(inst, order)
     return Layout(tuple(order))

@@ -269,6 +269,13 @@ def _worker_chunk(
 
 # -- the pool -----------------------------------------------------------------
 
+
+def _cpu_count() -> int:
+    """Cores the dispatcher plans for: the pool-path gate and chunk sizing
+    both read it (tests patch it to take the pool path on one core)."""
+    return os.cpu_count() or 1
+
+
 _POOL: ProcessPoolExecutor | None = None
 _POOL_JOBS: int = 0
 
@@ -339,7 +346,7 @@ def _chunk_size(task_count: int, jobs: int, policy: RetryPolicy) -> int:
     determinism suite), so this only shifts wall-clock."""
     if policy.task_timeout_ms is not None:
         return 1
-    workers = max(1, min(jobs, os.cpu_count() or 1))
+    workers = max(1, min(jobs, _cpu_count()))
     # Waves exist to rebalance uneven chunks across workers; with a single
     # usable worker there is nothing to balance, so take the whole round
     # in one wave of maximal chunks.
@@ -630,7 +637,7 @@ def run_tasks_supervised(
         jobs > 1
         and len(payloads) > 1
         and (
-            (os.cpu_count() or 1) > 1
+            _cpu_count() > 1
             or faults.active() is not None
             or policy.task_timeout_ms is not None
         )

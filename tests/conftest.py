@@ -112,3 +112,22 @@ def mini_profile(mini_run):
 @pytest.fixture
 def machine_model():
     return ALPHA_21164
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Make ``run_tasks_supervised`` fan out over real worker processes even
+    on a one-core host (where the executor otherwise takes its serial
+    shortcut), so worker-count invariance is tested on the pool path.
+    Yields a callable reading the per-process ``executor.pool_tasks``
+    counter, for asserting that the pool really ran."""
+    import os
+
+    from repro import obs
+    from repro.pipeline import executor
+
+    monkeypatch.setattr(
+        executor, "_cpu_count", lambda: max(2, os.cpu_count() or 1)
+    )
+    yield lambda: obs.counters().get("executor.pool_tasks", 0)
+    executor.shutdown_pool()

@@ -1,5 +1,7 @@
 """The Ext-TSP objective and the chain-merging aligners built on it."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core import (
@@ -13,11 +15,12 @@ from repro.core import (
     exttsp_score,
     original_layout,
 )
-from repro.core.aligners import MergeStats
+from repro.core.aligners import MergeStats, exttsp_merge
 from repro.core.exttsp import block_addresses, block_size_words, edge_weight
 from repro.core.layout import Layout
 from repro.machine import ALPHA_21164
-from repro.profiles import EdgeProfile
+from repro.profiles import EdgeProfile, synthesize_profile
+from repro.workloads.synthetic import random_biases, random_program
 
 
 class TestEdgeWeight:
@@ -225,3 +228,120 @@ class TestChainMergeAligners:
             loop_cfg, original_layout(loop_cfg), profile, ALPHA_21164
         ).total
         assert exttsp_pen <= original_pen + 1e-9
+
+
+def _exact_score(cfg, order, profile, params):
+    """Exact (rational) Ext-TSP score of ``order``: the float class
+    weights taken at their exact binary values, so no rounding at all."""
+    addresses = block_addresses(cfg, order)
+    return sum(
+        (
+            Fraction(count)
+            * Fraction(edge_weight(addresses[src][1], addresses[dst][0], params))
+            for (src, dst), count in profile.counts.items()
+            if count > 0 and src in cfg and dst in cfg.successors(src)
+        ),
+        Fraction(0),
+    )
+
+
+def _brute_force_climb(cfg, order, profile, params):
+    """Test oracle: the best-improvement climb re-scoring every candidate
+    order from scratch with exact gains, under the aligner's selection
+    rule (scan removed block then target; accept a gain above 1e-12,
+    replace the best only when beaten by more than 1e-12).  Returns the
+    accepted (exact gain, order) steps."""
+    tolerance = Fraction(1e-12)
+    current = list(order)
+    steps = []
+    for _pass in range(exttsp_merge.MAX_REFINE_PASSES):
+        score = _exact_score(cfg, current, profile, params)
+        best = None
+        for at in range(1, len(current)):
+            rest = current[:at] + current[at + 1:]
+            for to in range(1, len(current)):
+                if to == at:
+                    continue
+                candidate = rest[:to] + [current[at]] + rest[to:]
+                gain = _exact_score(cfg, candidate, profile, params) - score
+                if gain > tolerance and (
+                    best is None or gain > best[0] + tolerance
+                ):
+                    best = (gain, candidate)
+        if best is None:
+            break
+        steps.append(best)
+        current = best[1]
+    return steps
+
+
+def _random_procedures(seed, min_blocks=4, max_blocks=64):
+    program = random_program(
+        procedures=10, seed=seed, min_blocks=min_blocks, max_blocks=max_blocks
+    )
+    profile = synthesize_profile(
+        program, random_biases(program, seed + 1), seed=seed + 2,
+        walks_per_procedure=12, max_steps=4000,
+    )
+    return [
+        (proc.name, proc.cfg, profile.procedures[proc.name])
+        for proc in program
+        if proc.name in profile.procedures
+    ]
+
+
+class TestRefinement:
+    def test_zero_gain_move_is_not_taken(self):
+        """Regression: the float-gain climb re-summed each candidate's
+        score in a new block order, and on this procedure rounding made
+        one move of exact gain zero clear the 1e-12 threshold (4 moves).
+        Exact class-count gains reach the same score in 3."""
+        (cfg, profile), = [
+            (cfg, profile)
+            for name, cfg, profile in _random_procedures(4)
+            if name == "proc4"
+        ]
+        stats = MergeStats()
+        layout = exttsp_layout(cfg, profile, stats=stats)
+        assert stats.refine_moves == 3
+        assert exttsp_score(cfg, layout, profile) == 28713.100000000013
+        n = len(cfg)
+        # Three improving passes plus the one that finds nothing.
+        assert stats.refine_candidates == 4 * (n - 1) * (n - 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("params", [
+        DEFAULT_PARAMS,
+        # Windows of a few blocks: every class, window edges included.
+        ExtTSPParams(forward_window=12, backward_window=16),
+        ExtTSPParams(forward_weight=0.25, backward_weight=0.5,
+                     forward_window=20, backward_window=12),
+    ], ids=["default", "tight", "weighted"])
+    def test_climb_matches_exact_brute_force(self, seed, params, monkeypatch):
+        """Every move the climb takes has an exact gain > 0, and pass by
+        pass it is the move a from-scratch exact re-scoring would pick —
+        from the merge order and from the source order alike."""
+        moves = 0
+        for _name, cfg, profile in _random_procedures(
+            seed, min_blocks=4, max_blocks=12
+        ):
+            inst = exttsp_merge._build(cfg, profile, params)
+            merged = exttsp_merge.chain_merge_order(inst)
+            for start in (merged, list(original_layout(cfg).order)):
+                steps = _brute_force_climb(cfg, start, profile, params)
+                assert all(gain > 0 for gain, _order in steps)
+                for passes, (_gain, expected) in enumerate(steps, 1):
+                    monkeypatch.setattr(
+                        exttsp_merge, "MAX_REFINE_PASSES", passes
+                    )
+                    assert exttsp_merge.refine_order(inst, start) == expected
+                monkeypatch.undo()
+                stats = MergeStats()
+                final = exttsp_merge.refine_order(inst, start, stats=stats)
+                assert final == (steps[-1][1] if steps else start)
+                assert stats.refine_moves == len(steps)
+                n = len(start)
+                passes = min(len(steps) + 1, exttsp_merge.MAX_REFINE_PASSES)
+                assert stats.refine_candidates == passes * (n - 1) * (n - 2)
+                moves += len(steps)
+        assert moves > 0  # the grid exercises real moves, not just no-ops

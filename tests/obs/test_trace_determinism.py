@@ -79,11 +79,12 @@ def _content(events: list[dict]):
 
 class TestTraceContentDeterminism:
     def test_suite_trace_content_invariant_across_worker_counts(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, force_pool
     ):
         from repro.experiments.runner import case_lower_bound
 
         traces = {}
+        pool_tasks = {}
         for jobs in (1, 4):
             reset_artifact_cache()
             case_lower_bound.cache_clear()
@@ -91,7 +92,10 @@ class TestTraceContentDeterminism:
             traces[jobs] = _traced_suite_run(
                 tmp_path / f"j{jobs}.jsonl", jobs
             )
+            pool_tasks[jobs] = force_pool()
             capsys.readouterr()  # the table itself is covered elsewhere
+        # The --jobs 4 run really ran in worker processes, on any host.
+        assert pool_tasks[1] == 0 and pool_tasks[4] > 0
 
         for events in traces.values():
             problems = [
@@ -112,6 +116,8 @@ class TestTraceContentDeterminism:
             assert name in serial_counters, name
         assert serial_counters["tsp.certified_bnb"] > 0
         assert serial_counters["bnb.nodes"] > 0
+        # So is the Ext-TSP climb's work: moves scored, not just applied.
+        assert serial_counters["exttsp.refine_candidates"] > 0
         assert (
             serial_counters["align.cache_hits"]
             + serial_counters["align.cache_misses"]

@@ -23,9 +23,10 @@ from repro.workloads.suite import compile_benchmark
 
 
 @pytest.fixture(autouse=True)
-def _fresh_artifacts():
+def _fresh_artifacts(force_pool):
     """Each run must genuinely recompute: a warm artifact cache would let
-    the jobs=4 run serve the jobs=1 run's results and prove nothing."""
+    the jobs=4 run serve the jobs=1 run's results and prove nothing.  And
+    jobs=4 must mean worker processes, even on a one-core host."""
     reset_artifact_cache()
     yield
     reset_artifact_cache()
@@ -107,17 +108,20 @@ def test_align_program_identical_under_injected_faults():
 
 
 @pytest.mark.parametrize("method", ["exttsp", "chain-merge"])
-def test_exttsp_family_identical_across_worker_counts(method):
+def test_exttsp_family_identical_across_worker_counts(method, force_pool):
     """The chain-merge aligners are deterministic pure functions of
     (cfg, profile), so worker count must not leak into their layouts or
-    either of their two prices."""
+    either of their two prices — checked against real worker processes
+    on any core count."""
     serial_layouts, serial_report = align_both_ways(
         jobs=1, method=method, effort="quick"
     )
     reset_artifact_cache()
+    before = force_pool()
     parallel_layouts, parallel_report = align_both_ways(
         jobs=4, method=method, effort="quick"
     )
+    assert force_pool() > before  # the jobs=4 run used the pool
     assert {n: l.order for n, l in serial_layouts.items()} == {
         n: l.order for n, l in parallel_layouts.items()
     }
