@@ -4,10 +4,10 @@
 Two stages, both against fixed seeded workloads:
 
 1. **Solver microbench** — raw kernel throughput (moves/sec,
-   descents/sec) per mode, asserting a conservative moves/sec floor so a
-   pure-Python regression in the descent loop (an accidental O(n)
-   recompute, a lost don't-look bit) fails fast without any pipeline
-   noise around it.
+   descents/sec) of the production kick loop, asserting a conservative
+   moves/sec floor so a pure-Python regression in the descent loop (an
+   accidental O(n) recompute, a lost don't-look bit) fails fast without
+   any pipeline noise around it.
 2. **Figure-2 sweep** — the full benchmark sweep at ``--jobs 1`` and
    ``--jobs 4``, asserting a procedures/sec floor and that the chunked
    executor makes ``--jobs 4`` no slower than ``--jobs 1`` (within a
@@ -50,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
              "~2.5x the pre-kernel pipeline)")
     parser.add_argument(
         "--moves-floor", type=float, default=3000.0,
-        help="minimum kernel moves/sec per mode (default: 3000)")
+        help="minimum kernel moves/sec (default: 3000)")
     parser.add_argument(
         "--jobs-tolerance", type=float, default=1.15,
         help="jobs=4 may be at most this factor of jobs=1 wall-clock "

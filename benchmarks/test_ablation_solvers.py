@@ -2,9 +2,10 @@
 
 How much tour quality does each level of solver machinery buy, at what
 cost?  Construction heuristics (NN, greedy-edge), AP + Karp patching, one
-3-Opt descent, and iterated 3-Opt (default and the appendix's 10-run
-"paper" budget), measured on alignment DTSP instances against the
-branch-and-bound optimum.
+3-Opt descent from the compiler order, and iterated 3-Opt (default and the
+appendix's 10-run "paper" budget), measured on alignment DTSP instances
+against the branch-and-bound optimum.  The 3-Opt rungs run on the solver
+kernel.
 """
 
 import random
@@ -12,18 +13,18 @@ import time
 
 from repro.experiments import esp_scale_instances, format_table
 from repro.tsp import (
+    SolverKernel,
     branch_and_bound,
     greedy_edge_tour,
-    iterated_three_opt,
+    identity_tour,
+    kernel_iterated_three_opt,
     nearest_neighbor_tour,
-    or_opt,
     patched_tour,
-    three_opt,
     tour_cost,
 )
 from repro.tsp.solve import PAPER
 
-LADDER = ["nn", "greedy-edge", "patch", "oropt", "3opt", "iterated", "paper"]
+LADDER = ["nn", "greedy-edge", "patch", "3opt", "iterated", "paper"]
 
 
 def solve(level, matrix, seed):
@@ -34,13 +35,14 @@ def solve(level, matrix, seed):
         return tour_cost(matrix, greedy_edge_tour(matrix, rng))
     if level == "patch":
         return patched_tour(matrix)[1]
-    if level == "oropt":
-        return or_opt(matrix, list(range(matrix.shape[0])))[1]
     if level == "3opt":
-        return three_opt(matrix, list(range(matrix.shape[0])))[1]
+        kernel = SolverKernel(matrix)
+        state = kernel.state_from(identity_tour(matrix.shape[0]))
+        kernel.descend(state, or_opt=False)
+        return tour_cost(matrix, state.tour.tolist())
     if level == "iterated":
-        return iterated_three_opt(matrix, seed=seed).cost
-    return iterated_three_opt(
+        return kernel_iterated_three_opt(matrix, seed=seed).cost
+    return kernel_iterated_three_opt(
         matrix, starts=PAPER.starts, iterations=PAPER.iterations, seed=seed
     ).cost
 

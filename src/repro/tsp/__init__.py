@@ -1,6 +1,6 @@
-"""From-scratch TSP library: directed construction + local search, the
-2-node symmetrization, Held–Karp bounds, assignment bounds, patching, and
-exact DP for small instances."""
+"""From-scratch TSP library: directed construction, iterated 3-Opt on a
+flat-array kernel, the 2-node symmetrization, Held–Karp bounds, assignment
+bounds, patching, and exact DP for small instances."""
 
 from repro.tsp.branch_and_bound import BnBResult, branch_and_bound
 from repro.tsp.assignment import (
@@ -31,26 +31,22 @@ from repro.tsp.instance import (
     path_cost,
     tour_cost,
 )
-from repro.tsp.iterated import SolveResult, double_bridge, iterated_three_opt
 from repro.tsp.kernel import (
-    KERNEL_MODES,
     KernelState,
     KernelStats,
+    RunResult,
+    SolveResult,
     SolverKernel,
     kernel_iterated_three_opt,
 )
-from repro.tsp.local_search import ThreeOptSearch, three_opt
-from repro.tsp.or_opt import or_opt
 from repro.tsp.patching import patched_tour
 from repro.tsp.solve import (
     DEFAULT,
     EFFORTS,
     PAPER,
     QUICK,
-    SOLVER_ENGINES,
     Effort,
     get_effort,
-    resolve_solver_engine,
     solution_gap,
     solve_dtsp,
 )
@@ -65,23 +61,20 @@ __all__ = [
     "DEFAULT",
     "EFFORTS",
     "Effort",
-    "KERNEL_MODES",
     "KernelState",
     "KernelStats",
     "PAPER",
     "QUICK",
-    "SOLVER_ENGINES",
+    "RunResult",
     "SolveResult",
     "SolverKernel",
     "SymmetrizedInstance",
-    "ThreeOptSearch",
     "TSPError",
     "assignment_bound",
     "assignment_cycle_cover",
     "check_matrix",
     "check_tour",
     "directed_tour_to_sym",
-    "double_bridge",
     "exact_path",
     "exact_tour",
     "get_effort",
@@ -89,13 +82,10 @@ __all__ = [
     "held_karp_bound_directed",
     "held_karp_bound_symmetric",
     "identity_tour",
-    "iterated_three_opt",
     "kernel_iterated_three_opt",
     "minimum_one_tree",
     "resolve_assignment_backend",
-    "resolve_solver_engine",
     "nearest_neighbor_tour",
-    "or_opt",
     "out_neighbor_lists",
     "patched_tour",
     "path_cost",
@@ -103,6 +93,5 @@ __all__ = [
     "solve_assignment",
     "solve_dtsp",
     "symmetrize",
-    "three_opt",
     "tour_cost",
 ]

@@ -1,10 +1,20 @@
-"""Flat-array DTSP solver kernel: delta-evaluated 3-opt + Or-opt descent.
+"""Iterated 3-Opt on a flat-array DTSP solver kernel.
 
-This is the hot core behind :func:`repro.tsp.solve.solve_dtsp`.  It keeps
-the *neighborhood* of the legacy :class:`~repro.tsp.local_search.ThreeOptSearch`
-(orientation-preserving directed 3-opt — the only moves legal on the
-paper's locked 2-node symmetrization) but rebuilds the engineering around
-flat arrays and incremental evaluation:
+This is the heuristic behind :func:`repro.tsp.solve.solve_dtsp`: the
+paper's appendix solver, iterated 3-Opt with double-bridge kicks
+(Martin–Otto–Felten large-step Markov chains).  Each *run* starts from a
+construction tour, descends to a 3-opt local optimum, and then repeats:
+random double-bridge kick (the orientation-preserving 4-opt move, legal
+for directed tours), re-descend, keep the result when it is no worse.  The
+``paper`` effort performs 10 runs per instance — 5 randomized Greedy
+starts, 4 randomized Nearest-Neighbor starts, 1 compiler-order start — of
+2N kicks each, and returns the best tour found.
+
+The descent searches orientation-preserving directed 3-opt (the only
+moves legal on the paper's locked 2-node symmetrization, see
+:mod:`repro.tsp.symmetrize`) with Johnson–McGeoch engineering — sorted
+candidate neighbor lists, positive-gain pruning, first improvement and
+don't-look bits — over flat arrays:
 
 * **Array state** — the tour and the city→index permutation live in numpy
   ``int32`` arrays, don't-look bits in a numpy bool array.  Neighbor
@@ -16,23 +26,21 @@ flat arrays and incremental evaluation:
   python-list mirrors of those rows — scalar indexing into a list is
   several times cheaper than into an ndarray, and the mirrors are rebuilt
   once per matrix, not per descent.
-* **Delta evaluation** — every move's cost change is computed from the six
-  affected edges and accumulated; the per-kick O(n) ``tour_cost``
-  recompute of the legacy path is gone (a full recount survives only in
-  tests, as the invariant check).
-* **Or-opt folded in** — segment relocation (lengths 1–3, never reversed)
-  runs inside the same descent, tried for a city only after its 3-opt scan
-  fails, sharing the don't-look bits and the wake queue.  Improving
-  relocations count into ``tsp.or_opt_moves``.
-* **Kick-local restarts** — after a double-bridge kick only the ~6 cities
-  adjacent to the three reconnected seams wake up; the legacy path
-  re-queued all n cities and re-descended from scratch.  Between kicks
-  the don't-look bits persist, so an unimproved region is never rescanned.
+* **Delta evaluation** — every move's and every kick's cost change is
+  computed from the affected edges and accumulated; there is no per-kick
+  O(n) ``tour_cost`` recompute (a full recount survives only in tests, as
+  the invariant check).
+* **Or-opt polish** — segment relocation (lengths 1–3, never reversed)
+  can run inside the same descent, tried for a city only after its 3-opt
+  scan fails, sharing the don't-look bits and the wake queue.  The solve
+  uses it once per run, as a polish descent from the run's final tour, so
+  it can only lower the run's cost.  Improving relocations count into
+  ``tsp.or_opt_moves``.
 
-The kernel is deterministic for a given (matrix, effort, seed) and honors
-:class:`~repro.budget.BudgetTimer` polling exactly like the legacy solver;
-on expiry the *current* tour is always a complete, valid permutation whose
-delta-tracked cost is exact, so mid-descent salvage is safe.
+The kernel is deterministic for a given (matrix, effort, seed) and polls
+:class:`~repro.budget.BudgetTimer` inside the descent; on expiry the
+*current* tour is always a complete, valid permutation whose delta-tracked
+cost is exact, so mid-descent salvage is safe.
 """
 
 from __future__ import annotations
@@ -46,9 +54,14 @@ import numpy as np
 
 from repro import obs
 from repro.budget import Budget, BudgetTimer, ensure_timer
-from repro.errors import SolverBudgetExceeded, UnknownNameError
+from repro.errors import SolverBudgetExceeded
+from repro.tsp.construction import (
+    greedy_edge_tour,
+    identity_tour,
+    nearest_neighbor_tour,
+)
 from repro.tsp.instance import check_matrix, out_neighbor_lists, tour_cost
-from repro.tsp.iterated import RunResult, SolveResult, _construct
+from repro.tsp.patching import patched_tour
 
 _EPS = 1e-9
 
@@ -149,10 +162,9 @@ class SolverKernel:
         """Drain the wake queue to a (3-opt [+ Or-opt]) local optimum.
 
         With ``or_opt=False`` the move space — and, from the same queue,
-        the first-improvement trajectory — is exactly the legacy
-        :meth:`ThreeOptSearch.optimize` (pinned by tests); the guarded
-        solve mode relies on that equivalence for its cost-dominance
-        guarantee.
+        the first-improvement trajectory — is exactly that of the list-based
+        3-opt search kept as a test reference (pinned by tests); the solve's
+        never-worse-than-the-reference guarantee rests on that equivalence.
 
         Returns the delta-tracked tour cost.  On budget expiry the state is
         synced (complete tour, exact cost) before the exception propagates,
@@ -234,9 +246,9 @@ class SolverKernel:
         """One first-improvement orientation-preserving 3-opt move rooted at
         the removed edge (a, a+); returns its delta or None.
 
-        Same move space and scan order as the legacy
-        :meth:`ThreeOptSearch._improve_from`, with the positive-gain prefix
-        found by bisecting the presorted neighbor-cost row.
+        Form 1 picks the third removed edge via the out-neighbors of b,
+        form 2 via the in-neighbors of a+; the positive-gain prefix of each
+        candidate row is found by bisecting the presorted neighbor-cost row.
         """
         n = self.n
         outc_a = outc[a]
@@ -406,20 +418,31 @@ class SolverKernel:
     # -- kicks ----------------------------------------------------------------
 
     def kick(self, state: KernelState, rng: random.Random) -> None:
-        """Double-bridge the state in place and wake only the seam cities.
+        """Double-bridge the state in place (A B C D → A C B D, every
+        segment's orientation preserved) and wake every city.
 
-        Cost is updated by the delta of the three reconnected edges; the
-        don't-look bits of unaffected cities survive, so the re-descent
-        starts from ~6 woken cities instead of all n.
+        Tours under 8 cities swap two random cities instead.  Cost is
+        updated by the delta of the reconnected edges; the full wake makes
+        the next descent a from-scratch scan of the kicked tour.
         """
         n = self.n
         t = state.tour
-        if n < 8:
-            if n < 4:
-                return
+        w = self._w
+        if n >= 8:
+            i, j, k = sorted(rng.sample(range(1, n), 3))
+            ti_1, ti = int(t[i - 1]), int(t[i])
+            tj_1, tj = int(t[j - 1]), int(t[j])
+            tk_1, tk = int(t[k - 1]), int(t[k])
+            delta = (
+                w[ti_1][tj] + w[tk_1][ti] + w[tj_1][tk]
+                - w[ti_1][ti] - w[tj_1][tj] - w[tk_1][tk]
+            )
+            state.tour = np.concatenate([t[:i], t[j:k], t[i:j], t[k:]])
+            state.pos[state.tour] = np.arange(n, dtype=np.int32)
+            state.cost += delta
+        elif n >= 4:
             i, j = rng.sample(range(1, n), 2)
             ci, cj = int(t[i]), int(t[j])
-            w = self._w
             tl = t.tolist()
 
             def edge_sum() -> float:
@@ -433,36 +456,49 @@ class SolverKernel:
             tl[i], tl[j] = cj, ci
             state.pos[ci], state.pos[cj] = j, i
             state.cost += edge_sum() - before
-            seams = {ci, cj, tl[i - 1], tl[(i + 1) % n],
-                     tl[j - 1], tl[(j + 1) % n]}
-        else:
-            i, j, k = sorted(rng.sample(range(1, n), 3))
-            w = self._w
-            ti_1, ti = int(t[i - 1]), int(t[i])
-            tj_1, tj = int(t[j - 1]), int(t[j])
-            tk_1, tk = int(t[k - 1]), int(t[k])
-            delta = (
-                w[ti_1][tj] + w[tk_1][ti] + w[tj_1][tk]
-                - w[ti_1][ti] - w[tj_1][tj] - w[tk_1][tk]
-            )
-            state.tour = np.concatenate([t[:i], t[j:k], t[i:j], t[k:]])
-            state.pos[state.tour] = np.arange(n, dtype=np.int32)
-            state.cost += delta
-            seams = {ti_1, tj, tk_1, ti, tj_1, tk}
-        for city in seams:
-            city = int(city)
-            state.dont_look[city] = False
-            state.queue.append(city)
+        self.wake_all(state)
 
 
-#: Solve modes.  ``guarded`` (the default) walks the exact legacy
-#: iterated-3-opt trajectory — full wake after every kick, Or-opt held
-#: back to a per-run polish descent that can only improve the run's final
-#: tour — so its cost is ≤ the legacy solver's on every instance, by
-#: construction.  ``turbo`` folds Or-opt into every descent and restarts
-#: kick-locally (only the seam cities wake), trading the per-instance
-#: dominance guarantee for the asymptotically cheaper kick loop.
-KERNEL_MODES = ("guarded", "turbo")
+# -- iterated 3-Opt -----------------------------------------------------------
+
+
+@dataclass
+class RunResult:
+    """Outcome of one iterated-3-opt run."""
+
+    start_kind: str
+    cost: float
+    iterations: int
+
+
+@dataclass
+class SolveResult:
+    """Best tour over all runs, plus per-run outcomes for the appendix
+    stability statistics ("on 128 of the 179 procedures [the best tour] was
+    found on all 10 runs")."""
+
+    tour: list[int]
+    cost: float
+    runs: list[RunResult] = field(default_factory=list)
+
+    @property
+    def runs_finding_best(self) -> int:
+        return sum(1 for r in self.runs if r.cost <= self.cost + 1e-6)
+
+
+def _construct(kind: str, matrix: np.ndarray, rng: random.Random) -> list[int]:
+    n = matrix.shape[0]
+    if kind == "greedy":
+        return greedy_edge_tour(matrix, rng, jitter=0.15)
+    if kind == "nn":
+        return nearest_neighbor_tour(matrix, rng, candidates=3)
+    if kind == "identity":
+        return identity_tour(n)
+    if kind == "patch":
+        # AP + Karp patching: strong on instances with a small AP gap.
+        tour, _ = patched_tour(matrix)
+        return tour
+    raise ValueError(f"unknown start kind {kind!r}")
 
 
 def kernel_iterated_three_opt(
@@ -473,20 +509,25 @@ def kernel_iterated_three_opt(
     neighbors: int = 12,
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
-    mode: str = "guarded",
     target: float | None = None,
     certify: Callable[[list[int], float], float | None] | None = None,
 ) -> SolveResult:
-    """Iterated 3-opt/Or-opt over the flat-array kernel.
+    """Run iterated 3-opt from each start; return the best tour found.
 
-    Drop-in replacement for :func:`repro.tsp.iterated.iterated_three_opt`:
-    same starts/iterations/budget semantics, same
-    :class:`~repro.tsp.iterated.SolveResult` shape, same
-    ``tsp.runs``/``tsp.kicks``/``tsp.improving_moves`` counter contract
-    (plus ``tsp.or_opt_moves`` whenever a relocation fires).  See
-    :data:`KERNEL_MODES` for the guarded/turbo trade-off; in guarded mode
-    the result cost is never worse than the legacy solver's for the same
-    effort and seed.
+    ``iterations`` is the number of kick/re-descend steps per run; the
+    paper uses 2N (pass ``None`` for that default).  Each kick is followed
+    by a full 3-opt descent and kept when it is no worse; each run ends
+    with one Or-opt polish descent from its final tour.  Counters:
+    ``tsp.runs``, ``tsp.kicks``, ``tsp.improving_moves`` (improving kicks)
+    and ``tsp.or_opt_moves``.  With Or-opt held back to the polish, the
+    kick trajectory is that of the list-based reference solver the tests
+    compare against, so the result never costs more than the reference's
+    for the same effort and seed.
+
+    A ``budget`` is checked at every start and kick boundary (and
+    periodically inside the descent); on expiry
+    :class:`SolverBudgetExceeded` propagates with the best complete tour
+    found so far attached as ``best_so_far``.
 
     ``target`` is a cost no tour can beat (a certified lower bound): once
     the incumbent is within ``1e-9`` of it, the solve stops — no more
@@ -497,12 +538,6 @@ def kernel_iterated_three_opt(
     same as without a target; ``target=None`` and ``certify=None`` replay
     the full-effort solve bit for bit.
     """
-    if mode not in KERNEL_MODES:
-        known = ", ".join(KERNEL_MODES)
-        raise UnknownNameError(
-            f"unknown kernel mode {mode!r} (known: {known})"
-        )
-    guarded = mode == "guarded"
     matrix = check_matrix(matrix)
     n = matrix.shape[0]
     rng = random.Random(seed)
@@ -536,9 +571,7 @@ def kernel_iterated_three_opt(
             with obs.span("tsp_run", start=start_kind):
                 obs.count("tsp.runs")
                 state = kernel.state_from(_construct(start_kind, matrix, rng))
-                current_cost = kernel.descend(
-                    state, budget=timer, or_opt=not guarded
-                )
+                current_cost = kernel.descend(state, budget=timer, or_opt=False)
                 note(current_cost)
                 run_best = current_cost
                 kicked = 0
@@ -549,10 +582,8 @@ def kernel_iterated_three_opt(
                     obs.count("tsp.kicks")
                     snap = kernel.snapshot(state)
                     kernel.kick(state, rng)
-                    if guarded:
-                        kernel.wake_all(state)
                     candidate_cost = kernel.descend(
-                        state, budget=timer, or_opt=not guarded
+                        state, budget=timer, or_opt=False
                     )
                     if candidate_cost <= current_cost + 1e-9:
                         if candidate_cost < current_cost - 1e-9:
@@ -562,11 +593,10 @@ def kernel_iterated_three_opt(
                         note(current_cost)
                     else:
                         kernel.restore(state, snap)
-                if guarded and not reached(current_cost):
+                if not reached(current_cost):
                     # Or-opt polish: a full descent with relocations enabled
                     # from the run's final tour.  Only improving moves apply,
-                    # so this can only lower the run's cost — the dominance
-                    # guarantee over the legacy solver lives here.
+                    # so this can only lower the run's cost.
                     kernel.wake_all(state)
                     current_cost = kernel.descend(state, budget=timer)
                     run_best = min(run_best, current_cost)

@@ -6,17 +6,13 @@ iteration budgets controlled by an :class:`Effort` preset.  The ``paper``
 preset matches the appendix configuration (10 runs — 5 randomized Greedy,
 4 randomized Nearest Neighbor, 1 compiler order — of 2N iterations each).
 
-The heuristic path runs on the flat-array kernel
-(:mod:`repro.tsp.kernel`) in its guarded mode, whose tours cost no more
-than the legacy list-based solver's for the same effort and seed.  The
-``REPRO_TSP_SOLVER`` environment variable overrides the engine:
-``guarded`` / ``turbo`` select a kernel mode, ``legacy`` is the kill
-switch back to :func:`repro.tsp.iterated.iterated_three_opt`.
+The heuristic path is
+:func:`repro.tsp.kernel.kernel_iterated_three_opt`, iterated 3-Opt on the
+flat-array solver kernel.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,24 +22,8 @@ from repro import faults, obs
 from repro.budget import Budget, BudgetTimer, ensure_timer
 from repro.errors import UnknownNameError
 from repro.tsp.exact import MAX_EXACT_CITIES, exact_tour
-from repro.tsp.instance import check_matrix, tour_cost
-from repro.tsp.iterated import SolveResult, RunResult, iterated_three_opt
-from repro.tsp.kernel import KERNEL_MODES, kernel_iterated_three_opt
-
-#: Engine choices for the heuristic path (see resolve_solver_engine).
-SOLVER_ENGINES = KERNEL_MODES + ("legacy",)
-
-
-def resolve_solver_engine(engine: str | None = None) -> str:
-    """Pick the heuristic solve engine: explicit argument, then the
-    ``REPRO_TSP_SOLVER`` environment variable, then the guarded kernel."""
-    choice = engine or os.environ.get("REPRO_TSP_SOLVER") or "guarded"
-    if choice not in SOLVER_ENGINES:
-        known = ", ".join(SOLVER_ENGINES)
-        raise UnknownNameError(
-            f"unknown solver engine {choice!r} (known: {known})"
-        )
-    return choice
+from repro.tsp.instance import check_matrix
+from repro.tsp.kernel import RunResult, SolveResult, kernel_iterated_three_opt
 
 
 @dataclass(frozen=True)
@@ -96,7 +76,6 @@ def solve_dtsp(
     effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
-    engine: str | None = None,
     target: float | None = None,
     certify: Callable[[list[int], float], float | None] | None = None,
 ) -> SolveResult:
@@ -104,8 +83,7 @@ def solve_dtsp(
 
     Instances at or below the effort's exact threshold are solved optimally
     by Held–Karp DP; larger ones by iterated 3-Opt on the flat-array
-    kernel (``engine`` / ``$REPRO_TSP_SOLVER`` pick the engine; see module
-    docstring).  ``budget`` bounds the search: on expiry
+    kernel.  ``budget`` bounds the search: on expiry
     :class:`~repro.errors.SolverBudgetExceeded` is raised (carrying the
     best tour found so far, if any) so callers can degrade to a cheaper
     construction.
@@ -113,12 +91,11 @@ def solve_dtsp(
     ``target`` (a certified lower bound) and ``certify`` (an optimality
     certificate for the first run) let the kernel stop at a proven optimum
     — see :func:`~repro.tsp.kernel.kernel_iterated_three_opt`.  The exact
-    path and the legacy engine ignore both.
+    path ignores both.
     """
     faults.check_solver_timeout()
     matrix = check_matrix(matrix)
     effort = get_effort(effort)
-    engine = resolve_solver_engine(engine)
     timer = ensure_timer(budget)
     n = matrix.shape[0]
     if solves_exactly(n, effort):
@@ -129,16 +106,7 @@ def solve_dtsp(
             return SolveResult(
                 tour=tour, cost=cost, runs=[RunResult("exact", cost, 0)]
             )
-    with obs.span("dtsp_solve", cities=n, mode="3opt", engine=engine):
-        if engine == "legacy":
-            return iterated_three_opt(
-                matrix,
-                starts=effort.starts,
-                iterations=effort.iterations,
-                neighbors=effort.neighbors,
-                seed=seed,
-                budget=timer,
-            )
+    with obs.span("dtsp_solve", cities=n, mode="3opt"):
         return kernel_iterated_three_opt(
             matrix,
             starts=effort.starts,
@@ -146,7 +114,6 @@ def solve_dtsp(
             neighbors=effort.neighbors,
             seed=seed,
             budget=timer,
-            mode=engine,
             target=target,
             certify=certify,
         )

@@ -10,7 +10,7 @@ edges alternates in/out nodes and reads off as a directed tour of cost
 The alignment pipeline uses this transformation where the paper does: to
 compute Held–Karp lower bounds on the symmetrized instance (Appendix).  The
 local search explores the equivalent move space directly on the directed
-matrix (see :mod:`repro.tsp.local_search`).
+matrix (see :mod:`repro.tsp.kernel`).
 """
 
 from __future__ import annotations

@@ -227,21 +227,18 @@ def test_method_aliases_share_one_memo_entry():
     run_case_cached.cache_clear()
 
 
-@pytest.mark.parametrize("engine", ["guarded", "turbo"])
-def test_align_program_identical_across_worker_counts_kernel_engines(
-    monkeypatch, engine
+def test_align_program_identical_across_worker_counts_kernel_effort_quick(
+    force_pool,
 ):
-    """The kernel engines (including turbo's kick-local wake) are pure
-    functions of (instance, effort, seed), so worker count must not leak
-    into layouts whichever engine REPRO_TSP_SOLVER selects."""
-    monkeypatch.setenv("REPRO_TSP_SOLVER", engine)
-    shutdown_pool()  # workers must fork with the engine override in place
+    """The solver kernel is a pure function of (instance, effort, seed), so
+    worker count must not leak into layouts at the quick effort either."""
     serial_layouts, serial_report = align_both_ways(jobs=1, effort="quick")
     reset_artifact_cache()
-    shutdown_pool()
+    before = force_pool()
     parallel_layouts, parallel_report = align_both_ways(
         jobs=4, effort="quick"
     )
+    assert force_pool() > before  # the jobs=4 run used the pool
     assert {n: l.order for n, l in serial_layouts.items()} == {
         n: l.order for n, l in parallel_layouts.items()
     }

@@ -205,17 +205,35 @@ class TestInjectedDispatchFaults:
 
 
 class TestParallelSupervision:
-    def test_real_worker_crash_recovers_with_identical_results(self):
+    def test_clean_parallel_batch_matches_serial(self, force_pool):
+        """With no fault plan armed, jobs=2 fans out over real workers
+        (even on one core) and returns the serial run's results."""
+        tasks = _com_tasks()
+        clean = run_tasks("align", tasks, jobs=1)
+        before = force_pool()
+        report = run_tasks_supervised("align", tasks, jobs=2, sleep=NO_SLEEP)
+        assert force_pool() > before
+        assert all(o.ok and o.attempts == 1 for o in report.outcomes)
+        for expect, outcome in zip(clean, report.outcomes):
+            assert outcome.result.name == expect.name
+            assert outcome.result.layout.order == expect.layout.order
+            assert outcome.result.cost == expect.cost
+
+    def test_real_worker_crash_recovers_with_identical_results(
+        self, force_pool
+    ):
         """`worker_crash` in pool mode is a genuine ``os._exit`` in the
         worker — the pool breaks, is rebuilt, and the batch completes with
         the same results as a clean serial run."""
         tasks = _com_tasks()
         clean = run_tasks("align", tasks, jobs=1)
+        before = force_pool()
         with faults.inject_faults(worker_crash=1) as plan:
             report = run_tasks_supervised(
                 "align", tasks, jobs=2, sleep=NO_SLEEP,
             )
         shutdown_pool()
+        assert force_pool() > before
         assert plan.trips("worker_crash") == 1
         assert report.worker_crashes >= 1
         assert all(o.ok for o in report.outcomes)

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tsp import (
+    QUICK,
     branch_and_bound,
     assignment_bound,
     check_tour,
     exact_tour,
     held_karp_bound_directed,
-    iterated_three_opt,
+    kernel_iterated_three_opt,
     patched_tour,
     solve_dtsp,
     tour_cost,
 )
+from tests.tsp.reference_solver import iterated_three_opt
 
 
 def matrix_strategy(min_n=4, max_n=9):
@@ -41,7 +43,7 @@ def _clean(matrix: np.ndarray) -> np.ndarray:
 def test_bounds_below_heuristics(matrix):
     """HK bound <= exact optimum <= every heuristic tour; AP <= optimum."""
     _, optimal = exact_tour(matrix)
-    heuristic = iterated_three_opt(matrix, seed=0)
+    heuristic = kernel_iterated_three_opt(matrix, seed=0)
     patched_cost = patched_tour(matrix)[1]
     hk = held_karp_bound_directed(matrix, tour_upper_bound=heuristic.cost)
     ap = assignment_bound(matrix)
@@ -86,17 +88,18 @@ def test_cost_scaling_invariance(matrix, scale):
 @settings(max_examples=20, deadline=None)
 @given(matrix=matrix_strategy(min_n=13, max_n=20), seed=st.integers(0, 50))
 def test_kernel_engines_output_valid_exact_cost_tours(matrix, seed):
-    """Every kernel engine returns a permutation whose reported cost is the
-    recomputed tour cost (delta evaluation never drifts), and the guarded
-    engine never costs more than the legacy solver."""
+    """The kernel returns a permutation whose reported cost is the
+    recomputed tour cost (delta evaluation never drifts), and never costs
+    more than the list-based reference solver."""
     n = matrix.shape[0]
-    costs = {}
-    for engine in ("legacy", "guarded", "turbo"):
-        result = solve_dtsp(matrix, effort="quick", seed=seed, engine=engine)
-        check_tour(result.tour, n)
-        assert abs(result.cost - tour_cost(matrix, result.tour)) <= 1e-6
-        costs[engine] = result.cost
-    assert costs["guarded"] <= costs["legacy"] + 1e-9
+    result = solve_dtsp(matrix, effort="quick", seed=seed)
+    check_tour(result.tour, n)
+    assert abs(result.cost - tour_cost(matrix, result.tour)) <= 1e-6
+    reference = iterated_three_opt(
+        matrix, starts=QUICK.starts, iterations=QUICK.iterations,
+        neighbors=QUICK.neighbors, seed=seed,
+    )
+    assert result.cost <= reference.cost + 1e-9
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for iterated 3-opt and the double-bridge kick."""
+"""Tests for iterated 3-opt and the double-bridge kick, on the kernel."""
 
 import random
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.tsp import (
+    SolverKernel,
     check_tour,
-    double_bridge,
-    iterated_three_opt,
-    three_opt,
+    kernel_iterated_three_opt,
     tour_cost,
 )
 from repro.tsp.exact import exact_tour
@@ -22,21 +21,30 @@ def random_matrix(n, seed):
     return m
 
 
+def kicked(tour, rng):
+    """Kick ``tour`` once on a kernel over a random matrix; return the
+    state after the kick."""
+    kernel = SolverKernel(random_matrix(len(tour), 0))
+    state = kernel.state_from(tour)
+    kernel.kick(state, rng)
+    return state
+
+
 class TestDoubleBridge:
     def test_permutation_preserved(self):
         rng = random.Random(0)
         tour = list(range(20))
-        kicked = double_bridge(tour, rng)
-        assert sorted(kicked) == tour
-        assert kicked != tour
+        after = kicked(tour, rng).tour.tolist()
+        assert sorted(after) == tour
+        assert after != tour
 
     def test_segments_keep_orientation(self):
         """Every consecutive pair inside a segment survives the kick."""
         rng = random.Random(3)
         tour = list(range(30))
-        kicked = double_bridge(tour, rng)
+        after = kicked(tour, rng).tour.tolist()
         pairs_before = {(a, b) for a, b in zip(tour, tour[1:])}
-        pairs_after = {(a, b) for a, b in zip(kicked, kicked[1:])}
+        pairs_after = {(a, b) for a, b in zip(after, after[1:])}
         # A double bridge breaks exactly 3 interior adjacencies (plus the
         # wraparound), so most pairs survive *in order* — no reversals.
         assert len(pairs_before & pairs_after) >= len(tour) - 5
@@ -45,8 +53,15 @@ class TestDoubleBridge:
 
     def test_tiny_tours_swapped(self):
         rng = random.Random(1)
-        kicked = double_bridge([0, 1, 2, 3], rng)
-        assert sorted(kicked) == [0, 1, 2, 3]
+        after = kicked([0, 1, 2, 3], rng).tour.tolist()
+        assert sorted(after) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_kick_wakes_every_city(self, n):
+        """The next descent scans the whole kicked tour, in tour order."""
+        state = kicked(list(range(n)), random.Random(2))
+        assert not state.dont_look.any()
+        assert state.queue == state.tour.tolist()
 
 
 class TestIteratedThreeOpt:
@@ -55,7 +70,7 @@ class TestIteratedThreeOpt:
         for seed in range(10):
             m = random_matrix(9, seed)
             _, optimal = exact_tour(m)
-            result = iterated_three_opt(m, seed=seed)
+            result = kernel_iterated_three_opt(m, seed=seed)
             assert result.cost >= optimal - 1e-9
             if result.cost <= optimal + 1e-6:
                 found_optimal += 1
@@ -63,13 +78,15 @@ class TestIteratedThreeOpt:
 
     def test_improves_on_single_descent(self):
         m = random_matrix(40, 2)
-        single = three_opt(m, list(range(40)))[1]
-        iterated = iterated_three_opt(m, seed=0).cost
+        kernel = SolverKernel(m)
+        state = kernel.state_from(list(range(40)))
+        single = kernel.descend(state, or_opt=False)
+        iterated = kernel_iterated_three_opt(m, seed=0).cost
         assert iterated <= single + 1e-9
 
     def test_run_results_recorded(self):
         m = random_matrix(12, 4)
-        result = iterated_three_opt(
+        result = kernel_iterated_three_opt(
             m, starts=("greedy", "nn", "identity", "patch"), seed=0
         )
         assert len(result.runs) == 4
@@ -83,11 +100,11 @@ class TestIteratedThreeOpt:
     def test_unknown_start_rejected(self):
         m = random_matrix(8, 5)
         with pytest.raises(ValueError, match="unknown start"):
-            iterated_three_opt(m, starts=("bogus",))
+            kernel_iterated_three_opt(m, starts=("bogus",))
 
     def test_deterministic_for_seed(self):
         m = random_matrix(15, 6)
-        a = iterated_three_opt(m, seed=42)
-        b = iterated_three_opt(m, seed=42)
+        a = kernel_iterated_three_opt(m, seed=42)
+        b = kernel_iterated_three_opt(m, seed=42)
         assert a.cost == b.cost
         assert a.tour == b.tour

@@ -2,11 +2,11 @@
 
 Three contracts matter:
 
-* the kernel's 3-opt descent is *bit-identical* to the legacy
-  :class:`~repro.tsp.local_search.ThreeOptSearch` (same tour, not just the
-  same cost) — the guarded mode's dominance guarantee rests on it;
-* guarded-mode iterated solves never cost more than the legacy solver for
-  the same effort and seed (the equivalence grid);
+* the kernel's 3-opt descent is *bit-identical* to the list-based
+  reference :class:`tests.tsp.reference_solver.ThreeOptSearch` (same tour,
+  not just the same cost) — the solve's cost-dominance guarantee rests on it;
+* iterated solves never cost more than the reference solver for the same
+  effort and seed (the equivalence grid);
 * the delta-tracked cost is always exact, including mid-descent when a
   budget expires.
 """
@@ -16,20 +16,17 @@ import pytest
 
 from repro import obs
 from repro.budget import Budget
-from repro.errors import SolverBudgetExceeded, UnknownNameError
+from repro.errors import SolverBudgetExceeded
 from repro.tsp import (
-    KERNEL_MODES,
+    QUICK,
     Effort,
-    SOLVER_ENGINES,
     KernelStats,
     SolverKernel,
-    iterated_three_opt,
     kernel_iterated_three_opt,
-    resolve_solver_engine,
     solve_dtsp,
     tour_cost,
 )
-from repro.tsp.local_search import ThreeOptSearch
+from tests.tsp.reference_solver import ThreeOptSearch, iterated_three_opt
 
 
 def random_matrix(n, seed):
@@ -74,14 +71,14 @@ class TestDescentEquivalence:
 class TestGuardedDominance:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_kernel_never_worse_than_legacy_on_size_grid(self, seed):
-        """The ISSUE's equivalence grid: for every instance size, guarded
-        kernel cost <= legacy cost under identical effort and seed."""
+        """The equivalence grid: for every instance size, kernel cost <=
+        reference cost under the quick effort and the same seed."""
+        quick = dict(starts=QUICK.starts, iterations=QUICK.iterations,
+                     neighbors=QUICK.neighbors, seed=seed)
         for n in range(4, 61, 7):
             m = random_matrix(n, seed)
-            legacy = solve_dtsp(m, effort="quick", seed=seed, engine="legacy")
-            guarded = solve_dtsp(
-                m, effort="quick", seed=seed, engine="guarded"
-            )
+            legacy = iterated_three_opt(m, **quick)
+            guarded = kernel_iterated_three_opt(m, **quick)
             assert guarded.cost <= legacy.cost + 1e-9, (n, seed)
             assert guarded.cost == pytest.approx(
                 tour_cost(m, guarded.tour)
@@ -121,37 +118,19 @@ class TestOrOpt:
         assert state.cost == pytest.approx(tour_cost(m, state.tour.tolist()))
 
     def test_guarded_polish_never_hurts(self):
-        """Guarded mode's end-of-run or-opt polish only ever lowers cost,
-        so it stays dominant over the or-opt-less legacy trajectory."""
+        """The end-of-run or-opt polish only ever lowers cost, so the solve
+        stays dominant over the or-opt-less reference trajectory."""
         for seed in range(3):
             m = random_matrix(35, seed)
             guarded = kernel_iterated_three_opt(
                 m, starts=("identity",), iterations=20, neighbors=8,
-                seed=seed, mode="guarded",
+                seed=seed,
             )
             legacy = iterated_three_opt(
                 m, starts=("identity",), iterations=20, neighbors=8,
                 seed=seed,
             )
             assert guarded.cost <= legacy.cost + 1e-9
-
-
-class TestTurboMode:
-    def test_turbo_produces_valid_tours(self):
-        m = random_matrix(40, 3)
-        result = kernel_iterated_three_opt(
-            m, starts=("greedy", "identity"), iterations=30, neighbors=8,
-            seed=1, mode="turbo",
-        )
-        assert sorted(result.tour) == list(range(40))
-        assert result.cost == pytest.approx(tour_cost(m, result.tour))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(UnknownNameError):
-            kernel_iterated_three_opt(
-                random_matrix(20, 0), starts=("identity",), iterations=1,
-                neighbors=8, seed=0, mode="warp",
-            )
 
 
 class TestBudgetSalvage:
@@ -189,35 +168,6 @@ class TestBudgetSalvage:
         tour = info.value.best_so_far
         assert tour is not None
         assert sorted(tour) == list(range(40))
-
-
-class TestEngineSelection:
-    def test_known_engines(self):
-        assert SOLVER_ENGINES == KERNEL_MODES + ("legacy",)
-        assert resolve_solver_engine() == "guarded"
-        assert resolve_solver_engine("turbo") == "turbo"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TSP_SOLVER", "legacy")
-        assert resolve_solver_engine() == "legacy"
-        # An explicit argument beats the environment.
-        assert resolve_solver_engine("guarded") == "guarded"
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(UnknownNameError, match="solver engine"):
-            resolve_solver_engine("simulated-annealing")
-        monkeypatch.setenv("REPRO_TSP_SOLVER", "bogus")
-        with pytest.raises(UnknownNameError):
-            solve_dtsp(random_matrix(20, 0), effort="quick")
-
-    def test_legacy_engine_is_bit_identical_to_iterated(self):
-        m = random_matrix(30, 4)
-        via_engine = solve_dtsp(m, effort="quick", seed=7, engine="legacy")
-        direct = iterated_three_opt(
-            m, starts=("identity",), iterations=20, neighbors=8, seed=7
-        )
-        assert via_engine.tour == direct.tour
-        assert via_engine.cost == direct.cost
 
 
 class TestCounters:

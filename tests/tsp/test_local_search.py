@@ -1,11 +1,11 @@
-"""Tests for the directed 3-opt local search."""
+"""Tests for the kernel's directed 3-opt descent (Or-opt off)."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.tsp import ThreeOptSearch, check_tour, three_opt, tour_cost
+from repro.tsp import KernelStats, SolverKernel, check_tour, tour_cost
 from repro.tsp.exact import exact_tour
 
 
@@ -14,6 +14,14 @@ def random_matrix(n, seed):
     m = rng.uniform(1, 100, size=(n, n))
     np.fill_diagonal(m, 0)
     return m
+
+
+def three_opt(matrix, tour):
+    """One 3-opt descent from ``tour``; returns (tour, delta-tracked cost)."""
+    kernel = SolverKernel(matrix)
+    state = kernel.state_from(tour)
+    cost = kernel.descend(state, or_opt=False)
+    return state.tour.tolist(), cost
 
 
 class TestThreeOpt:
@@ -39,11 +47,14 @@ class TestThreeOpt:
 
     def test_local_optimum_is_stable(self):
         m = random_matrix(12, 3)
-        search = ThreeOptSearch(m)
-        tour, stats1 = search.optimize(list(range(12)))
-        again, stats2 = search.optimize(tour)
-        assert tour_cost(m, again) == pytest.approx(tour_cost(m, tour))
-        assert stats2.moves == 0
+        kernel = SolverKernel(m)
+        state = kernel.state_from(list(range(12)))
+        cost = kernel.descend(state, or_opt=False)
+        kernel.wake_all(state)
+        stats = KernelStats()
+        again = kernel.descend(state, stats=stats, or_opt=False)
+        assert again == pytest.approx(cost)
+        assert stats.moves == 0
 
     def test_close_to_exact_on_small_instances(self):
         """Single-descent 3-opt from identity lands within 15% of optimal
@@ -70,9 +81,10 @@ class TestThreeOpt:
 
     def test_stats_counted(self):
         m = random_matrix(20, 6)
-        search = ThreeOptSearch(m)
+        kernel = SolverKernel(m)
         start = list(range(20))
         random.Random(1).shuffle(start)
-        _, stats = search.optimize(start)
+        stats = KernelStats()
+        kernel.descend(kernel.state_from(start), stats=stats, or_opt=False)
         assert stats.moves > 0
         assert stats.scans > 0

@@ -1,12 +1,11 @@
-"""Tests for the directed Or-opt local search."""
+"""Tests for the Or-opt relocations folded into the kernel's descent."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.tsp import check_tour, exact_tour, three_opt, tour_cost
-from repro.tsp.or_opt import or_opt
+from repro.tsp import SolverKernel, check_tour, tour_cost
 
 
 def random_matrix(n, seed):
@@ -16,10 +15,18 @@ def random_matrix(n, seed):
     return m
 
 
+def or_opt_descent(matrix, tour):
+    """One 3-opt + Or-opt descent from ``tour``; returns (tour, cost)."""
+    kernel = SolverKernel(matrix)
+    state = kernel.state_from(tour)
+    cost = kernel.descend(state, or_opt=True)
+    return state.tour.tolist(), cost
+
+
 class TestOrOpt:
     def test_valid_tour_and_cost(self):
         m = random_matrix(15, 0)
-        tour, cost = or_opt(m, list(range(15)))
+        tour, cost = or_opt_descent(m, list(range(15)))
         check_tour(tour, 15)
         assert cost == pytest.approx(tour_cost(m, tour))
 
@@ -29,19 +36,8 @@ class TestOrOpt:
             start = list(range(12))
             random.Random(seed).shuffle(start)
             before = tour_cost(m, start)
-            _, after = or_opt(m, start)
+            _, after = or_opt_descent(m, start)
             assert after <= before + 1e-9
-
-    def test_three_opt_polishes_or_opt_optima(self):
-        """Or-opt is a restriction of directed 3-opt, so running 3-opt
-        after Or-opt can only improve (or keep) the tour — while individual
-        first-improvement descents from the same start may diverge either
-        way."""
-        for seed in range(8):
-            m = random_matrix(14, seed + 20)
-            tour, or_cost = or_opt(m, list(range(14)))
-            _, polished = three_opt(m, tour)
-            assert polished <= or_cost + 1e-9
 
     def test_finds_obvious_relocation(self):
         """A city parked in the wrong place gets moved next to its
@@ -53,33 +49,25 @@ class TestOrOpt:
             m[i, (i + 1) % n] = 1.0   # cheap ring 0->1->...->n-1->0
         # Start with city 5 yanked out of place.
         start = [0, 5, 1, 2, 3, 4, 6, 7]
-        tour, cost = or_opt(m, start)
+        tour, cost = or_opt_descent(m, start)
         assert cost == pytest.approx(n * 1.0)
-
-    def test_tiny_instances_passthrough(self):
-        m = random_matrix(3, 3)
-        tour, _ = or_opt(m, [2, 0, 1])
-        assert sorted(tour) == [0, 1, 2]
 
     def test_respects_big_edges(self):
         m = random_matrix(10, 4)
         big = 1e9
         m[:, 0] = big
         m[9, 0] = 0.0
-        tour, cost = or_opt(m, list(range(10)))
+        tour, cost = or_opt_descent(m, list(range(10)))
         assert cost < big
+
+    def test_tiny_instances_passthrough(self):
+        m = random_matrix(3, 3)
+        tour, _ = or_opt_descent(m, [2, 0, 1])
+        assert sorted(tour) == [0, 1, 2]
 
     def test_local_optimum_stable(self):
         m = random_matrix(12, 5)
-        tour, cost = or_opt(m, list(range(12)))
-        again, cost2 = or_opt(m, tour)
+        tour, cost = or_opt_descent(m, list(range(12)))
+        again, cost2 = or_opt_descent(m, tour)
         assert cost2 == pytest.approx(cost)
-
-    def test_gap_to_optimum_reasonable(self):
-        gaps = []
-        for seed in range(8):
-            m = random_matrix(9, seed + 40)
-            _, optimal = exact_tour(m)
-            _, found = or_opt(m, list(range(9)))
-            gaps.append((found - optimal) / optimal)
-        assert sum(gaps) / len(gaps) < 0.30
+        assert again == tour
