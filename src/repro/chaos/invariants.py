@@ -16,7 +16,10 @@ The suite:
 * ``closed_accounting`` — ``submitted == admitted + shed`` summed
   across every shard life (restarts included).
 * ``no_lost_admissions`` — every submitted request settled: a response,
-  a typed error, but never a hang past the workload timeout.
+  a typed error, but never a hang past the workload timeout; and no
+  post-drain journal holds an orphaned admission (one with no terminal
+  record).  Orphans are excused only under journal-damage sites, where a
+  degraded journal drops terminal records by design.
 * ``responses_verified`` — every ok response carries valid permutation
   layouts and respects its own Held–Karp floors.
 * ``journal_replayable`` — every journal the run wrote loads cleanly;
@@ -120,16 +123,20 @@ def check_invariants(
     else:
         verdict("closed_accounting", True, "no admission gate in workload")
 
-    # 2. No lost admissions: nothing hung past the workload timeout.
+    # 2. No lost admissions: nothing hung past the workload timeout, and
+    # no journal still owes a terminal record after the drain.
+    damage_excused = bool(armed & JOURNAL_DAMAGE_SITES)
     lost = [
         i for i, outcome in enumerate(result.outcomes)
         if outcome["status"] == "lost"
     ]
-    verdict(
-        "no_lost_admissions",
-        not lost,
-        f"lost requests at indices {lost}" if lost else "",
-    )
+    problems = [f"lost requests at indices {lost}"] if lost else []
+    if not damage_excused:
+        problems += [
+            f"{scrub.path}: {scrub.orphans} orphan(s)"
+            for scrub in result.scrubs if scrub.orphans
+        ]
+    verdict("no_lost_admissions", not problems, "; ".join(problems[:3]))
 
     # 3. Every ok response self-verifies (permutation layouts, HK floor).
     violations = [
@@ -144,7 +151,6 @@ def check_invariants(
     )
 
     # 4. Journal integrity and replayability.
-    damage_excused = bool(armed & JOURNAL_DAMAGE_SITES)
     journal_problems = []
     for scrub in result.scrubs:
         if scrub.unreadable:

@@ -167,7 +167,10 @@ def payloads_for(config: WorkloadConfig) -> list[dict]:
     ]
 
 
-def _outcome(status: str, response: "dict | None" = None) -> dict:
+def request_outcome(status: str, response: "dict | None" = None) -> dict:
+    """One request's entry in :attr:`WorkloadResult.outcomes`: its status,
+    the semantic signature of an ok response, and any violation
+    :func:`response_valid` finds in it."""
     out: dict = {"status": status, "signature": None}
     if response is not None and response.get("status") == "ok":
         out["signature"] = response_signature(response)
@@ -204,13 +207,15 @@ def run_service_burst(
                 handle = tier.submit(payload)
                 response = handle.result(timeout=config.timeout_s)
             except TimeoutError:
-                result.outcomes.append(_outcome("lost"))
+                result.outcomes.append(request_outcome("lost"))
                 continue
             except ReproError as exc:
-                result.outcomes.append(_outcome(f"error:{type(exc).__name__}"))
+                result.outcomes.append(
+                    request_outcome(f"error:{type(exc).__name__}")
+                )
                 continue
             result.outcomes.append(
-                _outcome(response.get("status", "unknown"), response)
+                request_outcome(response.get("status", "unknown"), response)
             )
         tier.drain(timeout=30.0)
         result.snapshot = tier.snapshot()
@@ -258,7 +263,9 @@ def run_pipeline_sweep(
                     module.program, layouts, profile, model
                 )
             except ReproError as exc:
-                result.outcomes.append(_outcome(f"error:{type(exc).__name__}"))
+                result.outcomes.append(
+                    request_outcome(f"error:{type(exc).__name__}")
+                )
                 continue
             response = {
                 "status": "ok",
@@ -269,7 +276,7 @@ def run_pipeline_sweep(
                 "costs": {},
                 "penalty": {"total": penalty.total},
             }
-            result.outcomes.append(_outcome("ok", response))
+            result.outcomes.append(request_outcome("ok", response))
     finally:
         reset_default_store()
         reset_artifact_cache()

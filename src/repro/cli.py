@@ -405,6 +405,16 @@ def cmd_serve(args) -> int:
             f"--journal-compact-bytes must be >= 1, "
             f"got {args.journal_compact_bytes}"
         )
+    # --shards > 1 or --journal-dir selects the shard tier, which writes
+    # one journal per shard under --journal-dir: a single --journal file
+    # would be silently ignored there.
+    if args.journal is not None and (
+        args.shards > 1 or args.journal_dir is not None
+    ):
+        raise UsageError(
+            "--journal names one file but each shard needs its own "
+            "journal; use --journal-dir alone with --shards"
+        )
     service_config = ServiceConfig(
         capacity=args.capacity,
         jobs=args.jobs,
@@ -419,13 +429,6 @@ def cmd_serve(args) -> int:
     if args.shards == 1 and args.journal_dir is None:
         service = AlignmentService(service_config)
         return serve(service, host=args.host, port=args.port)
-    # Shard tier: sharding needs one journal per shard, so the single
-    # --journal path cannot express durability for shards > 1.
-    if args.journal is not None and args.shards > 1:
-        raise UsageError(
-            "--journal names one file but each shard needs its own "
-            "journal; use --journal-dir with --shards"
-        )
     tier = ShardSupervisor(ShardTierConfig(
         shards=args.shards,
         journal_dir=args.journal_dir,

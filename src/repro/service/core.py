@@ -478,6 +478,9 @@ class AlignmentService:
                 with self._lock:
                     self._inflight.pop(key, None)
                 self.journal.failed(key, exc)
+                # Duplicates that coalesced onto this handle meanwhile
+                # get the same typed refusal instead of waiting forever.
+                pending.fail(exc)
             raise
         return pending
 

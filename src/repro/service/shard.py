@@ -36,8 +36,8 @@ The supervisor exposes the same duck-typed surface the HTTP tier uses
 (``submit``/``healthy``/``ready``/``begin_drain``/``drain``/
 ``snapshot``), so ``repro serve --shards N`` is the same server with a
 tier behind it.  ``shard_death`` / ``shard_wedge`` fault sites let chaos
-plans (and the Zipf load soak, ``benchmarks/load_soak.py``) schedule
-kills mid-traffic.
+plans (and ``$REPRO_CHAOS`` under ``benchmarks/service_load.py``)
+schedule kills mid-traffic.
 """
 
 from __future__ import annotations

@@ -138,22 +138,31 @@ class TestReplaySemantics:
         assert report.ok, report.to_json()
 
     def test_unexcused_corruption_fails_the_suite(self):
-        # A synthetic result with interior corruption under a schedule
-        # that did NOT arm journal damage must fail journal_replayable.
+        # A synthetic result with journal damage under a schedule that did
+        # NOT arm journal damage must fail the invariant that damage feeds:
+        # interior corruption breaks replayability, and an orphaned
+        # admission left after the drain is a lost admission.
         from repro.chaos.invariants import check_invariants
         from repro.chaos.workloads import WorkloadResult
         from repro.service.scrub import JournalScrub
 
-        result = WorkloadResult(
-            outcomes=[{"status": "ok", "signature": "x"}],
-            scrubs=[JournalScrub(path="j.jsonl", interior_corrupt=[2])],
-        )
-        report = check_invariants(
-            FaultSchedule.of({"clock_skew": 1}), result, None
-        )
-        assert report.failed() == ["journal_replayable"]
-        # The same damage under an armed journal fault is excused.
-        excused = check_invariants(
-            FaultSchedule.of({"torn_write_mid_file": 1}), result, None
-        )
-        assert excused.ok, excused.to_json()
+        cases = [
+            (JournalScrub(path="j.jsonl", interior_corrupt=[2]),
+             "journal_replayable", "torn_write_mid_file"),
+            (JournalScrub(path="j.jsonl", orphans=1),
+             "no_lost_admissions", "journal_torn_tail"),
+        ]
+        for scrub, invariant, damage_site in cases:
+            result = WorkloadResult(
+                outcomes=[{"status": "ok", "signature": "x"}],
+                scrubs=[scrub],
+            )
+            report = check_invariants(
+                FaultSchedule.of({"clock_skew": 1}), result, None
+            )
+            assert report.failed() == [invariant]
+            # The same damage under an armed journal fault is excused.
+            excused = check_invariants(
+                FaultSchedule.of({damage_site: 1}), result, None
+            )
+            assert excused.ok, excused.to_json()

@@ -73,6 +73,22 @@ class TestUsageErrors:
         with pytest.raises(KeyError):
             cli.main(["suite", "su2.sh"])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--capacity", "0"], "--capacity"),
+        (["--shards", "0"], "--shards"),
+        (["--hedge-after-ms", "-1"], "--hedge-after-ms"),
+        (["--journal", "j.jsonl", "--shards", "2"], "--journal"),
+        (["--journal", "j.jsonl", "--journal-dir", "jdir"], "--journal"),
+    ])
+    def test_serve_usage_errors(self, argv, flag, monkeypatch, capsys):
+        # A bad combination must be rejected before any server starts.
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve() reached despite a usage error")
+
+        monkeypatch.setattr("repro.service.serve", no_server)
+        assert main(["serve", "--port", "0", *argv]) == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestSuiteResilience:
     def test_degraded_column_reports_the_rung(self, capsys):

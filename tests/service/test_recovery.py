@@ -3,8 +3,9 @@
 These tests simulate the crash by *not* draining: a first service
 instance journals admissions/completions and is abandoned, a second
 instance replays the same journal file — exactly the state a SIGKILL
-leaves behind (the real-signal version lives in
-``benchmarks/service_check.py --scenario recovery``).
+leaves behind (the real-signal version is
+``benchmarks/service_load.py --kill-after``, run by
+``test_service_load.py``).
 """
 
 import json
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from repro.errors import ServiceRetryExhaustedError
+from repro.errors import ServiceOverloadError, ServiceRetryExhaustedError
 from repro.service import AlignmentService, ServiceConfig
 from repro.service.client import (
     RetryPolicy,
@@ -191,6 +192,34 @@ class TestWorkerCountInvariance:
             assert service.drain(timeout=60)
 
 
+class TestCoalescing:
+    def test_refused_admission_fails_its_coalesced_duplicates(
+        self, tmp_path, monkeypatch
+    ):
+        """A duplicate that coalesced onto a request the gate then sheds
+        must get the same typed refusal instead of waiting forever."""
+        service = AlignmentService(ServiceConfig(
+            capacity=4, journal_path=str(tmp_path / "journal.jsonl"),
+        )).start()
+        duplicates = []
+
+        def shed_after_a_duplicate(item, **kwargs):
+            # The first submission is in flight: its duplicate coalesces.
+            duplicates.append(service.submit(make_payload()))
+            raise ServiceOverloadError("queue full")
+
+        monkeypatch.setattr(service.gate, "submit", shed_after_a_duplicate)
+        try:
+            with pytest.raises(ServiceOverloadError):
+                service.submit(make_payload())
+            assert service.stats.deduped == 1
+            with pytest.raises(ServiceOverloadError):
+                duplicates[0].result(timeout=5)
+        finally:
+            monkeypatch.undo()
+            assert service.drain(timeout=30)
+
+
 class TestClientRetry:
     def test_backoff_schedule_is_deterministic(self):
         policy = RetryPolicy(attempts=6, base_delay_s=0.1, max_delay_s=2.0)
@@ -328,7 +357,7 @@ class TestDrainDuringReplay:
     drain must finish promptly with un-replayed orphans *cleanly
     abandoned* — left in the journal, byte-for-byte, for the next start
     — never half-processed.  (``serve()`` maps a clean drain to exit 0;
-    the real-signal version lives in ``benchmarks/service_check.py``.)
+    the real-signal drain is exercised by ``test_service_load.py``.)
     """
 
     def _journal_with_orphans(self, tmp_path, count=3):
