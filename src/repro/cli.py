@@ -374,7 +374,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.service import AlignmentService, ServiceConfig, serve
+    from repro.service import ServiceConfig, serve
     from repro.service.shard import ShardSupervisor, ShardTierConfig
 
     policy = _supervision_policy(args)
@@ -405,36 +405,20 @@ def cmd_serve(args) -> int:
             f"--journal-compact-bytes must be >= 1, "
             f"got {args.journal_compact_bytes}"
         )
-    # --shards > 1 or --journal-dir selects the shard tier, which writes
-    # one journal per shard under --journal-dir: a single --journal file
-    # would be silently ignored there.
-    if args.journal is not None and (
-        args.shards > 1 or args.journal_dir is not None
-    ):
-        raise UsageError(
-            "--journal names one file but each shard needs its own "
-            "journal; use --journal-dir alone with --shards"
-        )
-    service_config = ServiceConfig(
-        capacity=args.capacity,
-        jobs=args.jobs,
-        policy=policy,
-        default_deadline_ms=args.deadline_ms,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        verify=not args.no_verify,
-        journal_path=args.journal,
-        journal_compact_bytes=args.journal_compact_bytes,
-    )
-    if args.shards == 1 and args.journal_dir is None:
-        service = AlignmentService(service_config)
-        return serve(service, host=args.host, port=args.port)
     tier = ShardSupervisor(ShardTierConfig(
         shards=args.shards,
         journal_dir=args.journal_dir,
-        journal_compact_bytes=args.journal_compact_bytes,
         hedge_after_ms=args.hedge_after_ms,
-        service=service_config,
+        service=ServiceConfig(
+            capacity=args.capacity,
+            jobs=args.jobs,
+            policy=policy,
+            default_deadline_ms=args.deadline_ms,
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown=args.breaker_cooldown,
+            verify=not args.no_verify,
+            journal_compact_bytes=args.journal_compact_bytes,
+        ),
     ))
     return serve(tier, host=args.host, port=args.port)
 
@@ -873,12 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-verify", action="store_true",
                          help="skip per-response layout verification "
                               "(benchmarking only; verification is cheap)")
-    p_serve.add_argument("--journal", default=None, metavar="PATH",
-                         help="write-ahead request journal (JSONL): makes "
-                              "SIGKILL survivable — completed requests are "
-                              "replayed from the journal on restart, "
-                              "orphaned admissions re-enqueued, duplicate "
-                              "payloads coalesced by idempotency key")
     p_serve.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes per align pass "
                               "(default: $REPRO_JOBS or 1)")
@@ -886,11 +864,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run N service workers behind an idempotency-"
                               "key-hash router with per-shard failure "
                               "isolation and automatic restart "
-                              "(default 1: single service)")
+                              "(default 1)")
     p_serve.add_argument("--journal-dir", default=None, metavar="DIR",
-                         help="directory for per-shard write-ahead journals "
-                              "(shard-<i>.jsonl); required instead of "
-                              "--journal when --shards > 1")
+                         help="write-ahead request journals, one JSONL file "
+                              "per shard (DIR/shard-<i>.jsonl): makes "
+                              "SIGKILL survivable — completed requests are "
+                              "replayed on restart, orphaned admissions "
+                              "re-enqueued, duplicate payloads coalesced "
+                              "by idempotency key")
     p_serve.add_argument("--journal-compact-bytes", type=int, default=None,
                          metavar="BYTES",
                          help="compact a journal in place once it grows "

@@ -24,7 +24,8 @@ serving-grade robustness layer:
   admission, finishes in-flight work, flushes observability state, and
   exits 0.
 * **Crash safety** (:mod:`.journal`) — a write-ahead request journal
-  (fsynced JSONL, content-addressed idempotency keys, torn-tail
+  per shard (``--journal-dir DIR`` → ``DIR/shard-<i>.jsonl``; fsynced
+  JSONL, content-addressed idempotency keys, torn-tail
   tolerant, size-triggered compaction) makes SIGKILL survivable: on
   restart the service replays the journal, re-verifies and serves
   completed responses without re-solving, and re-enqueues orphaned
@@ -32,8 +33,10 @@ serving-grade robustness layer:
   (exactly-once), and :class:`~.client.RetryPolicy` gives clients a
   deterministic backoff that rides through the restart (honoring the
   server's ``Retry-After`` drain estimate under its cap).
-* **Horizontal scale** (:mod:`.shard`) — ``--shards N`` runs N services
-  behind a :class:`~.shard.ShardSupervisor`: idempotency-key-hash
+* **The serving tier** (:mod:`.shard`) — ``repro serve`` always runs a
+  :class:`~.shard.ShardSupervisor` over ``--shards N`` services (one
+  shard is ``--shards 1``; :class:`AlignmentService` is a shard's
+  internals, driven directly only by tests): idempotency-key-hash
   routing (each key's dedup/journal history lives on exactly one
   shard), health-probe failure isolation (dead or wedged shards are
   restarted on their journal and stranded requests re-land via

@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import math
 import queue
 import threading
 import time
@@ -243,6 +244,10 @@ class PendingRequest:
     def done(self) -> bool:
         return self._event.is_set()
 
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until resolved or ``timeout``; True once resolved."""
+        return self._event.wait(timeout)
+
     def result(self, timeout: float | None = None) -> dict:
         """Block for the response; re-raises the worker's typed failure."""
         if not self._event.wait(timeout):
@@ -316,6 +321,10 @@ class AlignmentService:
         #: *wedged* — the shard supervisor's restart trigger.
         self._last_beat = time.monotonic()
         self._busy = False
+        #: Heartbeat silence the current item may take on top of the
+        #: wedge timeout: a request's own deadline, unbounded without one
+        #: (a long solve is slow, not stuck), none for a wedge token.
+        self._beat_grace_s = 0.0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -342,14 +351,15 @@ class AlignmentService:
     def killed(self) -> bool:
         return self._killed
 
-    @property
-    def busy(self) -> bool:
-        """The worker is mid-item (processing or wedged)."""
-        return self._busy
-
-    def heartbeat_age_s(self) -> float:
-        """Seconds since the worker last made visible progress."""
-        return time.monotonic() - self._last_beat
+    def wedged(self, timeout_s: float) -> bool:
+        """The worker is mid-item and has shown no progress for
+        ``timeout_s`` beyond what the item may take: a wedge token, or a
+        request past its own deadline."""
+        return (
+            self._busy
+            and time.monotonic() - self._last_beat
+            > timeout_s + self._beat_grace_s
+        )
 
     def kill(self) -> None:
         """Die abruptly: the in-process equivalent of SIGKILL on a shard.
@@ -540,6 +550,7 @@ class AlignmentService:
                 continue  # stale wake-up from an un-killed race; ignore
             self._last_beat = time.monotonic()
             if isinstance(item, _WedgeToken):
+                self._beat_grace_s = 0.0
                 self._busy = True
                 start = time.monotonic()
                 while (not self._killed
@@ -548,6 +559,10 @@ class AlignmentService:
                 self._busy = False
                 self._last_beat = time.monotonic()
                 continue
+            deadline_ms = self._payload_deadline(item[1])
+            self._beat_grace_s = (
+                math.inf if deadline_ms is None else deadline_ms / 1000.0
+            )
             self._busy = True
             try:
                 self._resolve(item)

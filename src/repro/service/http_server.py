@@ -2,12 +2,13 @@
 
 Endpoints::
 
-    GET  /healthz    200 while the worker loop lives (green through drain)
+    GET  /healthz    200 while any shard's worker loop lives (green
+                     through drain)
     GET  /readyz     200 while admitting; 503 during journal replay
                      (``recovering: true``) and once drain begins; the
                      body also reports ``durability`` ("on"/"off"/null)
-    GET  /counters   service snapshot (admission, breakers, journal,
-                     recovery, counters)
+    GET  /counters   tier snapshot (tier, totals, and each shard's
+                     admission, breakers, journal, recovery)
     POST /align      one alignment request (JSON body) → JSON response
 
 Status mapping — the service's error taxonomy *is* the status code::
@@ -25,10 +26,8 @@ own drain estimate when the shed error provides one, else a 1-second
 floor.  :class:`~repro.service.client.RetryPolicy` honors it under its
 deterministic cap.
 
-The same server fronts either one :class:`AlignmentService` or a
-:class:`~repro.service.shard.ShardSupervisor` — both expose
-``submit``/``healthy``/``ready``/``recovering``/``journal``/
-``snapshot``/``begin_drain``/``drain``, which is all this module uses.
+The server fronts one :class:`~repro.service.shard.ShardSupervisor`;
+a single shard is ``shards=1``.
 
 Graceful drain: SIGTERM (and SIGINT) stops admission *first* — new
 requests get 503 while in-flight handlers keep their connections — then
@@ -54,7 +53,7 @@ from repro.errors import (
     UsageError,
 )
 from repro.lang import LangError
-from repro.service.core import AlignmentService
+from repro.service.shard import ShardSupervisor
 
 #: Ceiling on how long one POST handler waits for its result.  Generous —
 #: a request's own deadline degrades it long before this; the ceiling
@@ -110,17 +109,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             pass  # client went away; nothing to salvage
 
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        service = self.server.service
+        tier = self.server.tier
         if self.path == "/healthz":
-            if service.healthy:
+            if tier.healthy:
                 self._send(200, {"status": "ok"})
             else:
                 self._send(500, {"status": "worker dead"})
         elif self.path == "/readyz":
-            journal = service.journal
+            journal = tier.journal
             body = {
-                "ready": service.ready,
-                "recovering": service.recovering,
+                "ready": tier.ready,
+                "recovering": tier.recovering,
                 # null = no journal configured; "off" = a disk fault
                 # flipped the journal into degraded-durability mode.
                 "durability": (
@@ -128,9 +127,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     else ("off" if journal.degraded else "on")
                 ),
             }
-            self._send(200 if service.ready else 503, body)
+            self._send(200 if tier.ready else 503, body)
         elif self.path == "/counters":
-            self._send(200, service.snapshot())
+            self._send(200, tier.snapshot())
         else:
             self._send(404, {"error": f"unknown path {self.path!r}"})
 
@@ -142,6 +141,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = 0
+        if length < 0:
+            # rfile.read(-1) would block until the client closes a socket
+            # it is holding open for our answer.
+            self._send(400, {
+                "status": "error",
+                "error": f"Content-Length must be >= 0, got {length}",
+                "type": "UsageError",
+            })
+            return
         try:
             payload = json.loads(self.rfile.read(length) or b"")
         except ValueError:
@@ -149,9 +157,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 400, {"status": "error", "error": "request body is not JSON"}
             )
             return
-        service = self.server.service
         try:
-            pending = service.submit(payload)
+            pending = self.server.tier.submit(payload)
             response = pending.result(self.server.request_timeout_s)
         except TimeoutError as exc:
             self._send(500, {"status": "error", "error": str(exc)})
@@ -174,7 +181,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
 
 class AlignmentHTTPServer(ThreadingHTTPServer):
-    """Threaded accept loop over one :class:`AlignmentService`."""
+    """Threaded accept loop over one shard tier."""
 
     # In-flight handlers must finish their responses through a drain.
     daemon_threads = False
@@ -187,34 +194,32 @@ class AlignmentHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        service: "AlignmentService | object",
+        tier: ShardSupervisor,
         *,
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
     ):
-        # ``service`` may also be a ShardSupervisor — anything exposing
-        # the submit/healthy/ready/recovering/journal/snapshot surface.
         super().__init__(address, ServiceRequestHandler)
-        self.service = service
+        self.tier = tier
         self.request_timeout_s = request_timeout_s
 
 
 def serve(
-    service: "AlignmentService | object",
+    tier: ShardSupervisor,
     *,
     host: str = "127.0.0.1",
     port: int = 8421,
     install_signals: bool = True,
     announce=print,
 ) -> int:
-    """Run the service until SIGTERM/SIGINT, then drain gracefully.
+    """Run the tier until SIGTERM/SIGINT, then drain gracefully.
 
     Returns the process exit status: 0 after a clean drain (every
     admitted request completed), 1 if the worker failed to drain.
     ``port=0`` binds an ephemeral port; the announce line (stdout by
     default) carries the real one, which is how the smoke test finds it.
     """
-    server = AlignmentHTTPServer((host, port), service)
-    service.start()
+    server = AlignmentHTTPServer((host, port), tier)
+    tier.start()
     draining = threading.Event()
 
     def trigger_drain(signum=None, frame=None) -> None:
@@ -224,7 +229,7 @@ def serve(
         # Order matters: close admission first so late requests get 503
         # instead of queueing behind the drain, then stop the accept loop
         # from a helper thread (shutdown() deadlocks the serving thread).
-        service.begin_drain()
+        tier.begin_drain()
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     if install_signals:
@@ -232,24 +237,19 @@ def serve(
         signal.signal(signal.SIGINT, trigger_drain)
 
     bound_host, bound_port = server.server_address[:2]
-    config = service.config
-    capacity = getattr(config, "capacity", None)
-    if capacity is None:
-        # A shard tier: per-shard capacity times the shard count.
-        shards = getattr(config, "shards", 1)
-        capacity = f"{shards}x{config.service.capacity}"
+    config = tier.config
     announce(
         f"repro service listening on http://{bound_host}:{bound_port} "
-        f"(capacity {capacity})",
+        f"(capacity {config.shards}x{config.service.capacity})",
     )
     try:
         server.serve_forever()
     finally:
-        service.begin_drain()
+        tier.begin_drain()
         # Finish every admitted request before closing: pending handler
         # threads are blocked on their results and server_close() joins
         # them, so the drain must complete first or nobody ever answers.
-        drained = service.drain()
+        drained = tier.drain()
         server.server_close()
     if not drained:
         print("error: service worker failed to drain", file=sys.stderr)

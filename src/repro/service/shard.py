@@ -14,7 +14,9 @@ three horizontal failure modes:
 * **Failure isolation** — a supervisor probe thread watches every shard.
   A *dead* shard (worker loop gone: the in-process analogue of SIGKILL)
   or a *wedged* one (alive but its heartbeat stale past
-  ``wedge_timeout_s`` while busy) is replaced: a fresh service starts on
+  ``wedge_timeout_s`` while busy; a request's own deadline extends that,
+  and a request with no deadline is never read as a wedge, since a long
+  solve is slow, not stuck) is replaced: a fresh service starts on
   the same journal, replays it (completed entries re-served, orphaned
   admissions re-enqueued past admission accounting), and the
   supervisor-side handles of stranded requests re-submit — which
@@ -32,12 +34,11 @@ three horizontal failure modes:
   journaled completion.  ``service.hedged`` / ``service.hedge_wins``
   count the behaviour.
 
-The supervisor exposes the same duck-typed surface the HTTP tier uses
-(``submit``/``healthy``/``ready``/``begin_drain``/``drain``/
-``snapshot``), so ``repro serve --shards N`` is the same server with a
-tier behind it.  ``shard_death`` / ``shard_wedge`` fault sites let chaos
-plans (and ``$REPRO_CHAOS`` under ``benchmarks/service_load.py``)
-schedule kills mid-traffic.
+The supervisor is what ``repro serve`` always runs: one shard is
+``--shards 1``, journaled to ``DIR/shard-0.jsonl`` under
+``--journal-dir DIR``.  ``shard_death`` / ``shard_wedge`` fault sites
+let chaos plans (and ``$REPRO_CHAOS`` under
+``benchmarks/service_load.py``) schedule kills mid-traffic.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ from repro.service.journal import request_key
 
 SHARD_RUNNING = "running"
 SHARD_RESTARTING = "restarting"
+
+#: How often a waiting caller re-checks hedging and failover.  A handle
+#: that resolves sooner is answered at once.
+POLL_INTERVAL_S = 0.002
 
 
 def route_shard(key: str, shards: int) -> int:
@@ -90,17 +95,14 @@ class ShardTierConfig:
     #: Per-shard journals land here as ``shard-<i>.jsonl``; ``None`` = no
     #: durability and no idempotent coalescing anywhere in the tier.
     journal_dir: str | None = None
-    #: Size-triggered journal compaction threshold, applied per shard.
-    journal_compact_bytes: int | None = None
     #: Hedge a still-unanswered request to its sibling after this long;
     #: ``None`` disables hedging.
     hedge_after_ms: float | None = None
     #: Supervisor probe cadence (health + wedge detection + restarts).
     probe_interval_s: float = 0.05
-    #: A busy shard whose heartbeat is older than this is wedged.
+    #: A busy shard whose heartbeat is older than this, plus the
+    #: current request's deadline, is wedged.
     wedge_timeout_s: float = 2.0
-    #: Caller-side poll cadence while waiting on a shard handle.
-    poll_interval_s: float = 0.002
     #: Template for each shard's own :class:`ServiceConfig` (capacity,
     #: jobs, deadlines, breakers...).  ``journal_path`` and
     #: ``pipeline_lock`` are overridden per shard.
@@ -252,7 +254,7 @@ class ShardRequest:
                     f"sharded request {self.key[:12]} did not complete "
                     f"in {timeout}s"
                 )
-            time.sleep(cfg.poll_interval_s)
+            self._primary.wait(POLL_INTERVAL_S)
 
     def _launch_hedge(self) -> None:
         self.hedged = True  # one hedge per request, landed or not
@@ -305,10 +307,11 @@ class ShardSupervisor:
         # Shard workers are the parallelism axis of the tier; when each
         # shard additionally runs a multi-process align (jobs > 1) they
         # must serialize access to the module-global pool and caches.
+        # So must two lives of one shard: a restarted shard's old worker
+        # may still be finishing its last solve.
         self._pipeline_lock = (
             threading.Lock()
-            if self.config.shards > 1
-            and resolve_jobs(self.config.service.jobs) > 1
+            if resolve_jobs(self.config.service.jobs) > 1
             else None
         )
         self._workers = [
@@ -330,11 +333,6 @@ class ShardSupervisor:
             self.config.service,
             journal_path=(
                 str(worker.journal_path) if worker.journal_path else None
-            ),
-            journal_compact_bytes=(
-                self.config.journal_compact_bytes
-                if self.config.journal_compact_bytes is not None
-                else self.config.service.journal_compact_bytes
             ),
             pipeline_lock=self._pipeline_lock,
             fault_scope=f"shard-{worker.index}",
@@ -558,10 +556,7 @@ class ShardSupervisor:
                 self.stats.deaths += 1
             obs.count("service.shard_deaths")
             self._restart(worker)
-        elif (
-            service.busy
-            and service.heartbeat_age_s() > self.config.wedge_timeout_s
-        ):
+        elif service.wedged(self.config.wedge_timeout_s):
             with self._lock:
                 self.stats.wedges += 1
             obs.count("service.shard_wedges")
@@ -597,8 +592,8 @@ class ShardSupervisor:
     # -- introspection -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """One JSON-friendly view of the tier (``/counters`` in shard
-        mode, and what the load soak asserts accounting closure on)."""
+        """One JSON-friendly view of the tier (``/counters``, and what
+        the invariant suite checks accounting closure on)."""
         shard_snaps = []
         totals = {
             "submitted": 0, "admitted": 0, "shed": 0, "deadline_shed": 0,

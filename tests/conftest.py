@@ -131,3 +131,26 @@ def force_pool(monkeypatch):
     )
     yield lambda: obs.counters().get("executor.pool_tasks", 0)
     executor.shutdown_pool()
+
+
+@pytest.fixture
+def no_ambient_store(monkeypatch):
+    """Detach the test from a ``$REPRO_STORE`` in the environment (the CI
+    chaos job sets one): a warm store answers aligns the test needs to
+    see computed."""
+    from repro.pipeline.artifacts import STORE_ENV, reset_default_store
+
+    monkeypatch.delenv(STORE_ENV, raising=False)
+    reset_default_store()
+    yield
+    reset_default_store()
+
+
+@pytest.fixture
+def no_ambient_chaos():
+    """Shadow a ``$REPRO_CHAOS`` plan in the environment (the CI chaos job
+    sets one) for a test that arms only the faults it injects itself."""
+    from repro import faults
+
+    with faults.chaos_override(None):
+        yield

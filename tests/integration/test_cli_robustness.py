@@ -77,8 +77,6 @@ class TestUsageErrors:
         (["--capacity", "0"], "--capacity"),
         (["--shards", "0"], "--shards"),
         (["--hedge-after-ms", "-1"], "--hedge-after-ms"),
-        (["--journal", "j.jsonl", "--shards", "2"], "--journal"),
-        (["--journal", "j.jsonl", "--journal-dir", "jdir"], "--journal"),
     ])
     def test_serve_usage_errors(self, argv, flag, monkeypatch, capsys):
         # A bad combination must be rejected before any server starts.
@@ -88,6 +86,22 @@ class TestUsageErrors:
         monkeypatch.setattr("repro.service.serve", no_server)
         assert main(["serve", "--port", "0", *argv]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_serve_runs_a_one_shard_tier_by_default(self, monkeypatch):
+        from repro.service import ShardSupervisor
+
+        served = []
+
+        def fake_serve(tier, **kwargs):
+            served.append(tier)
+            return 0
+
+        monkeypatch.setattr("repro.service.serve", fake_serve)
+        assert main(["serve", "--port", "0"]) == 0
+        [tier] = served
+        assert isinstance(tier, ShardSupervisor)
+        assert tier.config.shards == 1
+        assert tier.config.journal_dir is None
 
 
 class TestSuiteResilience:

@@ -156,7 +156,9 @@ def test_nested_plans_innermost_ships_to_workers():
     assert outer.trips("solver") == 0
 
 
-def test_caches_bypassed_while_pipeline_faults_armed(tmp_path):
+def test_caches_bypassed_while_pipeline_faults_armed(
+    tmp_path, no_ambient_chaos
+):
     """While a plan arms a pipeline site, neither the in-memory cache nor
     the on-disk store may serve (or absorb) artifacts — injected failures
     must reach the stage code under test."""

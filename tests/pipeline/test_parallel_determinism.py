@@ -23,10 +23,13 @@ from repro.workloads.suite import compile_benchmark
 
 
 @pytest.fixture(autouse=True)
-def _fresh_artifacts(force_pool):
-    """Each run must genuinely recompute: a warm artifact cache would let
-    the jobs=4 run serve the jobs=1 run's results and prove nothing.  And
-    jobs=4 must mean worker processes, even on a one-core host."""
+def _fresh_artifacts(force_pool, no_ambient_store, no_ambient_chaos):
+    """Each run must genuinely recompute: a warm artifact cache or store
+    would let the jobs=4 run serve the jobs=1 run's results and prove
+    nothing.  And jobs=4 must mean worker processes, even on a one-core
+    host.  An environment chaos plan counts its ``%N`` calls across the
+    whole process, so the two runs would meet its faults at different
+    tasks; tests that want faults inject one plan per run."""
     reset_artifact_cache()
     yield
     reset_artifact_cache()

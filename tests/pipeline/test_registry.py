@@ -128,7 +128,7 @@ def test_decorator_form_registers():
         unregister_aligner("test-decorated")
 
 
-def test_registered_aligner_is_dispatched_by_align_program():
+def test_registered_aligner_is_dispatched_by_align_program(no_ambient_store):
     from repro.core.align import align_program
     from repro.profiles.edge_profile import ProgramProfile
     from repro.workloads.suite import compile_benchmark
@@ -145,7 +145,9 @@ def test_registered_aligner_is_dispatched_by_align_program():
         profile = ProgramProfile()
         for proc in program:
             profile.profile(proc.name).add(proc.cfg.entry, proc.cfg.entry, 1)
-        layouts = align_program(program, profile, method="test-spy")
+        # jobs=1: under $REPRO_JOBS > 1 the spy would run in forked
+        # workers and append to their copies of ``seen``.
+        layouts = align_program(program, profile, method="test-spy", jobs=1)
         assert sorted(seen) == sorted(p.name for p in program)
         assert {name for name, _ in layouts.items()} == {
             p.name for p in program

@@ -35,8 +35,14 @@ def store(tmp_path):
 
 KEY = ArtifactCache.key("align", "some", "fingerprint", 7)
 
+# Tests marked ``no_ambient_chaos`` read back exactly what they wrote: an
+# environment plan's ``store_corrupt`` would tear one of those writes.
+# The rest run under it.  The torn-write half of the chaos contract is
+# pinned deterministically by ``test_supervision.py::TestChaosMode``.
+
 
 class TestStoreBasics:
+    @pytest.mark.usefixtures("no_ambient_chaos")
     def test_round_trip(self, store):
         assert store.get(KEY) is None
         assert store.put(KEY, {"layout": [3, 1, 2]})
@@ -75,6 +81,7 @@ class TestCorruptionSafety:
         assert store.stats.evictions == 1
         assert not path.exists()
 
+    @pytest.mark.usefixtures("no_ambient_chaos")
     def test_kill_mid_write_is_a_miss_never_a_partial_artifact(self, store):
         """A torn write (process killed between publish and data sync,
         simulated by the ``store_corrupt`` fault) must read back as a miss
@@ -233,6 +240,7 @@ class TestStoreResolution:
 
 
 class TestCacheStoreTier:
+    @pytest.mark.usefixtures("no_ambient_chaos")
     def test_write_through_and_cross_process_hit(self, store):
         cache = ArtifactCache(store=store)
         cache.put(KEY, "artifact")
@@ -280,6 +288,7 @@ class TestSerialParallelEquivalence:
             effort=get_effort("quick"),
         )
 
+    @pytest.mark.usefixtures("no_ambient_chaos")
     def test_cold_serial_then_warm_parallel_share_one_store(self, store):
         from repro.pipeline.executor import shutdown_pool
         from repro.pipeline.stages import run_align_tasks

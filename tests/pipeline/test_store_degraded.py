@@ -29,6 +29,9 @@ def store(tmp_path):
 KEY = ArtifactCache.key("align", "degraded", 1)
 OTHER = ArtifactCache.key("align", "degraded", 2)
 
+# ``no_ambient_chaos``: the test reads back exactly what it wrote, which
+# an environment plan's ``store_corrupt`` could tear.
+
 
 class TestEnospcDegradation:
     def test_enospc_flips_sticky_read_only(self, store):
@@ -45,6 +48,7 @@ class TestEnospcDegradation:
         assert store.stats.degraded_writes == 2
         assert store.stats.io_errors == 1  # no new I/O attempts
 
+    @pytest.mark.usefixtures("no_ambient_chaos")
     def test_degraded_store_still_serves_reads(self, store):
         store.put(KEY, {"layout": [0, 1]})
         with faults.inject_faults(store_enospc=1):

@@ -19,6 +19,11 @@ from repro.pipeline.executor import (
 
 NO_SLEEP = lambda seconds: None  # noqa: E731 — tests never really back off
 
+#: For tests that count attempts, crashes and timeouts exactly: an
+#: environment chaos plan would add faults of its own to those counts.
+#: The other tests here run under it.
+only_own_faults = pytest.mark.usefixtures("no_ambient_chaos")
+
 
 def _com_tasks(method="tsp"):
     from repro.experiments.runner import profiled_run
@@ -76,6 +81,7 @@ class TestResolvePolicy:
 
 
 class TestSerialSupervision:
+    @only_own_faults
     def test_flaky_task_retries_to_success(self):
         failures = {"left": 2}
 
@@ -146,6 +152,7 @@ class TestSerialSupervision:
             run_tasks("t-strict", [0], jobs=1, policy=RetryPolicy(retries=1))
         assert info.value.attempts == 2
 
+    @only_own_faults
     def test_quarantine_report_is_structured(self):
         register_handler(
             "t-report",
@@ -163,6 +170,7 @@ class TestSerialSupervision:
 
 
 class TestInjectedDispatchFaults:
+    @only_own_faults
     def test_worker_crash_is_retried_transparently(self):
         register_handler("t-crashy", lambda n: n + 1)
         with faults.inject_faults(worker_crash=2) as plan:
@@ -183,6 +191,7 @@ class TestInjectedDispatchFaults:
         assert all(o.ok for o in report.outcomes)
         assert plan.trips("worker_crash") >= 2
 
+    @only_own_faults
     def test_simulated_timeout_counts_and_retries(self):
         register_handler("t-slow", lambda n: n)
         with faults.inject_faults(task_timeout=1):
@@ -193,6 +202,7 @@ class TestInjectedDispatchFaults:
         assert report.timeouts == 1
         assert report.outcomes[0].error_type == "TaskTimeoutError"
 
+    @only_own_faults
     def test_unrelenting_timeouts_quarantine(self):
         register_handler("t-stuck", lambda n: n)
         with faults.inject_faults(task_timeout=True):
@@ -205,6 +215,7 @@ class TestInjectedDispatchFaults:
 
 
 class TestParallelSupervision:
+    @only_own_faults
     def test_clean_parallel_batch_matches_serial(self, force_pool):
         """With no fault plan armed, jobs=2 fans out over real workers
         (even on one core) and returns the serial run's results."""
@@ -268,3 +279,40 @@ class TestChaosMode:
         for expect, outcome in zip(clean, report.outcomes):
             assert outcome.result.layout.order == expect.layout.order
             assert outcome.result.cost == expect.cost
+
+    def test_torn_store_writes_are_resolved_never_served(
+        self, tmp_path, monkeypatch, force_pool
+    ):
+        """The store half of the chaos contract: a cold parallel run under
+        crashes and torn store writes, then disarmed warm re-runs from
+        fresh caches at jobs=1 and jobs=2, all return the clean results —
+        torn entries are evicted and re-solved, the rest served from
+        checksum-verified hits, and the second warm pass is all hits."""
+        from repro.pipeline.artifacts import ArtifactCache, ArtifactStore
+        from repro.pipeline.stages import run_align_tasks
+
+        tasks = _com_tasks()
+        clean = run_tasks("align", tasks, jobs=1)
+        store = ArtifactStore(tmp_path / "store")
+        monkeypatch.setenv(
+            faults.CHAOS_ENV, "worker_crash=%5,store_corrupt=%3"
+        )
+        cold = run_align_tasks(tasks, jobs=2, cache=ArtifactCache(store=store))
+        monkeypatch.setenv(faults.CHAOS_ENV, "")
+        assert store.stats.writes >= 3  # so %3 tore at least one
+        warm = run_align_tasks(tasks, jobs=1, cache=ArtifactCache(store=store))
+        assert store.stats.evictions >= 1
+        assert store.stats.hits >= 1
+        rewarm = run_align_tasks(
+            tasks, jobs=2, cache=ArtifactCache(store=store)
+        )
+        shutdown_pool()
+        solved = [
+            r for r, task in zip(rewarm, tasks) if task.profile.total() > 0
+        ]
+        assert solved and all(r.from_cache for r in solved)
+        for expect, *runs in zip(clean, cold, warm, rewarm):
+            for got in runs:
+                assert got.name == expect.name
+                assert got.layout.order == expect.layout.order
+                assert got.cost == expect.cost

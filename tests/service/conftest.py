@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.service import AlignmentService, ServiceConfig
+from repro.service import (
+    AlignmentService,
+    ServiceConfig,
+    ShardSupervisor,
+    ShardTierConfig,
+)
 
 #: Small but non-trivial: a loop with branches gives the TSP aligner
 #: real work while keeping each request fast.
@@ -32,6 +37,13 @@ def make_payload(**overrides) -> dict:
     }
     payload.update(overrides)
     return payload
+
+
+def one_shard_tier(journal_dir: str | None = None) -> ShardSupervisor:
+    """What ``repro serve [--journal-dir DIR]`` runs, at capacity 4."""
+    return ShardSupervisor(ShardTierConfig(
+        shards=1, journal_dir=journal_dir, service=ServiceConfig(capacity=4)
+    ))
 
 
 @pytest.fixture

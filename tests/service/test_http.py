@@ -12,28 +12,39 @@ from repro.errors import (
     UsageError,
 )
 from repro.lang import LangError
-from repro.service import AlignmentService, ServiceConfig
 from repro.service.client import get_json, post_json, request_alignment
 from repro.service.http_server import AlignmentHTTPServer, _status_for
 
-from .conftest import make_payload
+from .conftest import make_payload, one_shard_tier
+
+
+def _serve_one_shard(journal_dir=None):
+    """A live HTTP server over a 1-shard tier on an ephemeral port —
+    the shape ``repro serve`` runs — drained at teardown."""
+    tier = one_shard_tier(journal_dir)
+    server = AlignmentHTTPServer(("127.0.0.1", 0), tier)
+    tier.start()
+    accept = threading.Thread(target=server.serve_forever, daemon=True)
+    accept.start()
+    host, port = server.server_address[:2]
+    yield f"http://{host}:{port}", tier, server
+    tier.begin_drain()
+    server.shutdown()
+    assert tier.drain(timeout=30)
+    server.server_close()
+    accept.join(10)
+
+
+def the_shard(tier):
+    """The one shard's service: the single test seam past the tier, used
+    only to patch its admission gate.  Counters are read through
+    ``tier.snapshot()``, as ``/counters`` serves them."""
+    return tier._workers[0].service
 
 
 @pytest.fixture
 def http_service():
-    """A live HTTP server on an ephemeral port, drained at teardown."""
-    service = AlignmentService(ServiceConfig(capacity=4))
-    server = AlignmentHTTPServer(("127.0.0.1", 0), service)
-    service.start()
-    accept = threading.Thread(target=server.serve_forever, daemon=True)
-    accept.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", service, server
-    service.begin_drain()
-    server.shutdown()
-    assert service.drain(timeout=30)
-    server.server_close()
-    accept.join(10)
+    yield from _serve_one_shard()
 
 
 class TestStatusMapping:
@@ -61,7 +72,7 @@ class TestEndpoints:
         base, _, _ = http_service
         status, body = get_json(base + "/counters")
         assert status == 200
-        assert body["gate"]["capacity"] == 4
+        assert body["shards"][0]["service"]["gate"]["capacity"] == 4
         assert body["drained"] is False
 
     def test_unknown_paths_404(self, http_service):
@@ -94,6 +105,28 @@ class TestEndpoints:
             status = exc.code
         assert status == 400
 
+    def test_negative_content_length_is_400(self, http_service):
+        """``rfile.read(-1)`` reads to EOF, and the client holds its
+        socket open for the answer: a negative length must be refused,
+        not waited on."""
+        import http.client
+        import json
+        from urllib.parse import urlsplit
+
+        url = urlsplit(http_service[0])
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/align")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            reply = conn.getresponse()
+            body = json.loads(reply.read())
+        finally:
+            conn.close()
+        assert reply.status == 400
+        assert body["type"] == "UsageError"
+
     def test_client_errors_are_400_with_type(self, http_service):
         base, _, _ = http_service
         status, body = request_alignment(
@@ -107,11 +140,11 @@ class TestEndpoints:
         assert status == 400 and body["type"] == "UsageError"
 
     def test_shed_maps_to_429(self, http_service, monkeypatch):
-        base, service, _ = http_service
+        base, tier, _ = http_service
         def always_shed(item, **kwargs):
             raise ServiceOverloadError("admission shed", queue_depth=4)
 
-        monkeypatch.setattr(service.gate, "submit", always_shed)
+        monkeypatch.setattr(the_shard(tier).gate, "submit", always_shed)
         status, body = request_alignment(base, make_payload(), timeout=60)
         assert status == 429
         assert body["type"] == "ServiceOverloadError"
@@ -165,20 +198,7 @@ class TestJournalOverHTTP:
     @pytest.fixture
     def journaled_http_service(self, tmp_path):
         """Like ``http_service`` but with a write-ahead journal armed."""
-        service = AlignmentService(ServiceConfig(
-            capacity=4, journal_path=str(tmp_path / "journal.jsonl")
-        ))
-        server = AlignmentHTTPServer(("127.0.0.1", 0), service)
-        service.start()
-        accept = threading.Thread(target=server.serve_forever, daemon=True)
-        accept.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}", service, server
-        service.begin_drain()
-        server.shutdown()
-        assert service.drain(timeout=30)
-        server.server_close()
-        accept.join(10)
+        yield from _serve_one_shard(journal_dir=str(tmp_path / "journal"))
 
     def test_readyz_reports_durability_on(self, journaled_http_service):
         base, _, _ = journaled_http_service
@@ -196,30 +216,32 @@ class TestJournalOverHTTP:
         assert request_alignment(base, make_payload(), timeout=120)[0] == 200
         status, body = get_json(base + "/counters")
         assert status == 200
-        journal = body["journal"]
+        shard = body["shards"][0]["service"]
+        journal = shard["journal"]
         assert journal["degraded"] is False
         assert journal["admitted"] == 1
         assert journal["completed"] == 1
-        assert body["recovery"] is not None  # replay ran (empty journal)
-        assert body["deduped"] == 0
+        assert shard["recovery"] is not None  # replay ran (empty journal)
+        assert shard["deduped"] == 0
 
     def test_duplicate_request_dedups_over_http(self, journaled_http_service):
-        base, service, _ = journaled_http_service
+        base, tier, _ = journaled_http_service
         first = request_alignment(base, make_payload(), timeout=120)
         second = request_alignment(base, make_payload(), timeout=120)
         assert first[0] == second[0] == 200
         assert first[1]["layouts"] == second[1]["layouts"]
-        assert service.stats.deduped == 1
+        shard = tier.snapshot()["shards"][0]["service"]
+        assert shard["deduped"] == 1
         # The journal holds one admitted/completed pair, not two.
-        assert service.journal.stats.admitted == 1
-        assert service.journal.stats.completed == 1
+        assert shard["journal"]["admitted"] == 1
+        assert shard["journal"]["completed"] == 1
 
 
 class TestDrainOverHTTP:
     def test_drain_flips_readyz_keeps_healthz(self, http_service):
-        base, service, _ = http_service
+        base, tier, _ = http_service
         assert request_alignment(base, make_payload(), timeout=120)[0] == 200
-        service.begin_drain()
+        tier.begin_drain()
         assert get_json(base + "/readyz")[0] == 503
         assert get_json(base + "/healthz")[0] == 200
         status, body = request_alignment(base, make_payload(), timeout=60)
@@ -232,12 +254,12 @@ class TestRetryAfter:
         from repro.errors import ServiceOverloadError as Overload
         from repro.service.client import post_json_full
 
-        base, service, _ = http_service
+        base, tier, _ = http_service
 
         def always_shed(item, **kwargs):
             raise Overload("admission shed", queue_depth=4, retry_after_s=2.4)
 
-        monkeypatch.setattr(service.gate, "submit", always_shed)
+        monkeypatch.setattr(the_shard(tier).gate, "submit", always_shed)
         status, _body, headers = post_json_full(
             base + "/align", make_payload(), timeout=60
         )
@@ -247,9 +269,9 @@ class TestRetryAfter:
     def test_draining_503_defaults_to_one_second(self, http_service):
         from repro.service.client import post_json_full
 
-        base, service, _ = http_service
+        base, tier, _ = http_service
         assert request_alignment(base, make_payload(), timeout=120)[0] == 200
-        service.begin_drain()
+        tier.begin_drain()
         status, _body, headers = post_json_full(
             base + "/align", make_payload(), timeout=60
         )

@@ -24,7 +24,7 @@ from repro.service.client import (
 from repro.service.http_server import AlignmentHTTPServer
 from repro.service.journal import RequestJournal, request_key
 
-from .conftest import make_payload
+from .conftest import make_payload, one_shard_tier
 
 
 def start_and_await(config: ServiceConfig, timeout=60.0) -> AlignmentService:
@@ -245,11 +245,9 @@ class TestClientRetry:
     def test_retry_rides_through_a_server_restart(self, tmp_path):
         """A client retrying one payload spans stop → restart: the second
         server life answers it from the journal, not by re-solving."""
-        journal_path = str(tmp_path / "journal.jsonl")
-        service = AlignmentService(
-            ServiceConfig(capacity=4, journal_path=journal_path)
-        ).start()
-        server = AlignmentHTTPServer(("127.0.0.1", 0), service)
+        journal_dir = str(tmp_path / "journal")
+        tier = one_shard_tier(journal_dir).start()
+        server = AlignmentHTTPServer(("127.0.0.1", 0), tier)
         accept = threading.Thread(target=server.serve_forever, daemon=True)
         accept.start()
         host, port = server.server_address[:2]
@@ -260,7 +258,7 @@ class TestClientRetry:
 
         # Stop the first life completely (drain keeps the journal intact).
         server.shutdown()
-        assert service.drain(timeout=30)
+        assert tier.drain(timeout=30)
         server.server_close()
         accept.join(10)
 
@@ -268,14 +266,12 @@ class TestClientRetry:
         # already retrying into the gap.
         def restart():
             time.sleep(0.4)
-            service2 = AlignmentService(
-                ServiceConfig(capacity=4, journal_path=journal_path)
-            ).start()
-            server2 = AlignmentHTTPServer((host, port), service2)
+            tier2 = one_shard_tier(journal_dir).start()
+            server2 = AlignmentHTTPServer((host, port), tier2)
             threading.Thread(
                 target=server2.serve_forever, daemon=True
             ).start()
-            restarted["service"] = service2
+            restarted["tier"] = tier2
             restarted["server"] = server2
 
         restarted: dict = {}
@@ -292,24 +288,22 @@ class TestClientRetry:
             assert status == 200
             assert body["served_from"] == "journal"
             assert body["layouts"] == first[1]["layouts"]
-            assert restarted["service"].stats.completed == 0
+            assert restarted["tier"].snapshot()["totals"]["completed"] == 0
         finally:
             restarter.join(10)
             server2 = restarted.get("server")
-            service2 = restarted.get("service")
+            tier2 = restarted.get("tier")
             if server2 is not None:
                 server2.shutdown()
                 server2.server_close()
-            if service2 is not None:
-                assert service2.drain(timeout=30)
+            if tier2 is not None:
+                assert tier2.drain(timeout=30)
 
     def test_readyz_is_503_while_replaying(self, tmp_path, monkeypatch):
         """/readyz must answer ``recovering: true`` with 503 while the
         journal replay is still running."""
-        journal_path = tmp_path / "journal.jsonl"
-        first = AlignmentService(
-            ServiceConfig(capacity=4, journal_path=str(journal_path))
-        ).start()
+        journal_dir = str(tmp_path / "journal")
+        first = one_shard_tier(journal_dir).start()
         first.align(make_payload(), timeout=120)
         assert first.drain(timeout=30)
 
@@ -326,11 +320,9 @@ class TestClientRetry:
         monkeypatch.setattr(
             core_mod.AlignmentService, "_verify_replayed", slow_verify
         )
-        service = AlignmentService(
-            ServiceConfig(capacity=4, journal_path=str(journal_path))
-        )
-        server = AlignmentHTTPServer(("127.0.0.1", 0), service)
-        service.start()
+        tier = one_shard_tier(journal_dir)
+        server = AlignmentHTTPServer(("127.0.0.1", 0), tier)
+        tier.start()
         accept = threading.Thread(target=server.serve_forever, daemon=True)
         accept.start()
         host, port = server.server_address[:2]
@@ -340,14 +332,14 @@ class TestClientRetry:
             assert status == 503
             assert body["recovering"] is True
             deadline = time.monotonic() + 60
-            while service.recovering and time.monotonic() < deadline:
+            while tier.recovering and time.monotonic() < deadline:
                 time.sleep(0.05)
             status, body = get_json(base + "/readyz")
             assert status == 200
             assert body["recovering"] is False
         finally:
             server.shutdown()
-            assert service.drain(timeout=30)
+            assert tier.drain(timeout=30)
             server.server_close()
             accept.join(10)
 

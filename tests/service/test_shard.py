@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.faults import inject_faults
 from repro.service import (
+    AlignmentService,
     ServiceConfig,
     ShardSupervisor,
     ShardTierConfig,
@@ -20,7 +21,7 @@ from repro.service import (
 )
 from repro.service.http_server import _status_for
 
-from .conftest import make_payload
+from .conftest import make_payload, one_shard_tier
 
 
 def make_tier(tmp_path=None, **overrides) -> ShardSupervisor:
@@ -173,6 +174,48 @@ class TestFailureIsolation:
             assert sup.align(
                 payload_for_shard(0), timeout=120
             )["status"] == "ok"
+        finally:
+            assert sup.drain(30)
+
+    @staticmethod
+    def _slow_first_resolve(monkeypatch, seconds):
+        """Hold the first request's worker for ``seconds`` with no
+        heartbeat, as one long honest solve does."""
+        real = AlignmentService._resolve
+        held = []
+
+        def slow(self, item):
+            if not held:
+                held.append(item)
+                time.sleep(seconds)
+            real(self, item)
+
+        monkeypatch.setattr(AlignmentService, "_resolve", slow)
+
+    def test_slow_solve_without_deadline_is_not_a_wedge(self, monkeypatch):
+        """What plain ``repro serve`` runs, at its default wedge timeout:
+        a solve that runs past it is answered, never restarted."""
+        sup = one_shard_tier().start()
+        try:
+            self._slow_first_resolve(
+                monkeypatch, sup.config.wedge_timeout_s + 0.5
+            )
+            assert sup.align(make_payload(), timeout=120)["status"] == "ok"
+            assert sup.stats.wedges == 0
+            assert sup.stats.restarts == 0
+        finally:
+            assert sup.drain(30)
+
+    def test_request_stuck_past_its_deadline_is_a_wedge(
+        self, tmp_path, monkeypatch
+    ):
+        sup = make_tier(tmp_path, shards=1, wedge_timeout_s=0.2)
+        try:
+            self._slow_first_resolve(monkeypatch, 3.0)
+            payload = make_payload(method="greedy", deadline_ms=100)
+            # Re-sent to the restarted shard, the request still lands.
+            assert sup.align(payload, timeout=120)["status"] == "ok"
+            assert sup.stats.wedges == 1
         finally:
             assert sup.drain(30)
 
