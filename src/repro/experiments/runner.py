@@ -74,12 +74,11 @@ def profiled_run(benchmark: str, dataset: str) -> ProfiledRun:
     result, profile = run_and_profile(module, inputs)
     elapsed = time.perf_counter() - started
     assert result.trace is not None
-    compact = CompactTrace(result.trace.trace)
     return ProfiledRun(
         benchmark=benchmark,
         dataset=dataset,
         profile=profile,
-        trace=compact,
+        trace=result.trace.trace,
         instructions=result.instructions_executed,
         blocks=result.blocks_executed,
         run_seconds=elapsed,

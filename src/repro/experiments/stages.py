@@ -4,8 +4,8 @@ Times each stage of the pipeline for one benchmark/data-set pair, mirroring
 the paper's columns:
 
 * Intermediate Representation — source → AST → CFG lowering,
-* Instrumented Program — preparing the tracing run (our instrumentation is
-  built into the VM, so this measures trace infrastructure setup),
+* Instrumented Program — translating the module into the VM's traced
+  Python code (:func:`~repro.lang.vm.instrument`),
 * Greedy Program — greedy alignment + materialization,
 * TSP Matrix — §2.2 cost-matrix construction for every procedure,
 * TSP Solver — DTSP solving for every procedure,
@@ -31,12 +31,11 @@ from repro.core.layout import ProgramLayout
 from repro.core.materialize import materialize_program
 from repro.errors import SolverBudgetExceeded
 from repro.lang.lower import compile_source
-from repro.lang.vm import execute
+from repro.lang.vm import instrument, run_and_profile
 from repro.machine.models import ALPHA_21164, PenaltyModel
 from repro.pipeline.stages import instance_for
 from repro.pipeline.task import derive_seed
 from repro.profiles.edge_profile import EdgeProfile
-from repro.profiles.trace import TraceBuilder
 from repro.tsp.construction import identity_tour
 from repro.tsp.solve import DEFAULT, Effort, solve_dtsp
 from repro.workloads.suite import get_benchmark
@@ -112,17 +111,13 @@ def time_stages(
     times.ir = sp.dur_ms / 1000.0
 
     with stage("instrumented") as sp:
-        builder = TraceBuilder(keep_events=False)
+        instrument(module)
     times.instrumented = sp.dur_ms / 1000.0
 
     with stage("profiling_run") as sp:
-        result = execute(module, inputs, trace=True, keep_events=False)
+        _, profile = run_and_profile(module, inputs, keep_events=False)
     times.profiling_run = sp.dur_ms / 1000.0
-    assert result.trace is not None
-    profile_counts = result.trace.edge_counts
-    del builder
 
-    profile = _to_profile(profile_counts)
     program = module.program
     predictors = train_predictors(program, profile)
 
@@ -170,17 +165,6 @@ def time_stages(
         materialize_program(program, layouts, predictors)
     times.tsp_program = sp.dur_ms / 1000.0
     return times
-
-
-def _to_profile(edge_counts):
-    from repro.profiles.edge_profile import ProgramProfile
-
-    profile = ProgramProfile()
-    for proc, edges in edge_counts.items():
-        edge_profile = profile.profile(proc)
-        for (src, dst), count in edges.items():
-            edge_profile.add(src, dst, count)
-    return profile
 
 
 def worst_dataset(benchmark: str) -> str:

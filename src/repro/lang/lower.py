@@ -30,6 +30,7 @@ Instruction tuples (dst/src operands are ``('l', slot)`` locals,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.cfg.blocks import BasicBlock, Terminator, TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, Procedure, Program
@@ -55,6 +56,9 @@ class CompiledModule:
     arrays: dict[str, int] = field(default_factory=dict)
     globals_init: dict[str, int] = field(default_factory=dict)
     frame_sizes: dict[str, int] = field(default_factory=dict)
+    #: The VM's generated code (:class:`repro.lang.vm.Instrumented`), made
+    #: by the first run, never by compilation.
+    instrumented: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 class _ProtoBlock:

@@ -59,8 +59,8 @@ def simulate_dynamic_penalties(
 ) -> DynamicPenaltyResult:
     """Replay recorded transitions through dynamic prediction hardware.
 
-    ``transition_log`` comes from a :class:`~repro.profiles.trace.TraceBuilder`
-    built with ``keep_transitions=True``.
+    ``transition_log`` comes from an ``execute(..., keep_transitions=True)``
+    run.
     """
     result = DynamicPenaltyResult()
     bimodal = BimodalPredictor()

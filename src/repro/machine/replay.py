@@ -42,7 +42,7 @@ def replay_static_penalties(
 ) -> ReplayPenalties:
     """Charge Table 3 penalties event by event.
 
-    ``transition_log`` comes from a ``TraceBuilder(keep_transitions=True)``
+    ``transition_log`` comes from an ``execute(..., keep_transitions=True)``
     run; every (src, dst) is one executed CFG edge.
     """
     result = ReplayPenalties()

@@ -18,7 +18,7 @@ from repro.profiles.static_estimate import (
     estimate_edge_profile,
     estimate_program_profile,
 )
-from repro.profiles.trace import CompactTrace, ExecutionTrace, TraceBuilder
+from repro.profiles.trace import CompactTrace, ExecutionTrace
 
 __all__ = [
     "BiasAssignment",
@@ -27,7 +27,6 @@ __all__ = [
     "ExecutionTrace",
     "ProfileError",
     "ProgramProfile",
-    "TraceBuilder",
     "estimate_edge_profile",
     "estimate_program_profile",
     "expected_profile",

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from repro.cfg.blocks import TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, Procedure, Program
 from repro.profiles.edge_profile import ProgramProfile
-from repro.profiles.trace import TraceBuilder
 
 
 @dataclass
@@ -111,13 +110,11 @@ def synthesize_profile(
     seed: int,
     walks_per_procedure: int = 20,
     max_steps: int = 20_000,
-    trace_builder: TraceBuilder | None = None,
 ) -> ProgramProfile:
     """Generate a program profile by random walks over every procedure.
 
     Walks are independent per procedure (synthetic programs have no real
-    call semantics); ``trace_builder`` optionally captures the concatenated
-    block trace for the machine simulators.
+    call semantics).
     """
     rng = random.Random(seed)
     profile = ProgramProfile()
@@ -127,17 +124,11 @@ def synthesize_profile(
         profile.call_counts[proc.name] = walks_per_procedure
         for _ in range(walks_per_procedure):
             path = walk_cfg(proc.cfg, bias, rng, max_steps=max_steps)
-            if trace_builder is not None:
-                trace_builder.enter(proc.name)
             prev = None
             for block_id in path:
-                if trace_builder is not None:
-                    trace_builder.visit(block_id)
                 if prev is not None:
                     edge_profile.add(prev, block_id)
                 prev = block_id
-            if trace_builder is not None:
-                trace_builder.leave()
     return profile
 
 

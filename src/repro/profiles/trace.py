@@ -40,14 +40,13 @@ class ExecutionTrace:
         return {proc for proc, _ in self.events}
 
     def per_procedure_transitions(self) -> dict[str, dict[tuple[int, int], int]]:
-        """Count intra-procedural block transitions.
+        """Count consecutive same-procedure event pairs, per procedure.
 
-        Consecutive events within the *same procedure activation* form a
-        transition.  The trace is flat, so activations are recovered with a
-        shadow call stack: the VM emits ``CALL_MARK``/``RETURN_MARK``
-        pseudo-events via :class:`TraceBuilder`; traces built without marks
-        (e.g. single-procedure synthetic walks) simply count consecutive
-        same-procedure pairs, which is exact when there are no calls.
+        A flat trace carries no call or return events, so this is exact only
+        for traces without calls (e.g. single-procedure synthetic walks);
+        across a call it pairs blocks of different activations.  Exact
+        counts in the presence of calls come from the VM's
+        :class:`~repro.lang.vm.RunTrace`.
         """
         counts: dict[str, dict[tuple[int, int], int]] = {}
         prev: tuple[str, int] | None = None
@@ -65,21 +64,31 @@ class CompactTrace:
     """A memory-efficient, read-only view of an execution trace.
 
     Stores procedure indices and block ids in numpy arrays (~6 bytes/event
-    instead of ~100 for a list of tuples) — the experiment runner keeps one
-    of these per benchmark run for cache replay.
+    instead of ~100 for a list of tuples) — the VM derives one per traced
+    run, and the experiment runner keeps it for cache replay.
     """
 
-    def __init__(self, trace: ExecutionTrace):
+    def __init__(
+        self,
+        proc_names: list[str],
+        proc_indices: np.ndarray,
+        block_ids: np.ndarray,
+    ):
+        self._proc_names = list(proc_names)
+        self._proc_indices = np.asarray(proc_indices, dtype=np.uint16)
+        self._block_ids = np.asarray(block_ids, dtype=np.uint32)
+
+    @classmethod
+    def from_events(cls, events: Iterable[tuple[str, int]]) -> "CompactTrace":
+        """Pack ``(proc, block)`` events, interning procedure names in order
+        of first appearance."""
         procs: dict[str, int] = {}
-        proc_indices = np.empty(len(trace), dtype=np.uint16)
-        block_ids = np.empty(len(trace), dtype=np.uint32)
-        for i, (proc, block_id) in enumerate(trace):
-            index = procs.setdefault(proc, len(procs))
-            proc_indices[i] = index
-            block_ids[i] = block_id
-        self._proc_names = list(procs)
-        self._proc_indices = proc_indices
-        self._block_ids = block_ids
+        proc_indices = []
+        block_ids = []
+        for proc, block_id in events:
+            proc_indices.append(procs.setdefault(proc, len(procs)))
+            block_ids.append(block_id)
+        return cls(list(procs), np.array(proc_indices), np.array(block_ids))
 
     def __len__(self) -> int:
         return len(self._block_ids)
@@ -112,77 +121,3 @@ class CompactTrace:
         """uint32 (events,) executed block id per event."""
         return self._block_ids
 
-
-class TraceBuilder:
-    """Builds an :class:`ExecutionTrace` plus *exact* per-procedure edge
-    counts in the presence of calls, using a shadow call stack.
-
-    The VM calls :meth:`enter` / :meth:`leave` around procedure activations
-    and :meth:`visit` for each executed block.  Intra-procedural transitions
-    are recorded between consecutive blocks of the same activation even when
-    callee blocks execute in between.
-    """
-
-    def __init__(
-        self,
-        *,
-        keep_events: bool = True,
-        max_events: int | None = None,
-        keep_transitions: bool = False,
-    ):
-        self.trace = ExecutionTrace()
-        self._keep_events = keep_events
-        self._max_events = max_events
-        self._keep_transitions = keep_transitions
-        self._stack: list[tuple[str, int | None]] = []
-        #: proc -> (src, dst) -> count
-        self.edge_counts: dict[str, dict[tuple[int, int], int]] = {}
-        #: proc -> block -> count
-        self.block_counts: dict[str, dict[int, int]] = {}
-        #: proc -> ordered (src, dst) transitions; only with keep_transitions
-        #: (feeds the dynamic branch-predictor replay, paper §6 future work).
-        self.transition_log: dict[str, list[tuple[int, int]]] = {}
-        #: proc -> number of activations (calls).
-        self.activation_counts: dict[str, int] = {}
-        #: (caller, callee) -> call count (the dynamic call graph, used by
-        #: interprocedural procedure ordering).
-        self.call_pair_counts: dict[tuple[str, str], int] = {}
-        self.dropped_events = 0
-
-    def enter(self, proc: str) -> None:
-        if self._stack:
-            caller = self._stack[-1][0]
-            key = (caller, proc)
-            self.call_pair_counts[key] = self.call_pair_counts.get(key, 0) + 1
-        self._stack.append((proc, None))
-        self.edge_counts.setdefault(proc, {})
-        self.block_counts.setdefault(proc, {})
-        self.activation_counts[proc] = self.activation_counts.get(proc, 0) + 1
-
-    def visit(self, block_id: int) -> None:
-        if not self._stack:
-            raise RuntimeError("visit() outside any procedure activation")
-        proc, prev_block = self._stack[-1]
-        if prev_block is not None:
-            edges = self.edge_counts[proc]
-            key = (prev_block, block_id)
-            edges[key] = edges.get(key, 0) + 1
-            if self._keep_transitions:
-                self.transition_log.setdefault(proc, []).append(key)
-        blocks = self.block_counts[proc]
-        blocks[block_id] = blocks.get(block_id, 0) + 1
-        self._stack[-1] = (proc, block_id)
-        if self._keep_events:
-            if self._max_events is None or len(self.trace) < self._max_events:
-                self.trace.append(proc, block_id)
-            else:
-                self.dropped_events += 1
-
-    def leave(self) -> None:
-        if not self._stack:
-            raise RuntimeError("leave() without matching enter()")
-        self._stack.pop()
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)

@@ -21,7 +21,6 @@ from repro.profiles.synthesize import (
     random_bias_assignment,
     synthesize_profile,
 )
-from repro.profiles.trace import TraceBuilder
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ def synthetic_workload(
     seed: int = 0,
     walks: int = 12,
     max_steps: int = 4000,
-    trace_builder: TraceBuilder | None = None,
 ) -> tuple[Program, ProgramProfile]:
     """One-call helper: a program plus a Markov-walk profile over it."""
     program = random_program(procedures=procedures, seed=seed)
@@ -163,6 +161,5 @@ def synthetic_workload(
         seed=seed + 2,
         walks_per_procedure=walks,
         max_steps=max_steps,
-        trace_builder=trace_builder,
     )
     return program, profile

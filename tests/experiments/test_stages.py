@@ -13,6 +13,7 @@ class TestStages:
             assert getattr(times, name) >= 0.0
         # The stages that do real work must take measurable time.
         assert times.ir > 0
+        assert times.instrumented > 0
         assert times.profiling_run > 0
         assert times.tsp_solver > 0
 

@@ -30,12 +30,11 @@ def traced():
     module = compile_source(SOURCE)
     rng = random.Random(0)
     inputs = [rng.randrange(100) for _ in range(600)]
-    from repro.profiles import TraceBuilder
+    from tests.profiles.trace_builder import TraceBuilder
     from repro.lang.vm import run_and_profile
-    # Re-run with transitions kept: the VM builds its own TraceBuilder, so
-    # use execute + a manual profile here.
+    # Build the transition log and a manual profile by replaying the
+    # single-procedure trace through a test-only trace builder.
     result = execute(module, inputs, trace=True)
-    # Rebuild with transitions by replaying counts through a fresh builder.
     builder = TraceBuilder(keep_transitions=True)
     builder.enter("main")
     prev_events = [b for p, b in result.trace.trace if p == "main"]
@@ -82,7 +81,7 @@ class TestDynamicReplay:
         module = compile_source(source)
         inputs = [1, 1, 1, 1, 1, 1, 1, 0] * 100  # 87.5% taken
         result = execute(module, inputs, trace=True)
-        from repro.profiles import TraceBuilder
+        from tests.profiles.trace_builder import TraceBuilder
         builder = TraceBuilder(keep_transitions=True)
         builder.enter("main")
         for proc, block in result.trace.trace:

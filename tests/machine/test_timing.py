@@ -99,8 +99,10 @@ class TestFetchStreamFastPath:
         program = mini_module.program
         layouts = align_program(program, profile, method=method)
         predictors = train_predictors(program, profile)
-        trace = result.trace.trace
-        compact = CompactTrace(trace)
+        # The VM's trace is already a CompactTrace; unpack it so the scalar
+        # side really runs the event loop.
+        trace = ExecutionTrace(list(result.trace.trace))
+        compact = CompactTrace.from_events(trace)
         scalar_cache = DirectMappedICache(8192, 32)
         fast_cache = DirectMappedICache(8192, 32)
         scalar = simulate_timing(
@@ -136,7 +138,7 @@ class TestFetchStreamFastPath:
             physical_block = physical.block_for(block_id)
             expected.append((physical_block.address, physical_block.words))
             last = (proc_name, block_id)
-        stream = _fetch_stream(materialized, CompactTrace(trace))
+        stream = _fetch_stream(materialized, CompactTrace.from_events(trace))
         assert stream is not None
         addresses, words = stream
         assert list(zip(addresses.tolist(), words.tolist())) == expected
@@ -151,4 +153,4 @@ class TestFetchStreamFastPath:
         for event in mini_run[0].trace.trace:
             trace.append(*event)
         trace.append(next(iter(trace))[0], 10_000)  # block id out of range
-        assert _fetch_stream(materialized, CompactTrace(trace)) is None
+        assert _fetch_stream(materialized, CompactTrace.from_events(trace)) is None

@@ -7,12 +7,12 @@ import pytest
 from repro.cfg import Procedure, Program
 from repro.profiles import (
     BiasAssignment,
-    TraceBuilder,
     expected_profile,
     random_bias_assignment,
     synthesize_profile,
     walk_cfg,
 )
+from tests.profiles.trace_builder import TraceBuilder
 
 
 class TestBiasAssignment:
@@ -77,12 +77,18 @@ class TestWalks:
     def test_synthesize_with_trace_builder(self, loop_program):
         cfg = loop_program["main"].cfg
         biases = {"main": random_bias_assignment(cfg, random.Random(5))}
-        builder = TraceBuilder()
         profile = synthesize_profile(
             loop_program, biases, seed=6, walks_per_procedure=5,
-            trace_builder=builder,
         )
-        # Builder edge counts must agree exactly with the returned profile.
+        # Replay the same walks (same seed, same draws) through a trace
+        # builder: its edge counts must agree exactly with the profile.
+        rng = random.Random(6)
+        builder = TraceBuilder()
+        for _ in range(5):
+            builder.enter("main")
+            for block_id in walk_cfg(cfg, biases["main"], rng, max_steps=20_000):
+                builder.visit(block_id)
+            builder.leave()
         assert builder.edge_counts["main"] == profile["main"].counts
 
 

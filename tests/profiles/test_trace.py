@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.profiles import CompactTrace, ExecutionTrace, TraceBuilder
+from repro.profiles import CompactTrace, ExecutionTrace
+from tests.profiles.trace_builder import TraceBuilder
 
 
 class TestExecutionTrace:
@@ -92,11 +93,11 @@ class TestTraceBuilder:
 class TestCompactTrace:
     def test_roundtrip(self):
         trace = ExecutionTrace([("f", 0), ("g", 5), ("f", 1)])
-        compact = CompactTrace(trace)
+        compact = CompactTrace.from_events(trace)
         assert list(compact) == list(trace)
         assert len(compact) == 3
         assert compact.procedures() == {"f", "g"}
 
     def test_empty(self):
-        compact = CompactTrace(ExecutionTrace())
+        compact = CompactTrace.from_events(ExecutionTrace())
         assert list(compact) == []
