@@ -43,7 +43,7 @@ from repro.chaos.workloads import WorkloadResult
 #: request — results may legitimately differ from the reference.
 DEGRADING_SITES = frozenset({
     "solver_timeout", "construction_failure", "greedy_failure",
-    "bound_timeout", "vm_max_blocks", "checkpoint_corrupt_on",
+    "bound_timeout", "vm_max_blocks",
     "breaker_probe_fail", "worker_crash", "task_timeout",
 })
 

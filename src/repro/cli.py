@@ -7,8 +7,8 @@
                  [--bound] [--cross-profile Q.json] [--jobs N]
                  [--retries N] [--task-timeout-ms MS] [--store PATH]
     repro suite CASE [CASE ...] [--train DATASET] [--budget-ms MS]
-                 [--checkpoint P.jsonl [--resume]] [--jobs N]
-                 [--retries N] [--task-timeout-ms MS] [--store PATH]
+                 [--jobs N] [--retries N] [--task-timeout-ms MS]
+                 [--store PATH]
     repro serve [--host H] [--port P] [--capacity N] [--deadline-ms MS]
                  [--breaker-threshold N] [--breaker-cooldown N] [--jobs N]
     repro request FILE [--url URL] [--method tsp] [--deadline-ms MS]
@@ -18,11 +18,12 @@
 
 ``repro suite com.in`` runs one benchmark case of the paper's evaluation
 (``repro suite all`` runs every case; ``--budget-ms`` bounds each
-procedure's solver, ``--checkpoint``/``--resume`` persist completed cases
-across interrupted runs, and ``--jobs N`` solves procedures in N worker
-processes without changing a byte of the output); ``repro align`` is the
-end-user path: compile, profile (or load a saved profile), align, and
-report penalties per method against the certified lower bound.
+procedure's solver, ``--store DIR`` keeps finished cases so an
+interrupted run resumes when re-run with the same store, and ``--jobs N``
+solves procedures in N worker processes without changing a byte of the
+output); ``repro align`` is the end-user path: compile, profile (or load
+a saved profile), align, and report penalties per method against the
+certified lower bound.
 
 ``--trace PATH`` (or ``$REPRO_TRACE``) on ``align``/``suite`` writes a
 JSONL observability trace — spans and counters from every pipeline layer,
@@ -286,6 +287,12 @@ def _suite_specs(args) -> list[tuple[str, str, str | None]]:
     from repro.workloads.suite import all_cases, get_benchmark
 
     if args.cases == ["all"]:
+        if args.train is not None:
+            raise UsageError(
+                "--train cannot be combined with 'all': each benchmark has "
+                "its own data sets, so name the cases to cross-validate "
+                "(e.g. 'su2.sh --train re')"
+            )
         return [(bm, ds, None) for bm, ds in all_cases()]
     specs: list[tuple[str, str, str | None]] = []
     for case in args.cases:
@@ -304,13 +311,12 @@ def _suite_specs(args) -> list[tuple[str, str, str | None]]:
 
 def cmd_suite(args) -> int:
     from repro.budget import Budget
-    from repro.experiments import ExperimentCheckpoint, run_cases
+    from repro.experiments import run_cases
+    from repro.pipeline.artifacts import default_store
 
     specs = _suite_specs(args)
     policy = _supervision_policy(args)
     _install_store(args)
-    if args.resume and not args.checkpoint:
-        raise UsageError("--resume requires --checkpoint")
     budget = None
     if args.budget_ms is not None:
         if args.budget_ms <= 0:
@@ -319,16 +325,8 @@ def cmd_suite(args) -> int:
                 f"got {args.budget_ms}"
             )
         budget = Budget(wall_ms=args.budget_ms)
-    checkpoint = (
-        ExperimentCheckpoint(args.checkpoint, resume=args.resume)
-        if args.checkpoint
-        else None
-    )
 
-    result = run_cases(
-        specs, budget=budget, checkpoint=checkpoint, jobs=args.jobs,
-        policy=policy,
-    )
+    result = run_cases(specs, budget=budget, jobs=args.jobs, policy=policy)
     for case in result.cases:
         rows = []
         for method, outcome in case.methods.items():
@@ -365,10 +363,11 @@ def cmd_suite(args) -> int:
             f"({skip.error})",
             file=sys.stderr,
         )
-    if checkpoint is not None:
+    store = default_store()
+    if store is not None:
         print(
-            f"checkpoint {args.checkpoint}: {result.from_checkpoint} case(s) "
-            f"resumed, {result.computed} computed"
+            f"store {store.root}: {result.resumed} case(s) resumed, "
+            f"{result.computed} computed"
         )
     return 0 if result.cases else 1
 
@@ -817,15 +816,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--budget-ms", type=float, default=None,
                          help="per-procedure solver deadline (milliseconds); "
                               "over-budget procedures degrade gracefully")
-    p_suite.add_argument("--checkpoint",
-                         help="persist completed cases to this JSON-lines file")
-    p_suite.add_argument("--resume", action="store_true",
-                         help="serve cases already in --checkpoint instead of "
-                              "recomputing them")
     p_suite.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="solve procedures in N worker processes "
                               "(default: $REPRO_JOBS or 1); output and "
-                              "checkpoints are identical for any N")
+                              "stored cases are identical for any N")
     _add_supervision_flags(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 

@@ -99,14 +99,6 @@ class DegradationError(ReproError):
     """
 
 
-class CheckpointCorruptError(ReproError):
-    """A checkpoint line failed to parse or its checksum does not match."""
-
-    def __init__(self, message: str, *, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
-
-
 class WorkerCrashError(ReproError):
     """A worker process died mid-task (OOM, signal, ``BrokenProcessPool``).
 
@@ -297,7 +289,6 @@ def __getattr__(name: str):
 __all__ = [
     "ArtifactIntegrityError",
     "ArtifactStoreError",
-    "CheckpointCorruptError",
     "DegradationError",
     "JournalError",
     "LayoutVerificationError",

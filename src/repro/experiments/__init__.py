@@ -11,12 +11,6 @@ from repro.experiments.crossval import (
     cross_validate,
     summarize_pair,
 )
-from repro.experiments.checkpoint import (
-    CaseKey,
-    ExperimentCheckpoint,
-    case_from_state,
-    case_to_state,
-)
 from repro.experiments.export import (
     case_to_dict,
     cases_to_json,
@@ -36,12 +30,12 @@ from repro.experiments.runner import (
     ProfiledRun,
     SkippedCase,
     SweepResult,
+    case_key,
     case_lower_bound,
     profiled_run,
     run_case,
-    run_case_cached,
-    run_case_resilient,
     run_cases,
+    sweep_case,
 )
 from repro.experiments.stages import StageTimes, time_stages, worst_dataset
 from repro.experiments.tables import (
@@ -55,10 +49,8 @@ from repro.experiments.tables import (
 
 __all__ = [
     "AppendixStats",
-    "CaseKey",
     "CaseResult",
     "CrossValidationSummary",
-    "ExperimentCheckpoint",
     "Figure2Data",
     "Figure3Data",
     "InstanceQuality",
@@ -69,10 +61,9 @@ __all__ = [
     "SweepResult",
     "analyze_instances",
     "arithmetic_mean",
-    "case_from_state",
+    "case_key",
     "case_lower_bound",
     "case_to_dict",
-    "case_to_state",
     "cases_to_json",
     "cross_validate",
     "figure2_to_json",
@@ -85,10 +76,9 @@ __all__ = [
     "percent",
     "profiled_run",
     "run_case",
-    "run_case_cached",
-    "run_case_resilient",
     "run_cases",
     "skipped_to_dict",
+    "sweep_case",
     "table1_rows",
     "table4_rows",
     "time_stages",

@@ -11,24 +11,33 @@ Resilience (see ``docs/robustness.md``): a per-procedure solver
 (procedures that cannot be solved in budget degrade down the aligner's
 ladder, recorded per method in :attr:`MethodOutcome.degraded`), and
 :func:`run_cases` sweeps many cases fault-tolerantly — each case is
-retried once, recorded as a skipped row on repeated failure, and persisted
-to a checkpoint so an interrupted sweep resumes where it stopped.
+retried once, recorded as a skipped row on repeated failure, and kept as
+a ``case`` artifact, so a sweep re-run against the same store resumes
+where it stopped.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro import obs
 from repro.budget import Budget, RetryPolicy
 from repro.core.align import AlignmentReport, align_program
 from repro.core.costmodel import CostBreakdown
 from repro.core.evaluate import evaluate_program, train_predictors
-from repro.core.exttsp import exttsp_program_score
+from repro.core.exttsp import DEFAULT_PARAMS, exttsp_program_score
 from repro.core.layout import ProgramLayout
+from repro.pipeline.artifacts import (
+    ArtifactCache,
+    artifact_cache,
+    fingerprint_budget,
+    fingerprint_effort,
+    fingerprint_model,
+)
 from repro.pipeline.executor import resolve_jobs
 from repro.pipeline.registry import normalize_method
 from repro.pipeline.stages import run_align_tasks, run_bound_tasks
@@ -41,9 +50,6 @@ from repro.profiles.edge_profile import ProgramProfile
 from repro.profiles.trace import CompactTrace
 from repro.tsp.solve import DEFAULT, Effort, get_effort
 from repro.workloads.suite import compile_benchmark, get_benchmark
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle is fine at type time
-    from repro.experiments.checkpoint import ExperimentCheckpoint
 
 #: The sweep default: the paper's three methods plus the modern Ext-TSP
 #: pair, so the 1997 near-optimal alignment and the 2020 BOLT-style
@@ -203,8 +209,6 @@ def run_case(
     seed: int = 0,
     budget: Budget | None = None,
     compute_bound: bool = True,
-    icache_bytes: int = 8192,
-    icache_line: int = 32,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
 ) -> CaseResult:
@@ -262,7 +266,7 @@ def run_case(
                     testing.trace,
                     model,
                     predictors=predictors,
-                    icache=DirectMappedICache(icache_bytes, icache_line),
+                    icache=DirectMappedICache(),
                 )
             case.methods[method] = MethodOutcome(
                 method=method,
@@ -292,72 +296,6 @@ def run_case(
                 policy=policy,
             )
     return case
-
-
-@lru_cache(maxsize=None)
-def _run_case_cached(
-    benchmark: str,
-    dataset: str,
-    train_dataset: str,
-    *,
-    methods: tuple[str, ...],
-    model: PenaltyModel,
-    effort: Effort,
-    seed: int,
-    budget: Budget | None,
-    jobs: int,
-    policy: RetryPolicy | None,
-) -> CaseResult:
-    return run_case(
-        benchmark,
-        dataset,
-        train_dataset,
-        methods=methods,
-        model=model,
-        effort=effort,
-        seed=seed,
-        budget=budget,
-        jobs=jobs,
-        policy=policy,
-    )
-
-
-def run_case_cached(
-    benchmark: str,
-    dataset: str,
-    train_dataset: str | None = None,
-    *,
-    methods: tuple[str, ...] = DEFAULT_METHODS,
-    model: PenaltyModel = ALPHA_21164,
-    effort: Effort | str = DEFAULT,
-    seed: int = 0,
-    budget: Budget | None = None,
-    jobs: int | None = None,
-    policy: RetryPolicy | None = None,
-) -> CaseResult:
-    """Memoized :func:`run_case` — figures share cases within a session.
-
-    Arguments are normalized *before* the cache boundary, so the spellings
-    ``(bm, ds)``, ``(bm, ds, ds)``, ``effort="default"`` vs the Effort
-    object, and method aliases (``"dtsp"`` vs ``"tsp"``) all hit one
-    entry.  Treat the result as read-only.
-    """
-    return _run_case_cached(
-        benchmark,
-        dataset,
-        train_dataset or dataset,
-        methods=tuple(normalize_method(m) for m in methods),
-        model=model,
-        effort=get_effort(effort),
-        seed=seed,
-        budget=budget,
-        jobs=resolve_jobs(jobs),
-        policy=policy,
-    )
-
-
-run_case_cached.cache_clear = _run_case_cached.cache_clear  # type: ignore[attr-defined]
-run_case_cached.cache_info = _run_case_cached.cache_info  # type: ignore[attr-defined]
 
 
 @lru_cache(maxsize=None)
@@ -437,7 +375,7 @@ case_lower_bound.cache_clear = _case_lower_bound.cache_clear  # type: ignore[att
 case_lower_bound.cache_info = _case_lower_bound.cache_info  # type: ignore[attr-defined]
 
 
-# -- fault-tolerant sweeps ----------------------------------------------------
+# -- sweeps: a finished case is a ``case`` artifact ---------------------------
 
 
 @dataclass(frozen=True)
@@ -461,12 +399,13 @@ class SweepResult:
 
     cases: list[CaseResult] = field(default_factory=list)
     skipped: list[SkippedCase] = field(default_factory=list)
-    #: How many cases were served from the checkpoint vs computed fresh.
-    from_checkpoint: int = 0
+    #: How many cases were served from the ``case`` artifact cache vs
+    #: computed fresh.
+    resumed: int = 0
     computed: int = 0
 
 
-def run_case_resilient(
+def case_key(
     benchmark: str,
     dataset: str,
     train_dataset: str | None = None,
@@ -477,75 +416,40 @@ def run_case_resilient(
     seed: int = 0,
     budget: Budget | None = None,
     compute_bound: bool = True,
-    checkpoint: "ExperimentCheckpoint | None" = None,
-    retries: int = 1,
-    jobs: int | None = None,
-    policy: RetryPolicy | None = None,
-) -> "CaseResult | SkippedCase":
-    """:func:`run_case` with checkpoint lookup, retry, and skip-on-failure.
+) -> str:
+    """Content address of one finished case: the benchmark source, the
+    testing and training inputs, the normalized methods, model, effort,
+    budget, seed, whether the bound is computed, and the Ext-TSP scoring
+    parameters.
 
-    A case already in ``checkpoint`` is served from it (no recompute); a
-    fresh case is persisted to ``checkpoint`` on success.  A case that
-    raises is retried ``retries`` more times; if every attempt fails the
-    failure is folded into a :class:`SkippedCase` instead of propagating —
-    one pathological case must not sink a whole figure run.
-
-    ``jobs`` deliberately does not participate in the checkpoint key: a
-    case's results are identical for every worker count, so a checkpoint
-    written at ``jobs=1`` resumes byte-identically at ``jobs=4``.
+    ``jobs`` and ``policy`` are deliberately left out: a case's results
+    are identical for every worker count, so a store written at
+    ``jobs=1`` resumes at ``jobs=4``.
     """
-    from repro.experiments.checkpoint import CaseKey  # local: import cycle
-
-    methods = tuple(normalize_method(m) for m in methods)
-    key = None
-    if checkpoint is not None:
-        key = CaseKey.for_case(
-            benchmark,
-            dataset,
-            train_dataset,
-            methods=methods,
-            model=model,
-            effort=effort,
-            seed=seed,
-            budget=budget,
-        )
-        cached = checkpoint.get(key)
-        if cached is not None:
-            return cached
-
-    last_error: Exception | None = None
-    for _attempt in range(retries + 1):
-        try:
-            case = run_case(
-                benchmark,
-                dataset,
-                train_dataset,
-                methods=methods,
-                model=model,
-                effort=effort,
-                seed=seed,
-                budget=budget,
-                compute_bound=compute_bound,
-                jobs=jobs,
-                policy=policy,
-            )
-        except Exception as exc:  # noqa: BLE001 — sweep survival by design
-            last_error = exc
-            continue
-        if checkpoint is not None and key is not None:
-            checkpoint.record(key, case)
-        return case
-    return SkippedCase(
-        benchmark=benchmark,
-        dataset=dataset,
-        train_dataset=train_dataset or dataset,
-        error=f"{type(last_error).__name__}: {last_error}",
-        attempts=retries + 1,
+    train_dataset = train_dataset or dataset
+    spec = get_benchmark(benchmark)
+    return ArtifactCache.key(
+        "case",
+        hashlib.sha256(spec.source.encode()).hexdigest(),
+        benchmark,
+        dataset,
+        train_dataset,
+        spec.inputs(dataset),
+        spec.inputs(train_dataset),
+        ",".join(normalize_method(m) for m in methods),
+        fingerprint_model(model),
+        fingerprint_effort(get_effort(effort)),
+        fingerprint_budget(budget),
+        seed,
+        compute_bound,
+        DEFAULT_PARAMS.fingerprint(),
     )
 
 
-def run_cases(
-    specs: Iterable[Sequence[str]],
+def sweep_case(
+    benchmark: str,
+    dataset: str,
+    train_dataset: str | None = None,
     *,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     model: PenaltyModel = ALPHA_21164,
@@ -553,62 +457,76 @@ def run_cases(
     seed: int = 0,
     budget: Budget | None = None,
     compute_bound: bool = True,
-    checkpoint: "ExperimentCheckpoint | None" = None,
-    retries: int = 1,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
+) -> tuple[CaseResult | SkippedCase, bool]:
+    """One case of a sweep; returns ``(outcome, resumed)``.
+
+    A case already in the artifact cache — its memory tier, or the
+    ``--store``/``$REPRO_STORE`` tier of an earlier run — is served from
+    it (``resumed``).  Otherwise :func:`run_case` computes it, and the
+    case is stored unless a procedure was quarantined (the align stage's
+    rule: a healthier re-run should get a real solve).  A case that
+    raises is retried once; a second failure becomes a
+    :class:`SkippedCase` — one pathological case must not sink a sweep.
+    Treat a returned case as read-only: it may be the cached object.
+    """
+    kwargs = dict(
+        methods=tuple(normalize_method(m) for m in methods),
+        model=model,
+        effort=effort,
+        seed=seed,
+        budget=budget,
+        compute_bound=compute_bound,
+    )
+    key = case_key(benchmark, dataset, train_dataset, **kwargs)
+    cache = artifact_cache()
+    cached = cache.get(key)
+    if cached is not None:
+        return cached, True
+    error: Exception | None = None
+    for _attempt in range(2):
+        try:
+            case = run_case(
+                benchmark, dataset, train_dataset, jobs=jobs, policy=policy,
+                **kwargs,
+            )
+        except Exception as exc:  # noqa: BLE001 — sweep survival by design
+            error = exc
+            continue
+        if not case.quarantined:
+            cache.put(key, case)
+        return case, False
+    skipped = SkippedCase(
+        benchmark=benchmark,
+        dataset=dataset,
+        train_dataset=train_dataset or dataset,
+        error=f"{type(error).__name__}: {error}",
+    )
+    return skipped, False
+
+
+def run_cases(
+    specs: Iterable[Sequence[str | None]],
+    **case_kwargs,
 ) -> SweepResult:
-    """Run a sweep of cases fault-tolerantly.
+    """Run a sweep of cases fault-tolerantly through :func:`sweep_case`.
 
     ``specs`` is an iterable of ``(benchmark, dataset)`` or
-    ``(benchmark, dataset, train_dataset)`` tuples.  Completed cases land
-    in ``result.cases`` in spec order; failures land in ``result.skipped``.
-    ``jobs`` parallelizes the per-procedure solves *within* each case
-    (cases themselves stay sequential so checkpoints grow in spec order).
+    ``(benchmark, dataset, train_dataset)`` tuples; ``case_kwargs`` are
+    :func:`sweep_case`'s options.  Completed cases land in
+    ``result.cases`` in spec order; failures land in ``result.skipped``.
+    ``jobs`` parallelizes the per-procedure solves *within* each case.
     """
-    from repro.experiments.checkpoint import CaseKey  # local: import cycle
-
-    methods = tuple(normalize_method(m) for m in methods)
     result = SweepResult()
     for spec in specs:
-        benchmark, dataset = spec[0], spec[1]
-        train_dataset = spec[2] if len(spec) > 2 else None
-        was_checkpointed = False
-        if checkpoint is not None:
-            was_checkpointed = (
-                CaseKey.for_case(
-                    benchmark,
-                    dataset,
-                    train_dataset,
-                    methods=methods,
-                    model=model,
-                    effort=effort,
-                    seed=seed,
-                    budget=budget,
-                )
-                in checkpoint
-            )
-        outcome = run_case_resilient(
-            benchmark,
-            dataset,
-            train_dataset,
-            methods=methods,
-            model=model,
-            effort=effort,
-            seed=seed,
-            budget=budget,
-            compute_bound=compute_bound,
-            checkpoint=checkpoint,
-            retries=retries,
-            jobs=jobs,
-            policy=policy,
-        )
+        outcome, resumed = sweep_case(*spec, **case_kwargs)
         if isinstance(outcome, SkippedCase):
             result.skipped.append(outcome)
         else:
             result.cases.append(outcome)
-            if was_checkpointed:
-                result.from_checkpoint += 1
+            if resumed:
+                result.resumed += 1
             else:
                 result.computed += 1
     return result

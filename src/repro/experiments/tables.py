@@ -9,16 +9,13 @@ paper-vs-measured record).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.budget import Budget
 from repro.experiments.report import arithmetic_mean
 from repro.experiments.runner import (
     CaseResult,
     SkippedCase,
     profiled_run,
-    run_case_cached,
-    run_case_resilient,
+    sweep_case,
 )
 from repro.workloads.suite import (
     SUITE,
@@ -26,56 +23,6 @@ from repro.workloads.suite import (
     compile_benchmark,
     train_test_pairs,
 )
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle is fine at type time
-    from repro.experiments.checkpoint import ExperimentCheckpoint
-
-
-def _resilient_case(
-    benchmark: str,
-    dataset: str,
-    train_dataset: str | None = None,
-    *,
-    checkpoint: "ExperimentCheckpoint | None" = None,
-    budget: Budget | None = None,
-    jobs: int | None = None,
-    **case_kwargs,
-) -> "CaseResult | SkippedCase":
-    """One figure case, fault-tolerantly.
-
-    With a checkpoint the case goes through :func:`run_case_resilient`
-    (checkpoint lookup → compute → persist).  Without one it uses the
-    session-local memo cache, but still retries once and folds repeated
-    failure into a :class:`SkippedCase` so one pathological case cannot
-    sink the whole figure.  ``jobs`` parallelizes the per-procedure solves
-    without changing any figure value.
-    """
-    if checkpoint is not None:
-        return run_case_resilient(
-            benchmark,
-            dataset,
-            train_dataset,
-            budget=budget,
-            checkpoint=checkpoint,
-            jobs=jobs,
-            **case_kwargs,
-        )
-    last_error: Exception | None = None
-    for _attempt in range(2):
-        try:
-            # lru_cache does not cache exceptions, so the retry recomputes.
-            return run_case_cached(
-                benchmark, dataset, train_dataset, budget=budget, jobs=jobs,
-                **case_kwargs,
-            )
-        except Exception as exc:  # noqa: BLE001 — figure survival by design
-            last_error = exc
-    return SkippedCase(
-        benchmark=benchmark,
-        dataset=dataset,
-        train_dataset=train_dataset or dataset,
-        error=f"{type(last_error).__name__}: {last_error}",
-    )
 
 
 # -- Table 1: benchmark and data-set descriptions ------------------------------
@@ -231,27 +178,19 @@ class Figure2Data:
         return headers, rows
 
 
-def figure2_data(
-    *,
-    checkpoint: "ExperimentCheckpoint | None" = None,
-    budget: Budget | None = None,
-    jobs: int | None = None,
-    **case_kwargs,
-) -> Figure2Data:
+def figure2_data(**case_kwargs) -> Figure2Data:
     """Run every benchmark case with train = test (the paper's §4.1).
 
-    Fault-tolerant: a case that fails twice becomes a ``data.skipped`` row
-    instead of aborting the figure; with ``checkpoint``, completed cases
-    persist and an interrupted run resumes where it stopped.  ``jobs``
-    parallelizes per-procedure solves; the figure is identical for every
-    worker count.
+    Cases go through :func:`~repro.experiments.runner.sweep_case` with
+    ``case_kwargs``: a case that fails twice becomes a ``data.skipped``
+    row instead of aborting the figure, and finished cases are ``case``
+    artifacts, so a re-run against the same store resumes where it
+    stopped.  ``jobs`` parallelizes per-procedure solves; the figure is
+    identical for every worker count.
     """
     data = Figure2Data()
     for benchmark, dataset in all_cases():
-        outcome = _resilient_case(
-            benchmark, dataset, checkpoint=checkpoint, budget=budget,
-            jobs=jobs, **case_kwargs,
-        )
+        outcome, _ = sweep_case(benchmark, dataset, **case_kwargs)
         if isinstance(outcome, SkippedCase):
             data.skipped.append(outcome)
         else:
@@ -335,13 +274,7 @@ class Figure3Data:
         )
 
 
-def figure3_data(
-    *,
-    checkpoint: "ExperimentCheckpoint | None" = None,
-    budget: Budget | None = None,
-    jobs: int | None = None,
-    **case_kwargs,
-) -> Figure3Data:
+def figure3_data(**case_kwargs) -> Figure3Data:
     """Run every case twice: train = test, and train = sibling data set.
 
     Fault-tolerant like :func:`figure2_data`; a pair is only included when
@@ -349,13 +282,9 @@ def figure3_data(
     """
     data = Figure3Data()
     for benchmark, test_dataset, train_dataset in train_test_pairs():
-        self_case = _resilient_case(
-            benchmark, test_dataset, checkpoint=checkpoint, budget=budget,
-            jobs=jobs, **case_kwargs,
-        )
-        cross_case = _resilient_case(
-            benchmark, test_dataset, train_dataset,
-            checkpoint=checkpoint, budget=budget, jobs=jobs, **case_kwargs,
+        self_case, _ = sweep_case(benchmark, test_dataset, **case_kwargs)
+        cross_case, _ = sweep_case(
+            benchmark, test_dataset, train_dataset, **case_kwargs
         )
         skipped = [
             half for half in (self_case, cross_case)

@@ -2,11 +2,10 @@
 
 Lets tests (and chaos-style experiments) make the pipeline's failure paths
 *happen on demand*: solvers time out, degradation rungs break, VM runs
-exceed their step limits, checkpoint writes corrupt on the Nth call,
-workers crash mid-task, store entries tear on disk.  The production code
-consults this module at the same points where the real failures occur, so
-a test that survives injected faults exercises exactly the code that must
-survive real ones.
+exceed their step limits, workers crash mid-task, store entries tear on
+disk.  The production code consults this module at the same points where
+the real failures occur, so a test that survives injected faults
+exercises exactly the code that must survive real ones.
 
 Usage::
 
@@ -18,7 +17,7 @@ Usage::
 
 Site trigger values are ``False``/``None`` (never fire), ``True`` (fire on
 every call), an integer ``n`` (fire on the n-th call only, 1-based —
-"corrupt the 3rd checkpoint write"), a string ``"%k"`` (fire on every
+"tear the 3rd store write"), a string ``"%k"`` (fire on every
 k-th call — "crash every 5th worker dispatch"), or a tuple/list of
 integers (fire on exactly those calls — what a pairwise chaos schedule
 compiles to; the env form is ``"@3+7"``).  Plans nest; the innermost
@@ -127,8 +126,6 @@ class FaultPlan:
     bound_timeout: bool | int | str | None = False
     #: Override the VM's ``max_blocks`` so runs trip the runaway guard.
     vm_max_blocks: int | None = None
-    #: Corrupt the n-th checkpoint line written (``True`` = every line).
-    checkpoint_corrupt_on: bool | int | str | None = False
     #: The n-th supervised task dispatch dies: a real ``os._exit`` in pool
     #: workers (breaking the pool), :class:`WorkerCrashError` in-process.
     worker_crash: bool | int | str | None = False
@@ -513,16 +510,6 @@ def vm_block_limit(default: int) -> int:
         plan.fires("vm", True)
         return min(default, plan.vm_max_blocks)
     return default
-
-
-def corrupt_checkpoint_line(line: str) -> str:
-    """Return ``line`` mangled when the checkpoint fault fires (a torn
-    write: the tail of the record is lost)."""
-    _observe("checkpoint_corrupt_on")
-    plan = active()
-    if plan is not None and plan.fires("checkpoint", plan.checkpoint_corrupt_on):
-        return line[: max(1, len(line) // 2)]
-    return line
 
 
 def _dispatch_site_fires(site: str, first_dispatch: bool) -> bool:

@@ -9,7 +9,7 @@ treats individual failures as routine:
   its own solver seed derived from ``(seed, method, index)`` (see
   :func:`repro.pipeline.task.derive_seed`), so output is byte-identical for
   any worker count (``jobs=1`` vs ``jobs=4`` produce the same layouts,
-  reports, checkpoints, and tables).
+  reports, stored cases, and tables).
 * **Chunking** — alignment tasks are small (most procedures solve in
   milliseconds), so the supervisor batches several payloads into one pool
   task (:func:`_chunk_size` — deterministic in task count and worker

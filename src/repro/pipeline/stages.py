@@ -16,7 +16,7 @@ individually cacheable stages with typed intermediate artifacts::
   its registered aligner, fanning out over worker processes
   (:mod:`repro.pipeline.executor`) and serving repeated tasks from the
   artifact cache.  Results merge in program order, so layouts, reports,
-  checkpoints, and tables are identical for any worker count.
+  stored cases, and tables are identical for any worker count.
 * The **evaluate stage** (:func:`evaluate_procedures`) is the single
   penalty-evaluation code path — ``evaluate_program`` delegates here, and
   the DTSP tour cost of an instance provably equals this stage's control

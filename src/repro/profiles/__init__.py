@@ -18,13 +18,12 @@ from repro.profiles.static_estimate import (
     estimate_edge_profile,
     estimate_program_profile,
 )
-from repro.profiles.trace import CompactTrace, ExecutionTrace
+from repro.profiles.trace import CompactTrace
 
 __all__ = [
     "BiasAssignment",
     "CompactTrace",
     "EdgeProfile",
-    "ExecutionTrace",
     "ProfileError",
     "ProgramProfile",
     "estimate_edge_profile",

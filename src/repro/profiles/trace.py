@@ -1,8 +1,8 @@
 """Execution traces.
 
 A trace is the whole-program, interleaved sequence of basic-block executions:
-``(procedure name, block id)`` events in execution order.  Traces feed two
-consumers:
+``(procedure name, block id)`` events in execution order, stored compactly
+as a :class:`CompactTrace`.  Traces feed two consumers:
 
 * :class:`~repro.profiles.edge_profile.ProgramProfile` — per-procedure edge
   frequencies (what the aligner trains on), and
@@ -12,52 +12,9 @@ consumers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
-
-
-@dataclass
-class ExecutionTrace:
-    """Block-granularity execution trace of one program run."""
-
-    events: list[tuple[str, int]] = field(default_factory=list)
-
-    def append(self, proc: str, block_id: int) -> None:
-        self.events.append((proc, block_id))
-
-    def extend(self, events: Iterable[tuple[str, int]]) -> None:
-        self.events.extend(events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(self.events)
-
-    def procedures(self) -> set[str]:
-        return {proc for proc, _ in self.events}
-
-    def per_procedure_transitions(self) -> dict[str, dict[tuple[int, int], int]]:
-        """Count consecutive same-procedure event pairs, per procedure.
-
-        A flat trace carries no call or return events, so this is exact only
-        for traces without calls (e.g. single-procedure synthetic walks);
-        across a call it pairs blocks of different activations.  Exact
-        counts in the presence of calls come from the VM's
-        :class:`~repro.lang.vm.RunTrace`.
-        """
-        counts: dict[str, dict[tuple[int, int], int]] = {}
-        prev: tuple[str, int] | None = None
-        for event in self.events:
-            proc, block_id = event
-            if prev is not None and prev[0] == proc:
-                per_proc = counts.setdefault(proc, {})
-                key = (prev[1], block_id)
-                per_proc[key] = per_proc.get(key, 0) + 1
-            prev = event
-        return counts
 
 
 class CompactTrace:

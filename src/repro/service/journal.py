@@ -20,8 +20,7 @@ re-verification — see :mod:`repro.service.core`); an ``admitted`` key
 with no terminal record is an **orphan** the restarted server re-enqueues;
 a ``failed`` key is left to the client's retry.
 
-Durability discipline (the same one the ArtifactStore and experiment
-checkpoints already prove):
+Durability discipline (the same one the ArtifactStore already proves):
 
 * every append is flushed and ``fsync``\\ ed before the admission/response
   proceeds, so an acknowledged record survives the process;

@@ -6,8 +6,7 @@ full-pipeline behaviour is covered without the cost of the figure sweeps.
 
 import pytest
 
-from repro.experiments import profiled_run, run_case
-from repro.experiments.runner import run_case_cached
+from repro.experiments import profiled_run, run_case, sweep_case
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ class TestRunCase:
         # check basic sanity here:
         assert case.methods["tsp"].penalty > 0
 
-    def test_run_case_cached_memoizes(self):
-        a = run_case_cached("su2", "sh")
-        b = run_case_cached("su2", "sh")
-        assert a is b
+    def test_sweep_case_memoizes(self):
+        a, _ = sweep_case("su2", "sh")
+        b, resumed = sweep_case("su2", "sh")
+        assert a is b and resumed

@@ -48,9 +48,16 @@ class TestUsageErrors:
         ]) == 2
         assert "integers" in capsys.readouterr().err
 
-    def test_resume_requires_checkpoint(self, capsys):
-        assert main(["suite", "su2.sh", "--resume"]) == 2
-        assert "--resume requires --checkpoint" in capsys.readouterr().err
+    def test_all_with_train_is_a_usage_error(self, monkeypatch, capsys):
+        # 'all' spans benchmarks with different data sets; --train used to
+        # be dropped silently.  It must be refused before any case runs.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started despite a usage error")
+
+        monkeypatch.setattr("repro.experiments.run_cases", no_sweep)
+        assert main(["suite", "all", "--train", "re"]) == 2
+        err = capsys.readouterr().err
+        assert "--train" in err and "'all'" in err
 
     def test_unknown_names_print_clean_messages(self, capsys):
         # UnknownNameError subclasses KeyError, whose __str__ used to turn
@@ -129,15 +136,27 @@ class TestSuiteResilience:
         out = capsys.readouterr().out
         assert "su2.sh" in out and "su2.re" in out
 
-    def test_checkpoint_and_resume(self, tmp_path, capsys):
-        ck = tmp_path / "ck.jsonl"
-        assert main(["suite", "su2.sh", "--checkpoint", str(ck)]) == 0
-        assert "1 computed" in capsys.readouterr().out
-        assert ck.exists()
-        assert main([
-            "suite", "su2.sh", "--checkpoint", str(ck), "--resume",
-        ]) == 0
-        assert "1 case(s) resumed, 0 computed" in capsys.readouterr().out
+    def test_checkpoint_and_resume(
+        self, tmp_path, capsys, no_ambient_store, no_ambient_chaos
+    ):
+        from repro.pipeline.artifacts import reset_artifact_cache
+
+        store = tmp_path / "store"
+        reset_artifact_cache()
+        assert main(["suite", "su2.sh", "--store", str(store)]) == 0
+        first = capsys.readouterr().out
+        assert f"store {store}: 0 case(s) resumed, 1 computed" in first
+        # A new process: cold memory tier, same store.
+        reset_artifact_cache()
+        assert main(["suite", "su2.sh", "--store", str(store)]) == 0
+        second = capsys.readouterr().out
+        assert f"store {store}: 1 case(s) resumed, 0 computed" in second
+
+        def tables(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith("store ")]
+
+        assert tables(second) == tables(first)
 
 
 class TestCFGValidation:

@@ -10,7 +10,8 @@ from repro.machine.timing import (
     _fetch_stream,
     simulate_timing,
 )
-from repro.profiles.trace import CompactTrace, ExecutionTrace
+from repro.profiles.trace import CompactTrace
+from tests.profiles.trace_builder import ExecutionTrace
 
 
 @pytest.fixture(scope="module")

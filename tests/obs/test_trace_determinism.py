@@ -36,7 +36,7 @@ NO_SLEEP = lambda seconds: None  # noqa: E731
 def _hermetic(monkeypatch):
     """Fresh caches/tracer and no ambient chaos, store, or trace env —
     the two compared runs must be identical-by-construction."""
-    from repro.experiments.runner import case_lower_bound, run_case_cached
+    from repro.experiments.runner import case_lower_bound
 
     monkeypatch.delenv(faults.CHAOS_ENV, raising=False)
     monkeypatch.delenv(STORE_ENV, raising=False)
@@ -44,7 +44,6 @@ def _hermetic(monkeypatch):
 
     def scrub():
         reset_artifact_cache()
-        run_case_cached.cache_clear()
         case_lower_bound.cache_clear()
         obs.reset_tracer()
 

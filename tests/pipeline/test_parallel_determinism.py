@@ -1,23 +1,31 @@
 """Worker-count invariance: jobs=1 and jobs=4 produce identical results.
 
 The contract: parallelism is a pure execution detail.  Layouts, alignment
-reports, case results, checkpoint payloads, and printed tables must be
+reports, case results, stored ``case`` artifacts, and printed tables must be
 identical for every worker count — including under injected faults.
 (`align_seconds` is wall-clock and is the one field exempted.)
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 
 import pytest
 
 from repro import faults
 from repro.core.align import AlignmentReport, align_program
-from repro.experiments.checkpoint import ExperimentCheckpoint, case_to_state
-from repro.experiments.runner import profiled_run, run_case, run_cases
-from repro.machine.models import ALPHA_21164
-from repro.pipeline.artifacts import reset_artifact_cache
+from repro.experiments.runner import (
+    case_key,
+    profiled_run,
+    run_case,
+    run_cases,
+    sweep_case,
+)
+from repro.pipeline.artifacts import (
+    ArtifactStore,
+    reset_artifact_cache,
+    set_default_store,
+)
 from repro.pipeline.executor import shutdown_pool
 from repro.workloads.suite import compile_benchmark
 
@@ -37,7 +45,7 @@ def _fresh_artifacts(force_pool, no_ambient_store, no_ambient_chaos):
 
 
 def _normalized_state(case) -> dict:
-    state = case_to_state(case)
+    state = dataclasses.asdict(case)
     for payload in state["methods"].values():
         payload["align_seconds"] = 0.0
     return state
@@ -143,47 +151,35 @@ def test_run_case_state_identical_across_worker_counts():
 
 
 def test_checkpoint_payloads_identical_across_worker_counts(tmp_path):
-    """A sweep checkpointed at jobs=1 and one at jobs=4 contain the same
-    records under the same keys — so a checkpoint written at any worker
-    count resumes at any other."""
+    """A sweep stored at jobs=1 and one stored at jobs=4 hold the same
+    entries under the same keys and the same ``case`` artifact — so a
+    store written at any worker count resumes at any other."""
     specs = [("com", "in")]
-    states = {}
+    key = case_key("com", "in", effort="quick")
+    entries, states = {}, {}
     for jobs in (1, 4):
         reset_artifact_cache()
-        path = tmp_path / f"sweep-j{jobs}.jsonl"
-        checkpoint = ExperimentCheckpoint(path)
-        result = run_cases(
-            specs, checkpoint=checkpoint, jobs=jobs, effort="quick"
-        )
+        store_dir = tmp_path / f"store-j{jobs}"
+        set_default_store(store_dir)
+        result = run_cases(specs, jobs=jobs, effort="quick")
         assert result.computed == 1 and not result.skipped
-        lines = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        for record in lines:
-            for payload in record["case"]["methods"].values():
-                payload["align_seconds"] = 0.0
-            record.pop("sha", None)  # covers align_seconds, re-derivable
-        states[jobs] = lines
+        entries[jobs] = sorted(
+            path.relative_to(store_dir) for path in store_dir.rglob("*.art")
+        )
+        states[jobs] = _normalized_state(ArtifactStore(store_dir).get(key))
+    assert entries[1] == entries[4]
     assert states[1] == states[4]
 
 
 def test_checkpoint_written_serial_resumes_parallel(tmp_path):
-    path = tmp_path / "sweep.jsonl"
+    set_default_store(tmp_path / "store")
     specs = [("com", "in")]
-    first = run_cases(
-        specs, checkpoint=ExperimentCheckpoint(path), jobs=1, effort="quick"
-    )
+    first = run_cases(specs, jobs=1, effort="quick")
     assert first.computed == 1
     reset_artifact_cache()
-    resumed = run_cases(
-        specs,
-        checkpoint=ExperimentCheckpoint(path, resume=True),
-        jobs=4,
-        effort="quick",
-    )
-    assert resumed.from_checkpoint == 1 and resumed.computed == 0
+    set_default_store(tmp_path / "store")
+    resumed = run_cases(specs, jobs=4, effort="quick")
+    assert resumed.resumed == 1 and resumed.computed == 0
     assert _normalized_state(first.cases[0]) == _normalized_state(
         resumed.cases[0]
     )
@@ -214,20 +210,16 @@ def test_suite_cli_output_identical_across_worker_counts(capsys, monkeypatch):
 
 
 def test_method_aliases_share_one_memo_entry():
-    """`run_case_cached` normalizes method spellings through the registry
-    before its cache boundary."""
-    from repro.experiments.runner import run_case_cached
-
-    run_case_cached.cache_clear()
-    a = run_case_cached(
+    """The ``case`` key normalizes method spellings through the registry,
+    so aliases share one cached case."""
+    a, _ = sweep_case(
         "com", "in", methods=("original", "dtsp"), effort="quick"
     )
-    b = run_case_cached(
+    b, resumed = sweep_case(
         "com", "in", methods=("original", "tsp"), effort="quick"
     )
-    assert a is b
+    assert a is b and resumed
     assert set(a.methods) == {"original", "tsp"}
-    run_case_cached.cache_clear()
 
 
 def test_align_program_identical_across_worker_counts_kernel_effort_quick(

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.profiles import CompactTrace, ExecutionTrace
-from tests.profiles.trace_builder import TraceBuilder
+from repro.profiles import CompactTrace
+from tests.profiles.trace_builder import ExecutionTrace, TraceBuilder
 
 
 class TestExecutionTrace:

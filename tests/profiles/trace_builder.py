@@ -1,15 +1,62 @@
-"""Test-only shadow-stack trace builder.
+"""Test-only event-list traces and the shadow-stack trace builder.
 
 The VM derives its trace products (edge, block, activation and call-pair
 counts, transition log) from its block and resume records in
-:meth:`repro.lang.vm.Instrumented.derive`.  This builder is the direct,
-event-at-a-time statement of the same rule, kept to build small traces by
-hand and to cross-check profiles in tests.  Nothing under ``src/`` imports it.
+:meth:`repro.lang.vm.Instrumented.derive`, and its trace is a
+:class:`~repro.profiles.trace.CompactTrace`.  :class:`TraceBuilder` is the
+direct, event-at-a-time statement of the same counting rule, and
+:class:`ExecutionTrace` the plain event list it builds: kept to build small
+traces by hand, to cross-check profiles, and as the non-compact trace
+that drives ``simulate_timing``'s scalar event loop.  Nothing under
+``src/`` imports them.
 """
 
 from __future__ import annotations
 
-from repro.profiles.trace import ExecutionTrace
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
+
+
+@dataclass
+class ExecutionTrace:
+    """Block-granularity execution trace of one program run."""
+
+    events: list[tuple[str, int]] = field(default_factory=list)
+
+    def append(self, proc: str, block_id: int) -> None:
+        self.events.append((proc, block_id))
+
+    def extend(self, events: Iterable[tuple[str, int]]) -> None:
+        self.events.extend(events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return iter(self.events)
+
+    def procedures(self) -> set[str]:
+        return {proc for proc, _ in self.events}
+
+    def per_procedure_transitions(self) -> dict[str, dict[tuple[int, int], int]]:
+        """Count consecutive same-procedure event pairs, per procedure.
+
+        A flat trace carries no call or return events, so this is exact only
+        for traces without calls (e.g. single-procedure synthetic walks);
+        across a call it pairs blocks of different activations.  Exact
+        counts in the presence of calls come from the VM's
+        :class:`~repro.lang.vm.RunTrace`.
+        """
+        counts: dict[str, dict[tuple[int, int], int]] = {}
+        prev: tuple[str, int] | None = None
+        for event in self.events:
+            proc, block_id = event
+            if prev is not None and prev[0] == proc:
+                per_proc = counts.setdefault(proc, {})
+                key = (prev[1], block_id)
+                per_proc[key] = per_proc.get(key, 0) + 1
+            prev = event
+        return counts
 
 
 class TraceBuilder:

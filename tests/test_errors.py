@@ -4,7 +4,6 @@ import pytest
 
 from repro import errors
 from repro.errors import (
-    CheckpointCorruptError,
     DegradationError,
     ProfileMismatchError,
     ReproError,
@@ -22,7 +21,6 @@ class TestTaxonomy:
             ProfileMismatchError,
             SolverBudgetExceeded,
             DegradationError,
-            CheckpointCorruptError,
         ):
             assert issubclass(cls, ReproError)
 
@@ -46,10 +44,6 @@ class TestTaxonomy:
         assert exc.elapsed_ms == 12.5
         assert exc.iterations == 99
         assert exc.best_so_far == [0, 2, 1]
-
-    def test_checkpoint_corrupt_carries_line_number(self):
-        exc = CheckpointCorruptError("bad line", line_number=7)
-        assert exc.line_number == 7
 
     def test_vm_runaway_lazily_re_exported(self):
         from repro.lang.vm import VMError, VMRunawayError

@@ -46,7 +46,6 @@ class TestScoping:
         faults.check_solver_timeout()
         faults.check_bound_timeout()
         assert faults.vm_block_limit(100) == 100
-        assert faults.corrupt_checkpoint_line("abc") == "abc"
 
     def test_plan_active_inside_context(self):
         with inject_faults() as plan:
@@ -88,14 +87,6 @@ class TestHooks:
         with inject_faults(vm_max_blocks=10):
             assert faults.vm_block_limit(1_000_000) == 10
             assert faults.vm_block_limit(5) == 5
-
-    def test_corrupt_checkpoint_line_truncates_on_nth_write(self):
-        with inject_faults(checkpoint_corrupt_on=2) as plan:
-            line = "x" * 40
-            assert faults.corrupt_checkpoint_line(line) == line
-            assert len(faults.corrupt_checkpoint_line(line)) == 20
-            assert faults.corrupt_checkpoint_line(line) == line
-            assert plan.trips("checkpoint") == 1
 
 
 class TestVMIntegration:
