@@ -469,17 +469,33 @@ def sweep_case(
     rule: a healthier re-run should get a real solve).  A case that
     raises is retried once; a second failure becomes a
     :class:`SkippedCase` — one pathological case must not sink a sweep.
+    A case whose key cannot be built — an unknown benchmark, data set or
+    method — is skipped after one attempt: building the key is pure, so
+    a retry would fail the same way.
     Treat a returned case as read-only: it may be the cached object.
     """
-    kwargs = dict(
-        methods=tuple(normalize_method(m) for m in methods),
-        model=model,
-        effort=effort,
-        seed=seed,
-        budget=budget,
-        compute_bound=compute_bound,
-    )
-    key = case_key(benchmark, dataset, train_dataset, **kwargs)
+
+    def skipped(error: Exception, attempts: int) -> SkippedCase:
+        return SkippedCase(
+            benchmark=benchmark,
+            dataset=dataset,
+            train_dataset=train_dataset or dataset,
+            error=f"{type(error).__name__}: {error}",
+            attempts=attempts,
+        )
+
+    try:
+        kwargs = dict(
+            methods=tuple(normalize_method(m) for m in methods),
+            model=model,
+            effort=effort,
+            seed=seed,
+            budget=budget,
+            compute_bound=compute_bound,
+        )
+        key = case_key(benchmark, dataset, train_dataset, **kwargs)
+    except Exception as exc:  # noqa: BLE001 — sweep survival by design
+        return skipped(exc, attempts=1), False
     cache = artifact_cache()
     cached = cache.get(key)
     if cached is not None:
@@ -497,13 +513,7 @@ def sweep_case(
         if not case.quarantined:
             cache.put(key, case)
         return case, False
-    skipped = SkippedCase(
-        benchmark=benchmark,
-        dataset=dataset,
-        train_dataset=train_dataset or dataset,
-        error=f"{type(error).__name__}: {error}",
-    )
-    return skipped, False
+    return skipped(error, attempts=2), False
 
 
 def run_cases(

@@ -75,6 +75,30 @@ class DirectMappedICache:
         self.stats.misses += misses
         return misses
 
+    def account(self, lines: set[int], accesses: int) -> int | None:
+        """Account a fetch stream of ``accesses`` line accesses that touch
+        exactly ``lines``, in any order, without replaying it.
+
+        Exact only when no two of the lines share a slot: each slot then
+        sees one line, which misses on its first access iff the slot's tag
+        on entry differs, hits ever after, and is the slot's final tag.
+        That holds for any entry state, warm or cold.  Returns the misses,
+        or ``None`` — with the cache untouched — when two lines share a
+        slot and only a replay can tell the order of their evictions.
+        """
+        mask = self.num_lines - 1
+        if len({line & mask for line in lines}) < len(lines):
+            return None
+        tags = self._tags
+        misses = 0
+        for line in lines:
+            if tags[line & mask] != line:
+                tags[line & mask] = line
+                misses += 1
+        self.stats.accesses += accesses
+        self.stats.misses += misses
+        return misses
+
     def replay(self, addresses: np.ndarray, words: np.ndarray) -> int:
         """Batch-:meth:`fetch` a whole address stream, vectorized.
 

@@ -289,6 +289,27 @@ class TestSweepFaultTolerance:
         assert skip.attempts == 2
         assert "kaboom" in skip.error and "RuntimeError" in skip.error
 
+    @pytest.mark.parametrize(
+        "spec, kwargs, message",
+        [
+            (("nope", "sh"), {}, "unknown benchmark 'nope'"),
+            (("su2", "zz"), {}, "unknown data set 'zz'"),
+            (("su2", "sh", "zz"), {}, "unknown data set 'zz'"),
+            (("su2", "sh"), {"methods": ("zz",)}, "unknown method 'zz'"),
+        ],
+    )
+    def test_unknown_names_are_skipped_not_raised(self, spec, kwargs, message):
+        result = run_cases([spec], **kwargs)
+        assert result.cases == []
+        (skip,) = result.skipped
+        assert skip.attempts == 1  # the key is pure: no retry
+        assert skip.error.startswith("UnknownNameError") and message in skip.error
+
+    def test_a_skipped_name_does_not_stop_the_sweep(self):
+        result = run_cases([("nope", "sh"), ("su2", "sh")], compute_bound=False)
+        assert [s.label for s in result.skipped] == ["nope.sh"]
+        assert [c.label for c in result.cases] == ["su2.sh"]
+
     def test_single_retry_recovers_a_flaky_case(self, monkeypatch):
         import repro.experiments.runner as runner_mod
 
