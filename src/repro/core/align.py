@@ -46,6 +46,7 @@ from repro.pipeline.stages import (
     align_procedures,
     instance_for,
     lower_bound_procedures,
+    merge_order_for,
 )
 from repro.pipeline.task import ProcedureResult, ProcedureTask
 from repro.profiles.edge_profile import ProgramProfile
@@ -162,16 +163,25 @@ def _align_tsp(task: ProcedureTask) -> ProcedureResult:
 
 
 def _exttsp_result(task: ProcedureTask, *, refine: bool) -> ProcedureResult:
-    """Run the chain-merging Ext-TSP heuristic and dual-price the layout."""
+    """Run the chain-merging Ext-TSP heuristic and dual-price the layout.
+
+    The merge phase comes from the ``merge`` artifact, so ``chain-merge``
+    and ``exttsp`` over one procedure run it once; its counts are stored
+    with it and reported by every call, hit or miss."""
     stats = MergeStats()
     with obs.span(
         "exttsp_solver", proc=task.name, refine=refine
     ) as sp:
         layout = exttsp_layout(
-            task.cfg, task.profile, refine=refine, stats=stats
+            task.cfg,
+            task.profile,
+            refine=refine,
+            stats=stats,
+            merged=merge_order_for(task.cfg, task.profile),
         )
         sp["merges"] = stats.merges
         sp["splits"] = stats.splits
+        sp["merge_candidates"] = stats.merge_candidates
         sp["refine_moves"] = stats.refine_moves
         sp["refine_candidates"] = stats.refine_candidates
         sp["score"] = stats.score
@@ -179,6 +189,7 @@ def _exttsp_result(task: ProcedureTask, *, refine: bool) -> ProcedureResult:
     # for every worker count), like tsp.runs.
     obs.count("exttsp.merges", stats.merges)
     obs.count("exttsp.splits", stats.splits)
+    obs.count("exttsp.merge_candidates", stats.merge_candidates)
     obs.count("exttsp.refine_moves", stats.refine_moves)
     obs.count("exttsp.refine_candidates", stats.refine_candidates)
     return _priced_result(task, layout)

@@ -8,7 +8,16 @@ split point of either chain, capped at :data:`SPLIT_CAP` blocks so the
 search stays near-quadratic) — the "chain splits" of Newell–Pupyrev's
 "Improved Basic Block Reordering".  The gain of a candidate is scored
 *locally*: only edges with both endpoints inside the merged pair can
-change class, so each candidate costs O(|local edges|).
+change class.  Each round scores every candidate of every pair it
+rescores in one NumPy batch (:func:`_sequence_scores`).
+
+The merge phase's gains are float re-summed scores, and its tie-breaking
+is part of the layouts it has always produced, so the batch keeps each
+candidate's exact summation order: terms are added one at a time in
+block order, within a block in profile-key order of the edges touching
+it, each edge at whichever endpoint comes first (a sequential ``cumsum``
+along the row; ``np.sum`` would sum pairwise and round differently).  The merged
+chain's score is the winning candidate's, not a fresh re-sum.
 
 The entry block is pinned: any candidate that would place a block ahead
 of the entry inside the entry's chain is discarded, so the final layout
@@ -22,10 +31,10 @@ most improves the Ext-TSP score, until a fixed point (or a pass cap).
 The climb scores a move by its *exact* change in executed counts per
 weight class (fall-through, forward, backward), all candidates of one
 removed block in a few NumPy calls, so a move that changes nothing
-gains exactly 0.0.  The merge phase keeps float re-summed gains: its
-tie-breaking is part of the layouts it has always produced.
+gains exactly 0.0.
 The registered ``chain-merge`` method is the pure merge heuristic; the
-``exttsp`` method is merge + refinement.
+``exttsp`` method is merge + refinement.  Both read one merge phase per
+procedure, the pipeline's ``merge`` artifact (:class:`MergeOrder`).
 
 Everything here is deterministic — no RNG, ties broken on chain/block
 ids — so results are identical for every worker count and seed.
@@ -33,7 +42,8 @@ ids — so results are identical for every worker count and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +52,6 @@ from repro.core.exttsp import (
     DEFAULT_PARAMS,
     ExtTSPParams,
     block_size_words,
-    edge_weight,
 )
 from repro.core.layout import Layout
 from repro.profiles.edge_profile import EdgeProfile
@@ -54,6 +63,10 @@ SPLIT_CAP = 48
 #: Hill-climb safety valve: at most this many full improvement passes.
 MAX_REFINE_PASSES = 8
 
+#: Cells (rows × (blocks + edges)) of one scoring batch; a round with
+#: more candidates is scored in several, bounding peak memory.
+BATCH_CELLS = 1 << 16
+
 
 @dataclass
 class MergeStats:
@@ -61,92 +74,173 @@ class MergeStats:
 
     merges: int = 0
     splits: int = 0
+    #: Candidate sequences the merge phase scored.
+    merge_candidates: int = 0
     refine_moves: int = 0
     #: Single-block moves the climb scored: (n-1)(n-2) per pass.
     refine_candidates: int = 0
     score: float = 0.0
 
 
+@dataclass(frozen=True)
+class MergeOrder:
+    """The merge phase's result for one procedure: its block order, that
+    order's Ext-TSP score and the counts of the run that produced it (the
+    ``merge`` artifact)."""
+
+    order: tuple[int, ...]
+    score: float
+    merges: int
+    splits: int
+    candidates: int
+
+
 @dataclass
 class _Instance:
-    """Preprocessed per-procedure scoring state."""
+    """Preprocessed per-procedure scoring state.
+
+    ``entry``, ``sizes``, ``edges`` and ``weight_of`` are by block id.
+    The merge phase works on dense block indices: a block's position in
+    ``blocks``, the sorted block ids."""
 
     entry: int
     sizes: dict[int, int]
     #: Scored profile edges ``(src, dst, count)``, in profile-key order.
-    edges: list[tuple[int, int, int]] = field(default_factory=list)
-    #: The same edges (counts as floats), grouped by the blocks they touch.
-    edges_of: dict[int, list[tuple[int, int, float]]] = field(
-        default_factory=dict
-    )
-    weight_of: dict[int, float] = field(default_factory=dict)
-    params: ExtTSPParams = DEFAULT_PARAMS
+    edges: list[tuple[int, int, int]]
+    weight_of: dict[int, float]
+    params: ExtTSPParams
+    blocks: list[int]
+    index: dict[int, int]
+    #: Per dense index, the dense indices it shares a scored edge with.
+    adjacent: list[list[int]]
+    #: Size in words per dense index, plus a 0-word padding block.
+    size_of: np.ndarray
+    #: The scored edges as dense-index arrays, with their float counts.
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_count: np.ndarray
+    #: Each edge's rank among the edges touching its source and among
+    #: those touching its target (in profile-key order, a self-loop
+    #: once), and one more than any rank.
+    rank_at_src: np.ndarray
+    rank_at_dst: np.ndarray
+    rank_stride: int
+    #: Class weight by ``gap + reach[0]`` for gaps clipped to
+    #: ``[-reach[0], reach[1]]``: one word past the backward and the
+    #: forward window.
+    weights: np.ndarray
+    reach: tuple[int, int]
 
 
 def _build(
     cfg: ControlFlowGraph, profile: EdgeProfile, params: ExtTSPParams
 ) -> _Instance:
-    inst = _Instance(
-        entry=cfg.entry,
-        sizes={b: block_size_words(cfg.block(b)) for b in cfg.block_ids},
-        params=params,
-    )
+    blocks = sorted(cfg.block_ids)
+    index = {block_id: i for i, block_id in enumerate(blocks)}
+    sizes = {b: block_size_words(cfg.block(b)) for b in blocks}
+    edges = []
+    adjacent: list[list[int]] = [[] for _ in blocks]
+    degree = [0] * len(blocks)
+    ranks = []
     for (src, dst), count in sorted(profile.counts.items()):
         if count <= 0 or src not in cfg or dst not in cfg.successors(src):
             continue
-        inst.edges.append((src, dst, count))
-        edge = (src, dst, float(count))
-        inst.edges_of.setdefault(src, []).append(edge)
-        if dst != src:
-            inst.edges_of.setdefault(dst, []).append(edge)
-    for block_id in cfg.block_ids:
-        inst.weight_of[block_id] = float(profile.block_exit_count(block_id))
-    return inst
+        edges.append((src, dst, count))
+        s, d = index[src], index[dst]
+        ranks.append((degree[s], degree[d] if d != s else degree[s]))
+        degree[s] += 1
+        if d != s:
+            degree[d] += 1
+            adjacent[s].append(d)
+            adjacent[d].append(s)
+    exits = dict.fromkeys(blocks, 0)
+    for (src, _dst), count in profile.counts.items():
+        if src in exits:
+            exits[src] += count
+    # No gap exceeds the procedure's size, so windows clamp to it.
+    words = sum(sizes.values())
+    back = min(max(params.backward_window, 0), words) + 1
+    forward = min(max(params.forward_window, 0), words) + 1
+    weights = np.zeros(back + forward + 1)
+    weights[1:back] = params.backward_weight
+    weights[back] = params.fallthrough_weight
+    weights[back + 1:-1] = params.forward_weight
+    return _Instance(
+        entry=cfg.entry,
+        sizes=sizes,
+        edges=edges,
+        weight_of={b: float(count) for b, count in exits.items()},
+        params=params,
+        blocks=blocks,
+        index=index,
+        adjacent=adjacent,
+        size_of=np.array([*sizes.values(), 0], dtype=np.int64),
+        edge_src=np.array([index[s] for s, _d, _c in edges], np.intp),
+        edge_dst=np.array([index[d] for _s, d, _c in edges], np.intp),
+        edge_count=np.array([float(c) for _s, _d, c in edges]),
+        rank_at_src=np.array([r for r, _ in ranks], np.intp),
+        rank_at_dst=np.array([r for _, r in ranks], np.intp),
+        rank_stride=max(degree, default=0) + 1,
+        weights=weights,
+        reach=(back, forward),
+    )
 
 
-def _sequence_score(inst: _Instance, sequence: list[int]) -> float:
-    """Ext-TSP score of the edges fully inside ``sequence`` when its
-    blocks are laid out consecutively (addresses local to the sequence —
-    distances between blocks of one chain do not depend on where the
-    chain eventually lands)."""
-    start: dict[int, int] = {}
-    end: dict[int, int] = {}
-    at = 0
-    for block_id in sequence:
-        start[block_id] = at
-        at += inst.sizes[block_id]
-        end[block_id] = at
-    total = 0.0
-    seen: set[tuple[int, int]] = set()
-    for block_id in sequence:
-        for src, dst, count in inst.edges_of.get(block_id, ()):
-            if (src, dst) in seen:
-                continue
-            if src not in end or dst not in start:
-                continue
-            seen.add((src, dst))
-            weight = edge_weight(end[src], start[dst], inst.params)
-            if weight:
-                total += count * weight
-    return total
+def _sequence_scores(
+    inst: _Instance, sequences: list[list[int]]
+) -> list[float]:
+    """Ext-TSP score of the edges fully inside each sequence of dense
+    block indices, its blocks laid out consecutively (addresses local to
+    the sequence — distances between blocks of one chain do not depend
+    on where the chain eventually lands).
 
-
-def _connected(inst: _Instance, a: list[int], b: list[int]) -> bool:
-    """Whether any scored edge crosses between chains ``a`` and ``b`` —
-    unconnected pairs can never produce a positive merge gain."""
-    smaller, other = (a, b) if len(a) <= len(b) else (b, a)
-    members = set(other)
-    for block_id in smaller:
-        for src, dst, _count in inst.edges_of.get(block_id, ()):
-            if src in members or dst in members:
-                return True
-    return False
+    Each score is the sequential float sum of ``count × class weight``
+    in block order, within a block by rank, each edge at its
+    first-visited endpoint: the batch sorts every row's terms into
+    that order and sums them with ``cumsum``.  Edges outside a sequence
+    enter as 0.0 terms, which leave every partial sum as is."""
+    n = len(inst.blocks)
+    if not inst.edges:
+        return [0.0] * len(sequences)
+    src, dst = inst.edge_src, inst.edge_dst
+    stride = inst.rank_stride
+    back, forward = inst.reach
+    step = max(1, BATCH_CELLS // (n + len(inst.edges) + 1))
+    scores: list[float] = []
+    for lo in range(0, len(sequences), step):
+        batch = sequences[lo:lo + step]
+        width = max(map(len, batch))
+        # Rows padded with the 0-word block ``n``.
+        pad = [n] * width
+        seq = np.fromiter(
+            itertools.chain.from_iterable(s + pad[len(s):] for s in batch),
+            np.intp, len(batch) * width,
+        ).reshape(len(batch), width)
+        rows = np.arange(len(batch))[:, None]
+        # Sort key of a block's edges: its position × stride + rank; a
+        # block outside the row keys negative.
+        first = np.full((len(batch), n + 1), -stride)
+        first[rows, seq] = np.arange(0, width * stride, stride)
+        end = np.zeros((len(batch), n + 1), dtype=np.int64)
+        end[rows, seq] = inst.size_of[seq].cumsum(axis=1)
+        gap = end[:, dst] - end[:, src] - inst.size_of[dst]
+        np.maximum(gap, -back, out=gap)
+        np.minimum(gap, forward, out=gap)
+        terms = inst.edge_count * inst.weights[gap + back]
+        # Each edge counts at its first-visited endpoint.
+        key = np.minimum(
+            first[:, src] + inst.rank_at_src, first[:, dst] + inst.rank_at_dst
+        )
+        terms[key < 0] = 0.0
+        ordered = terms[rows, key.argsort(axis=1)]
+        scores.extend(ordered.cumsum(axis=1)[:, -1].tolist())
+    return scores
 
 
 def _merge_candidates(x: list[int], y: list[int]):
     """Candidate merged sequences for chains ``x`` and ``y``: the two
     concatenations plus split-insertions of each (bounded); candidates
-    that would bury the entry block are dropped by the caller's guard."""
+    that would bury the entry block are dropped by the caller."""
     yield x + y, False
     yield y + x, False
     if len(x) <= SPLIT_CAP:
@@ -157,83 +251,74 @@ def _merge_candidates(x: list[int], y: list[int]):
             yield y[:cut] + x + y[cut:], True
 
 
-def _entry_ok(candidate: list[int], entry: int, has_entry: bool) -> bool:
-    return not has_entry or candidate[0] == entry
-
-
-def _best_merge(
-    inst: _Instance,
-    chains: dict[int, list[int]],
-    scores: dict[int, float],
-    entry_chain: int,
-    entry: int,
-    pair: tuple[int, int],
-) -> tuple[float, list[int], bool] | None:
-    """The best candidate for one chain pair: (gain, sequence, used_split),
-    or None when no candidate is legal.  Ties inside the pair prefer the
-    earliest candidate, making the scan order part of the contract."""
-    ci, cj = pair
-    x, y = chains[ci], chains[cj]
-    if not _connected(inst, x, y):
-        return None
-    base = scores[ci] + scores[cj]
-    has_entry = ci == entry_chain or cj == entry_chain
-    best: tuple[float, list[int], bool] | None = None
-    for candidate, used_split in _merge_candidates(x, y):
-        if not _entry_ok(candidate, entry, has_entry):
-            continue
-        gain = _sequence_score(inst, candidate) - base
-        if best is None or gain > best[0] + 1e-12:
-            best = (gain, candidate, used_split)
-    return best
-
-
 def chain_merge_order(
     inst: _Instance, *, stats: MergeStats | None = None
 ) -> list[int]:
     """The merge phase: block order maximizing Ext-TSP gain greedily."""
-    entry = inst.entry
-    block_ids = sorted(inst.sizes)
-    chains: dict[int, list[int]] = {i: [b] for i, b in enumerate(block_ids)}
-    scores: dict[int, float] = {
-        i: _sequence_score(inst, chain) for i, chain in chains.items()
-    }
-    entry_chain = next(
-        i for i, chain in chains.items() if chain[0] == entry
+    entry = inst.index[inst.entry]
+    # Chain i starts as dense block i; chains hold dense indices.
+    chains: dict[int, list[int]] = {i: [i] for i in range(len(inst.blocks))}
+    scores: dict[int, float] = dict(
+        enumerate(_sequence_scores(inst, list(chains.values())))
     )
+    entry_chain = entry
+    # Chains joined by a scored edge.  Only linked pairs are scored:
+    # unlinked pairs can never produce a positive merge gain.
+    links: dict[int, set[int]] = {
+        i: set(adjacent) - {i} for i, adjacent in enumerate(inst.adjacent)
+    }
 
-    # Candidate gains, maintained incrementally: only pairs touching a
-    # freshly merged chain are rescored each round.
-    best_of: dict[tuple[int, int], tuple[float, list[int], bool]] = {}
+    # Each pair's best candidate (gain, sequence, used_split, score),
+    # maintained incrementally: only pairs touching a freshly merged chain
+    # are rescored each round.
+    best_of: dict[tuple[int, int], tuple[float, list[int], bool, float]] = {}
 
     def rescore(pairs) -> None:
+        """Score every legal candidate of ``pairs`` in one batch, then
+        keep each pair's best.  Ties inside a pair prefer the earliest
+        candidate, making the scan order part of the contract."""
+        groups = []
+        sequences: list[list[int]] = []
         for pair in pairs:
-            found = _best_merge(
-                inst, chains, scores, entry_chain, entry, pair
-            )
-            if found is None:
-                best_of.pop(pair, None)
-            else:
-                best_of[pair] = found
+            legal = list(_merge_candidates(chains[pair[0]], chains[pair[1]]))
+            if entry_chain in pair:
+                # Nothing may precede the entry block.
+                legal = [c for c in legal if c[0][0] == entry]
+            groups.append((pair, legal))
+            sequences.extend(candidate for candidate, _split in legal)
+        if stats is not None:
+            stats.merge_candidates += len(sequences)
+        scored = iter(_sequence_scores(inst, sequences))
+        for pair, legal in groups:
+            base = scores[pair[0]] + scores[pair[1]]
+            best = None
+            for (candidate, used_split), score in zip(legal, scored):
+                gain = score - base
+                if best is None or gain > best[0] + 1e-12:
+                    best = (gain, candidate, used_split, score)
+            best_of[pair] = best
 
-    rescore(
-        (ci, cj)
-        for i, ci in enumerate(sorted(chains))
-        for cj in sorted(chains)[i + 1:]
-    )
+    rescore(sorted(
+        (ci, cj) for ci, linked in links.items() for cj in linked if ci < cj
+    ))
 
     while best_of:
         # Highest gain wins; ties break on the smaller chain-id pair so the
         # merge order (hence the layout) is deterministic.
-        pair, (gain, merged, used_split) = min(
+        pair, (gain, merged, used_split, score) = min(
             best_of.items(), key=lambda item: (-item[1][0], item[0])
         )
         if gain <= 1e-12:
             break
         ci, cj = pair
         chains[ci] = merged
-        scores[ci] = _sequence_score(inst, merged)
+        scores[ci] = score
         del chains[cj], scores[cj]
+        for other in links.pop(cj):
+            links[other].discard(cj)
+            if other != ci:
+                links[other].add(ci)
+                links[ci].add(other)
         if cj == entry_chain:
             entry_chain = ci
         if stats is not None:
@@ -243,9 +328,7 @@ def chain_merge_order(
         for stale in [p for p in best_of if ci in p or cj in p]:
             del best_of[stale]
         rescore(
-            (min(ci, other), max(ci, other))
-            for other in sorted(chains)
-            if other != ci
+            (min(ci, other), max(ci, other)) for other in sorted(links[ci])
         )
 
     def density(chain: list[int]) -> float:
@@ -253,9 +336,9 @@ def chain_merge_order(
         return sum(inst.weight_of[b] for b in chain) / words
 
     ordered = sorted(
-        chains.values(),
+        ([inst.blocks[i] for i in chain] for chain in chains.values()),
         key=lambda chain: (
-            chain[0] != entry,
+            chain[0] != inst.entry,
             -density(chain),
             chain[0],
         ),
@@ -342,6 +425,31 @@ def refine_order(
     return blocks[current].tolist()
 
 
+def _order_score(inst: _Instance, order: list[int]) -> float:
+    return _sequence_scores(inst, [[inst.index[b] for b in order]])[0]
+
+
+def _merge(inst: _Instance) -> MergeOrder:
+    stats = MergeStats()
+    order = chain_merge_order(inst, stats=stats)
+    return MergeOrder(
+        tuple(order),
+        _order_score(inst, order),
+        stats.merges,
+        stats.splits,
+        stats.merge_candidates,
+    )
+
+
+def merge_phase(
+    cfg: ControlFlowGraph,
+    profile: EdgeProfile,
+    params: ExtTSPParams = DEFAULT_PARAMS,
+) -> MergeOrder:
+    """One run of the merge phase (what the ``merge`` artifact holds)."""
+    return _merge(_build(cfg, profile, params))
+
+
 def chain_merge_layout(
     cfg: ControlFlowGraph,
     profile: EdgeProfile,
@@ -360,13 +468,28 @@ def exttsp_layout(
     *,
     refine: bool = True,
     stats: MergeStats | None = None,
+    merged: MergeOrder | None = None,
 ) -> Layout:
     """Chain merging, optionally followed by the single-block hill climb
-    (the registered ``exttsp`` method)."""
-    inst = _build(cfg, profile, params)
-    order = chain_merge_order(inst, stats=stats)
+    (the registered ``exttsp`` method).
+
+    ``merged`` is this procedure's merge phase under ``params`` when the
+    caller already has it (the pipeline's ``merge`` artifact); it is run
+    here otherwise.  ``stats`` counts the merge either way, so its
+    merges/splits/candidates describe the layout, not the work done in
+    this call."""
+    inst = None
+    if merged is None:
+        inst = _build(cfg, profile, params)
+        merged = _merge(inst)
+    order, score = list(merged.order), merged.score
     if refine and len(order) > 2:
+        inst = inst or _build(cfg, profile, params)
         order = refine_order(inst, order, stats=stats)
+        score = _order_score(inst, order)
     if stats is not None:
-        stats.score = _sequence_score(inst, order)
+        stats.merges += merged.merges
+        stats.splits += merged.splits
+        stats.merge_candidates += merged.candidates
+        stats.score = score
     return Layout(tuple(order))

@@ -1,13 +1,14 @@
 """Content-addressed artifact cache and durable on-disk store.
 
-Every intermediate artifact of the staged pipeline (cost matrices, solved
-alignments, certified lower bounds, finished sweep cases) is a pure
-function of its inputs: the CFG, the profile slice, the machine model, the
-predictor, the solver effort, the seed, and the budget.  Fingerprinting
-those inputs yields a stable content address, so
+Every intermediate artifact of the staged pipeline (cost matrices, Ext-TSP
+merge orders, solved alignments, certified lower bounds, finished sweep
+cases) is a pure function of its inputs: the CFG, the profile slice, the
+machine model, the predictor, the solver effort, the seed, and the budget.
+Fingerprinting those inputs yields a stable content address, so
 
 * greedy / tsp / lower-bound passes over the same procedure share one cost
   matrix instead of rebuilding it per method,
+* ``chain-merge`` and ``exttsp`` share one Ext-TSP merge phase,
 * cross-validation sweeps reuse alignment instances across train profiles,
 * a repeated figure case is served from memory instead of re-solving,
 * with a store configured (``--store PATH`` / ``$REPRO_STORE``), expensive
@@ -15,8 +16,8 @@ those inputs yields a stable content address, so
   sweep resumes) and are shared between concurrent runs.
 
 Keys are sha256 hexdigests of a canonical JSON encoding; the first key
-component names the artifact *kind* (``instance`` / ``align`` / ``bound``
-/ ``case``) so hit rates can be reported per stage.
+component names the artifact *kind* (``instance`` / ``merge`` / ``align``
+/ ``bound`` / ``case``) so hit rates can be reported per stage.
 
 The in-memory cache fronts the optional :class:`ArtifactStore`, which is
 built for hostile conditions (see ``docs/robustness.md``): entries are

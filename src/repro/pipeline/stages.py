@@ -12,6 +12,9 @@ individually cacheable stages with typed intermediate artifacts::
 * The **cost-matrix stage** (:func:`instance_for`) builds the §2.2 DTSP
   instance, content-addressed by (CFG, profile, model, predictor) — so
   greedy/tsp/lower-bound passes over the same procedure share one matrix.
+* The **merge stage** (:func:`merge_order_for`) runs the Ext-TSP merge
+  phase once per (CFG, profile, Ext-TSP parameters), shared by the
+  ``chain-merge`` and ``exttsp`` aligners.
 * The **align stage** (:func:`align_procedures`) dispatches each task to
   its registered aligner, fanning out over worker processes
   (:mod:`repro.pipeline.executor`) and serving repeated tasks from the
@@ -38,6 +41,7 @@ from typing import TYPE_CHECKING
 from repro import obs
 from repro.budget import Budget, RetryPolicy
 from repro.cfg.graph import Program
+from repro.core.aligners.exttsp_merge import MergeOrder, merge_phase
 from repro.core.aligners.tsp_aligner import alignment_lower_bound
 from repro.core.costmatrix import AlignmentInstance, build_alignment_instance
 from repro.core.exttsp import DEFAULT_PARAMS
@@ -110,6 +114,35 @@ def instance_for(
         lambda: build_alignment_instance(
             cfg, profile, model, predictor=predictor
         ),
+    )
+
+
+# -- merge stage --------------------------------------------------------------
+
+
+def merge_key(cfg, profile: EdgeProfile) -> str:
+    return ArtifactCache.key(
+        "merge",
+        fingerprint_cfg(cfg),
+        fingerprint_profile(profile),
+        DEFAULT_PARAMS.fingerprint(),
+    )
+
+
+def merge_order_for(
+    cfg, profile: EdgeProfile, *, cache: ArtifactCache | None = None
+) -> MergeOrder:
+    """The Ext-TSP merge phase's order for one procedure, served
+    content-addressed.
+
+    The merge reads only the CFG, the profile and the Ext-TSP parameters
+    — method, model, predictor, effort, seed and budget are deliberately
+    excluded — so ``chain-merge`` and ``exttsp`` (merge + climb) over the
+    same procedure share a single run.
+    """
+    cache = cache if cache is not None else artifact_cache()
+    return cache.get_or_build(
+        merge_key(cfg, profile), lambda: merge_phase(cfg, profile)
     )
 
 

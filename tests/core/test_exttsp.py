@@ -1,9 +1,13 @@
 """The Ext-TSP objective and the chain-merging aligners built on it."""
 
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from repro.cfg import Terminator, TerminatorKind
 from repro.core import (
     DEFAULT_PARAMS,
     ExtTSPParams,
@@ -290,6 +294,16 @@ def _random_procedures(seed, min_blocks=4, max_blocks=64):
     ]
 
 
+#: Parameter sets with windows of a few blocks, so every weight class
+#: (window edges included) occurs on small random procedures.
+PARAMS = {
+    "default": DEFAULT_PARAMS,
+    "tight": ExtTSPParams(forward_window=12, backward_window=16),
+    "weighted": ExtTSPParams(forward_weight=0.25, backward_weight=0.5,
+                             forward_window=20, backward_window=12),
+}
+
+
 class TestRefinement:
     def test_zero_gain_move_is_not_taken(self):
         """Regression: the float-gain climb re-summed each candidate's
@@ -310,13 +324,7 @@ class TestRefinement:
         assert stats.refine_candidates == 4 * (n - 1) * (n - 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("params", [
-        DEFAULT_PARAMS,
-        # Windows of a few blocks: every class, window edges included.
-        ExtTSPParams(forward_window=12, backward_window=16),
-        ExtTSPParams(forward_weight=0.25, backward_weight=0.5,
-                     forward_window=20, backward_window=12),
-    ], ids=["default", "tight", "weighted"])
+    @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
     def test_climb_matches_exact_brute_force(self, seed, params, monkeypatch):
         """Every move the climb takes has an exact gain > 0, and pass by
         pass it is the move a from-scratch exact re-scoring would pick —
@@ -345,3 +353,150 @@ class TestRefinement:
                 assert stats.refine_candidates == passes * (n - 1) * (n - 2)
                 moves += len(steps)
         assert moves > 0  # the grid exercises real moves, not just no-ops
+
+
+def _self_loop_procedures(seed):
+    """``_random_procedures(seed)`` with every third conditional block
+    turned into a self-loop: its taken arm now targets itself, and the
+    profile counts that edge (the old arm's count stays behind as a
+    phantom edge the scorer must ignore)."""
+    procedures = _random_procedures(seed)
+    for _name, cfg, profile in procedures:
+        conditionals = [
+            block for block in cfg
+            if block.terminator.kind is TerminatorKind.CONDITIONAL
+        ]
+        for block in conditionals[::3]:
+            taken, fallthrough = block.terminator.targets
+            cfg.replace_terminator(block.block_id, Terminator(
+                TerminatorKind.CONDITIONAL, (block.block_id, fallthrough)
+            ))
+            profile.counts[(block.block_id, block.block_id)] = (
+                profile.counts.get((block.block_id, taken), 0) + 7
+            )
+    return procedures
+
+
+def _reference_score(inst, sequence):
+    """Test oracle: the scalar merge scorer the batch replaced.  Terms
+    are added one at a time in block order, within a block in the order
+    its edges were listed, each edge at its first-visited endpoint."""
+    edges_of = {}
+    for src, dst, count in inst.edges:
+        edge = (src, dst, float(count))
+        edges_of.setdefault(src, []).append(edge)
+        if dst != src:
+            edges_of.setdefault(dst, []).append(edge)
+    start, end, at = {}, {}, 0
+    for block_id in sequence:
+        start[block_id] = at
+        at += inst.sizes[block_id]
+        end[block_id] = at
+    total, seen = 0.0, set()
+    for block_id in sequence:
+        for src, dst, count in edges_of.get(block_id, ()):
+            if (src, dst) in seen or src not in end or dst not in start:
+                continue
+            seen.add((src, dst))
+            weight = edge_weight(end[src], start[dst], inst.params)
+            if weight:
+                total += count * weight
+    return total
+
+
+def _edge_class(inst, sequence, src, dst):
+    addresses = {}
+    at = 0
+    for block_id in sequence:
+        addresses[block_id] = (at, at + inst.sizes[block_id])
+        at += inst.sizes[block_id]
+    if src == dst:
+        return "self-loop"
+    gap = addresses[dst][0] - addresses[src][1]
+    if gap == 0:
+        return "fall-through"
+    weight = edge_weight(addresses[src][1], addresses[dst][0], inst.params)
+    if weight == 0.0:
+        return "out-of-window"
+    return "forward" if gap > 0 else "backward"
+
+
+#: Parent-commit chain-merge orders: ``seed-params -> proc -> [order,
+#: merges, splits]`` on ``_self_loop_procedures``.
+MERGE_GOLDEN = pathlib.Path(__file__).with_name("merge_orders_golden.json")
+
+
+class TestMergeScoring:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+    def test_batch_matches_scalar_scorer_exactly(
+        self, seed, params, monkeypatch
+    ):
+        """The batched scorer keeps the scalar loop's summation order, so
+        every score is the same float, not merely a close one — in one
+        batch of mixed lengths and one row at a time alike."""
+        rng = random.Random(seed)
+        classes = set()
+        for _name, cfg, profile in _self_loop_procedures(seed):
+            inst = exttsp_merge._build(cfg, profile, params)
+            sequences = []
+            for _ in range(40):
+                blocks = rng.sample(inst.blocks, rng.randint(1, len(inst.blocks)))
+                sequences.append(blocks)
+                members = set(blocks)
+                classes.update(
+                    _edge_class(inst, blocks, src, dst)
+                    for src, dst, _count in inst.edges
+                    if src in members and dst in members
+                )
+            expected = [_reference_score(inst, seq) for seq in sequences]
+            dense = [[inst.index[b] for b in seq] for seq in sequences]
+            assert exttsp_merge._sequence_scores(inst, dense) == expected
+            monkeypatch.setattr(exttsp_merge, "BATCH_CELLS", 1)
+            assert exttsp_merge._sequence_scores(inst, dense) == expected
+            monkeypatch.undo()
+        assert classes >= {
+            "fall-through", "forward", "backward", "self-loop",
+        }
+        if params is not DEFAULT_PARAMS:
+            assert "out-of-window" in classes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("params_name", PARAMS)
+    def test_merge_orders_match_recorded(self, seed, params_name):
+        """Orders and merge/split counts recorded from the scalar scorer
+        before the batch replaced it."""
+        recorded = json.loads(MERGE_GOLDEN.read_text())[
+            f"{seed}-{params_name}"
+        ]
+        for name, cfg, profile in _self_loop_procedures(seed):
+            stats = MergeStats()
+            inst = exttsp_merge._build(cfg, profile, PARAMS[params_name])
+            order = exttsp_merge.chain_merge_order(inst, stats=stats)
+            assert [order, stats.merges, stats.splits] == recorded[name], name
+            assert stats.merge_candidates >= stats.merges
+        assert len(recorded) == 10
+
+    def test_supplied_merge_order_is_used(
+        self, loop_cfg, loop_profile, monkeypatch
+    ):
+        """``exttsp_layout(merged=...)`` starts from the given merge
+        without re-running it and reports its counts; layout and stats
+        equal a self-contained run's."""
+        profile = loop_profile["main"]
+        merged = exttsp_merge.merge_phase(loop_cfg, profile)
+        for refine in (False, True):
+            own, given = MergeStats(), MergeStats()
+            expected = exttsp_layout(
+                loop_cfg, profile, refine=refine, stats=own
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(exttsp_merge, "chain_merge_order", None)
+                layout = exttsp_layout(
+                    loop_cfg, profile, refine=refine, stats=given,
+                    merged=merged,
+                )
+            assert layout == expected
+            assert given == own
+            assert given.merges == merged.merges > 0
+            assert given.merge_candidates == merged.candidates > 0

@@ -115,8 +115,9 @@ class TestTraceContentDeterminism:
             assert name in serial_counters, name
         assert serial_counters["tsp.certified_bnb"] > 0
         assert serial_counters["bnb.nodes"] > 0
-        # So is the Ext-TSP climb's work: moves scored, not just applied.
+        # So is the Ext-TSP work: moves and merges scored, not just applied.
         assert serial_counters["exttsp.refine_candidates"] > 0
+        assert serial_counters["exttsp.merge_candidates"] > 0
         assert (
             serial_counters["align.cache_hits"]
             + serial_counters["align.cache_misses"]

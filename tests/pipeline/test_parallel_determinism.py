@@ -142,6 +142,46 @@ def test_exttsp_family_identical_across_worker_counts(method, force_pool):
     assert serial_report.warnings == parallel_report.warnings
 
 
+def test_exttsp_family_back_to_back_identical_across_worker_counts(
+    force_pool,
+):
+    """Both Ext-TSP methods in one pass share a merge per procedure — on
+    the pool, only when one worker handles both calls.  Whichever way the
+    merge is served, layouts and the stable ``exttsp.*`` counters must
+    not depend on worker count."""
+    from repro import obs
+
+    runs = {}
+    for jobs in (1, 4):
+        reset_artifact_cache()
+        obs.reset_tracer()
+        before = force_pool()
+        results = {
+            method: align_both_ways(jobs=jobs, method=method, effort="quick")
+            for method in ("exttsp", "chain-merge")
+        }
+        pooled = force_pool() > before
+        counters = {
+            name: value
+            for name, value in obs.counters(stable_only=True).items()
+            if name.startswith("exttsp.")
+        }
+        runs[jobs] = (results, counters, pooled)
+    (serial, serial_counters, serial_pooled) = runs[1]
+    (parallel, parallel_counters, parallel_pooled) = runs[4]
+    assert not serial_pooled and parallel_pooled
+    for method in ("exttsp", "chain-merge"):
+        (serial_layouts, serial_report) = serial[method]
+        (parallel_layouts, parallel_report) = parallel[method]
+        assert {n: l.order for n, l in serial_layouts.items()} == {
+            n: l.order for n, l in parallel_layouts.items()
+        }
+        assert serial_report.exttsp_scores == parallel_report.exttsp_scores
+    assert serial_counters == parallel_counters
+    assert serial_counters["exttsp.merges"] > 0
+    assert serial_counters["exttsp.merge_candidates"] > 0
+
+
 def test_run_case_state_identical_across_worker_counts():
     serial = run_case("com", "in", jobs=1, effort="quick")
     reset_artifact_cache()
