@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -380,10 +381,10 @@ def cmd_serve(args) -> int:
     _install_store(args)
     if args.capacity < 1:
         raise UsageError(f"--capacity must be >= 1, got {args.capacity}")
-    if args.deadline_ms is not None and args.deadline_ms <= 0:
+    if args.deadline_ms is not None and not 0 < args.deadline_ms < math.inf:
         raise UsageError(
-            f"--deadline-ms must be a positive number of milliseconds, "
-            f"got {args.deadline_ms}"
+            f"--deadline-ms must be a positive, finite number of "
+            f"milliseconds, got {args.deadline_ms}"
         )
     if args.breaker_threshold < 1:
         raise UsageError(
@@ -445,10 +446,10 @@ def cmd_request(args) -> int:
     if args.profile:
         payload["profile"] = pathlib.Path(args.profile).read_text()
     if args.deadline_ms is not None:
-        if args.deadline_ms <= 0:
+        if not 0 < args.deadline_ms < math.inf:
             raise UsageError(
-                f"--deadline-ms must be a positive number of milliseconds, "
-                f"got {args.deadline_ms}"
+                f"--deadline-ms must be a positive, finite number of "
+                f"milliseconds, got {args.deadline_ms}"
             )
         payload["deadline_ms"] = args.deadline_ms
     if args.bound:

@@ -65,10 +65,11 @@ from .core import (
     ServiceConfig,
     fallback_method,
     parse_request,
+    request_key,
 )
 from .deadline import DeadlinePlan, plan_deadline
 from .http_server import AlignmentHTTPServer, serve
-from .journal import JournalReplay, RequestJournal, request_key
+from .journal import JournalReplay, RequestJournal
 from .scrub import JournalScrub, scrub_journal, scrub_path
 from .shard import (
     ShardRequest,

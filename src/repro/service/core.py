@@ -10,10 +10,15 @@ nothing below this layer knows it is inside a server.
 
 Request lifecycle (see ``docs/architecture.md``)::
 
-    submit ─▶ admission (shed/503) ─▶ queue ─▶ worker:
-        parse → compile → profile → breaker route → deadline plan
-        → align (supervised pipeline) → breaker record → evaluate
-        → verify → respond (or quarantine)
+    submit ─▶ key (memo hit, or parse: validate → compile → profile)
+        ─▶ coalesce ─▶ journal ─▶ admission (shed/503) ─▶ queue ─▶ worker:
+        breaker route → deadline plan → align (supervised pipeline)
+        → breaker record → evaluate → verify → respond (or quarantine)
+
+:func:`parse_request` is the one normalizer; everything downstream reads
+its request.  A key served by the memo comes without one: a journaled
+service parses such a request when it misses dedup, and a service
+without a journal (no dedup) leaves the parse to its worker.
 
 Thread/context notes — the two stdlib traps this layer exists to absorb:
 
@@ -50,8 +55,9 @@ from repro.errors import (
     UnknownNameError,
     UsageError,
 )
-from repro.lang import compile_source, run_and_profile
+from repro.lang import CompiledModule, compile_source, run_and_profile
 from repro.machine.models import get_model
+from repro.pipeline.artifacts import fingerprint_cfg, fingerprint_profile
 from repro.pipeline.executor import shutdown_pool
 from repro.pipeline.registry import normalize_method
 from repro.profiles.edge_profile import ProgramProfile
@@ -63,7 +69,7 @@ from repro.service.breaker import (
 )
 from repro.core.layout import Layout, ProgramLayout
 from repro.service.deadline import plan_deadline
-from repro.service.journal import RequestJournal, request_key
+from repro.service.journal import RequestJournal, canonical_digest
 from repro.service.verify import verify_layouts
 from repro.tsp.solve import get_effort
 
@@ -101,30 +107,38 @@ def fallback_method(method: str) -> str:
 
 @dataclass(frozen=True)
 class AlignmentRequest:
-    """One parsed, validated alignment request."""
+    """One normalized request (see :func:`parse_request`)."""
 
-    source: str
-    method: str = "tsp"
-    model: str = "alpha21164"
-    effort: str = "default"
-    seed: int = 0
-    inputs: tuple[int, ...] = ()
-    #: Serialized training profile (JSON text); ``None`` = profile by
-    #: running the program on ``inputs``.
-    profile_json: str | None = None
-    deadline_ms: float | None = None
+    key: str
+    module: CompiledModule = field(repr=False)
+    method: str
+    model: str
+    effort: str
+    seed: int
+    inputs: tuple[int, ...]
+    #: Explicit, checked profile; ``None`` = profile by running ``inputs``.
+    profile: ProgramProfile | None = field(repr=False)
+    #: The payload's own; ``None`` = the service default applies.
+    deadline_ms: float | None
     #: Also certify Held–Karp floors and include them in verification.
-    bound: bool = False
+    bound: bool
+
+    def training_profile(self) -> ProgramProfile:
+        """The explicit profile, or one from running ``inputs``."""
+        if self.profile is not None:
+            return self.profile
+        return run_and_profile(self.module, list(self.inputs))[1]
 
 
-def parse_request(
-    payload, *, default_deadline_ms: float | None = None
-) -> AlignmentRequest:
-    """Validate a JSON request body into an :class:`AlignmentRequest`.
+def parse_request(payload) -> AlignmentRequest:
+    """Validate, compile and key a JSON request body.
 
-    Every malformation raises :class:`~repro.errors.UsageError` (the
-    400-equivalent) naming the offending field — bad input is the
-    client's problem and must never read as a server failure.
+    Bad input raises a typed 400-class error — :class:`UsageError` naming
+    the field, the compiler's ``LangError``, a ``ProfileError`` — never a
+    server failure.  The key digests the CFG fingerprints, the profile's
+    (or the ``inputs`` that make it), and the normalized method, model,
+    effort, seed, bound flag and the payload's *own* ``deadline_ms``, so
+    payloads that normalize alike coalesce onto one solve and journal.
     """
     if not isinstance(payload, dict):
         raise UsageError("request body must be a JSON object")
@@ -159,7 +173,7 @@ def parse_request(
             "'profile' must be the profile JSON as a string "
             "(ProgramProfile.to_json output)"
         )
-    deadline = payload.get("deadline_ms", default_deadline_ms)
+    deadline = payload.get("deadline_ms")
     if deadline is not None:
         try:
             deadline = float(deadline)
@@ -167,19 +181,91 @@ def parse_request(
             raise UsageError(
                 f"'deadline_ms' must be a number, got {deadline!r}"
             ) from None
-        if deadline <= 0:
-            raise UsageError("'deadline_ms' must be positive")
+        # NaN fails both comparisons; JSON bodies may carry it.
+        if not 0 < deadline < math.inf:
+            raise UsageError("'deadline_ms' must be positive and finite")
+    bound = bool(payload.get("bound", False))
+
+    module = compile_source(source)
+    try:
+        validate_program(module.program)
+    except CFGError as exc:
+        raise UsageError(f"invalid control-flow graph: {exc}") from None
+    profile = None
+    if profile_json is not None:
+        profile = ProgramProfile.from_json(profile_json)
+        profile.check_against(module.program)
+        profile_fp = sorted(
+            (name, fingerprint_profile(edge))
+            for name, edge in profile.procedures.items()
+        )
+    else:
+        profile_fp = ["inputs", list(inputs)]
+    cfgs = [(proc.name, fingerprint_cfg(proc.cfg)) for proc in module.program]
+    key = canonical_digest({
+        "cfgs": cfgs,
+        "profile": profile_fp,
+        "method": method,
+        "model": model,
+        "effort": effort,
+        "seed": seed,
+        "bound": bound,
+        "deadline_ms": deadline,
+    })
     return AlignmentRequest(
-        source=source,
-        method=method,
-        model=model,
-        effort=effort,
-        seed=seed,
-        inputs=inputs,
-        profile_json=profile_json,
-        deadline_ms=deadline,
-        bound=bool(payload.get("bound", False)),
+        key, module, method, model, effort, seed, inputs, profile, deadline,
+        bound,
     )
+
+
+def _parsed(payload) -> "AlignmentRequest | Exception":
+    """The parsed request, or the error for the worker to raise."""
+    try:
+        return parse_request(payload)
+    except Exception as exc:  # noqa: BLE001 — re-raised by the worker
+        return exc
+
+
+def _payload_digest(payload) -> str | None:
+    """The memo's key: the one raw-payload digest a submission makes."""
+    try:
+        return canonical_digest(payload)
+    except (TypeError, ValueError, RecursionError):
+        return None  # not serializable: keyed without the memo
+
+
+#: Raw-payload digest → key, so keying a duplicate never compiles.
+#: Bounded (FIFO eviction); locked, as every submitting thread keys.
+_KEY_MEMO: dict[str, str] = {}
+_KEY_MEMO_MAX = 4096
+_KEY_MEMO_LOCK = threading.Lock()
+
+
+def keyed_request(payload) -> tuple:
+    """``(key, request)``: a memo hit has no request (``None``); a miss
+    parses, and a payload that fails to parse keys by the digest of
+    ``{"raw": payload}`` with its error in the request's place."""
+    digest = _payload_digest(payload)
+    with _KEY_MEMO_LOCK:
+        key = _KEY_MEMO.get(digest)
+    if key is not None:
+        return key, None
+    request = _parsed(payload)
+    if isinstance(request, AlignmentRequest):
+        key = request.key
+    else:
+        key = canonical_digest({"raw": payload})
+    if digest is not None:
+        with _KEY_MEMO_LOCK:
+            if digest not in _KEY_MEMO and len(_KEY_MEMO) >= _KEY_MEMO_MAX:
+                del _KEY_MEMO[next(iter(_KEY_MEMO))]
+            _KEY_MEMO[digest] = key
+    return key, request
+
+
+def request_key(payload) -> str:
+    """Content-addressed idempotency key for one request payload."""
+    return keyed_request(payload)[0]
 
 
 @dataclass
@@ -258,6 +344,18 @@ class PendingRequest:
             raise self._error
         assert self._response is not None
         return self._response
+
+
+@dataclass
+class _Queued:
+    """One admitted request on its way through the worker."""
+
+    pending: PendingRequest
+    payload: object
+    #: As :func:`keyed_request` returns it; ``None`` = the worker parses.
+    request: "AlignmentRequest | Exception | None"
+    ctx: contextvars.Context
+    key: str | None
 
 
 @dataclass
@@ -425,7 +523,7 @@ class AlignmentService:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, payload) -> PendingRequest:
+    def submit(self, payload, _keyed=None) -> PendingRequest:
         """Admit one request; raises typed admission failures.
 
         The returned handle resolves when the worker finishes the
@@ -439,6 +537,9 @@ class AlignmentService:
         or re-enters the admission gate.  A genuinely new request is
         journaled (``admitted``) before it is queued, so a crash after
         this point can re-enqueue it instead of losing it.
+
+        ``_keyed`` is the tier's :func:`keyed_request` result, so a routed
+        submission is never keyed or parsed twice.
         """
         obs.install_tracer(self._tracer)
         if self._worker is None or not self._worker.is_alive():
@@ -452,9 +553,10 @@ class AlignmentService:
                 raise ServiceUnavailableError(
                     "service worker died during journal replay"
                 )
-        key: str | None = None
+        key, request = _keyed or (None, None)
         if self.journal is not None:
-            key = request_key(payload)
+            if key is None:
+                key, request = keyed_request(payload)
             with self._lock:
                 cached = self._dedup.get(key)
                 if cached is not None:
@@ -470,17 +572,19 @@ class AlignmentService:
                     return waiting
                 pending = PendingRequest(next(self._ids))
                 self._inflight[key] = pending
+            if request is None:  # a memo hit that missed dedup
+                request = _parsed(payload)
             self.journal.admitted(
                 key, payload if isinstance(payload, dict) else {"raw": payload}
             )
         else:
+            key = None  # no journal, no dedup
             pending = PendingRequest(next(self._ids))
         ctx = contextvars.copy_context()
+        item = _Queued(pending, payload, request, ctx, key)
         try:
-            self.gate.submit(
-                (pending, payload, ctx, key),
-                deadline_ms=self._payload_deadline(payload),
-            )
+            # A request its worker has yet to parse: capacity alone.
+            self.gate.submit(item, deadline_ms=self._deadline_ms(request))
         except Exception as exc:
             if key is not None:
                 # The journal must not replay a request the gate refused
@@ -498,24 +602,14 @@ class AlignmentService:
         """Submit and wait — the convenience path for tests and the CLI."""
         return self.submit(payload).result(timeout)
 
-    def _payload_deadline(self, payload) -> float | None:
-        """The request's deadline, for the gate's queue-wait estimate.
-
-        Best-effort and forgiving: a malformed deadline returns ``None``
-        here (the gate admits) and is rejected with a typed 400 by
-        ``parse_request`` on the worker — admission must never throw a
-        different error than the worker would.
-        """
-        if not isinstance(payload, dict):
+    def _deadline_ms(self, request) -> float | None:
+        """The request's deadline, or the service default; ``None`` for a
+        request not parsed yet or that failed to parse."""
+        if not isinstance(request, AlignmentRequest):
+            return None
+        if request.deadline_ms is None:
             return self.config.default_deadline_ms
-        raw = payload.get("deadline_ms", self.config.default_deadline_ms)
-        if raw is None:
-            return None
-        try:
-            deadline = float(raw)
-        except (TypeError, ValueError):
-            return None
-        return deadline if deadline > 0 else None
+        return request.deadline_ms
 
     # -- the worker ----------------------------------------------------------
 
@@ -559,7 +653,9 @@ class AlignmentService:
                 self._busy = False
                 self._last_beat = time.monotonic()
                 continue
-            deadline_ms = self._payload_deadline(item[1])
+            if item.request is None:
+                item.request = _parsed(item.payload)
+            deadline_ms = self._deadline_ms(item.request)
             self._beat_grace_s = (
                 math.inf if deadline_ms is None else deadline_ms / 1000.0
             )
@@ -573,12 +669,12 @@ class AlignmentService:
     def _resolve(self, item) -> None:
         """Process one queued request and settle its handle, journal, and
         idempotency caches.  Runs only on the worker thread."""
-        pending, payload, ctx, key = item
+        pending, key = item.pending, item.key
         started = time.monotonic()
         try:
             # Re-enter the submitter's context so its fault plan and
             # trace scope apply to the work done on its behalf.
-            response = ctx.run(self._process, pending, payload)
+            response = item.ctx.run(self._process, pending, item.request)
         except BaseException as exc:  # noqa: BLE001 — the loop survives
             # everything; the error re-raises in the caller's thread.
             self.stats.failed += 1
@@ -638,17 +734,18 @@ class AlignmentService:
                 obs.count(
                     "service.replay_rejected", len(replay.interior_corrupt)
                 )
-            orphans = dict(replay.orphans)
+            orphans = {key: (p, None) for key, p in replay.orphans.items()}
             for key, response in replay.completed.items():
                 payload = replay.payloads.get(key, {})
-                violations = self._verify_replayed(payload, response)
+                request = _parsed(payload)
+                violations = self._verify_replayed(request, response)
                 if violations is None or violations:
                     # A replayed layout that cannot be re-proved against
                     # the Held–Karp floor is never served from the
                     # journal: fall back to re-solving it.
                     reverify_failed += 1
                     obs.count("service.replay_rejected")
-                    orphans[key] = payload
+                    orphans[key] = (payload, request)
                     continue
                 with self._lock:
                     self._dedup[key] = {**response, "served_from": "journal"}
@@ -656,7 +753,7 @@ class AlignmentService:
                 obs.count("service.recovered")
             requeued = 0
             abandoned = 0
-            for key, payload in orphans.items():
+            for key, (payload, request) in orphans.items():
                 if self.gate.draining or self._killed:
                     # SIGTERM (or a shard kill) landed mid-replay: abandon
                     # the rest cleanly.  Un-requeued orphans stay exactly
@@ -668,7 +765,9 @@ class AlignmentService:
                 pending = PendingRequest(next(self._ids))
                 with self._lock:
                     self._inflight[key] = pending
-                item = (pending, payload, contextvars.copy_context(), key)
+                request = request or _parsed(payload)
+                ctx = contextvars.copy_context()
+                item = _Queued(pending, payload, request, ctx, key)
                 # requeue() bypasses admission accounting (these requests
                 # were admitted in a previous life); a full queue falls
                 # back to processing the orphan inline, right now.
@@ -693,43 +792,31 @@ class AlignmentService:
             if abandoned:
                 obs.count("service.replay_abandoned", abandoned)
 
-    def _verify_replayed(self, payload, response) -> list[str] | None:
+    def _verify_replayed(self, request, response) -> list[str] | None:
         """Re-prove a journaled response before it may be served again.
 
-        Recomputes the request's program, profile, and Held–Karp floors
-        from scratch and runs the full response verifier over the
-        recorded layouts and costs — the journal is treated as untrusted
-        bytes, exactly like a solver's output.  Returns the violation
-        list (empty = serve), or ``None`` when the record cannot even be
-        reconstructed (missing payload, unparseable program).
+        Recomputes the freshly parsed request's profile and Held–Karp
+        floors and runs the full response verifier over the recorded
+        layouts and costs — the journal is treated as untrusted bytes,
+        exactly like a solver's output.  Returns the violation list
+        (empty = serve), or ``None`` when the record cannot even be
+        reconstructed (``request`` is a parse error).
         """
+        if not isinstance(request, AlignmentRequest):
+            return None
         if response.get("status") != "ok":
             return None
         try:
-            request = parse_request(
-                payload, default_deadline_ms=self.config.default_deadline_ms
-            )
-            module = compile_source(request.source)
-            program = module.program
-            validate_program(program)
+            program = request.module.program
             model = get_model(request.model)
-            if request.profile_json is not None:
-                profile = ProgramProfile.from_json(request.profile_json)
-                profile.check_against(program)
-            else:
-                _, profile = run_and_profile(module, list(request.inputs))
+            profile = request.training_profile()
             raw = response.get("layouts")
             if not isinstance(raw, dict):
                 return None
             layouts = ProgramLayout()
             for name, order in raw.items():
                 layouts[str(name)] = Layout(tuple(int(b) for b in order))
-            pipeline_guard = (
-                self.config.pipeline_lock
-                if self.config.pipeline_lock is not None
-                else contextlib.nullcontext()
-            )
-            with pipeline_guard:
+            with self.config.pipeline_lock or contextlib.nullcontext():
                 floors = lower_bound_program(
                     program, profile, model=model, jobs=self.config.jobs
                 ).per_procedure
@@ -744,29 +831,16 @@ class AlignmentService:
             # rejected (re-solved), never a startup crash.
             return None
 
-    def _process(self, pending: PendingRequest, payload) -> dict:
+    def _process(self, pending: PendingRequest, request) -> dict:
         obs.install_tracer(self._tracer)
         start = time.monotonic()
         with obs.span("service:request", id=pending.request_id) as sp:
-            request = parse_request(
-                payload, default_deadline_ms=self.config.default_deadline_ms
-            )
+            if not isinstance(request, AlignmentRequest):
+                raise request  # the error parsing it raised
             sp["method"] = request.method
-
-            module = compile_source(request.source)
-            program = module.program
-            try:
-                validate_program(program)
-            except CFGError as exc:
-                raise UsageError(
-                    f"invalid control-flow graph: {exc}"
-                ) from None
+            program = request.module.program
             model = get_model(request.model)
-            if request.profile_json is not None:
-                profile = ProgramProfile.from_json(request.profile_json)
-                profile.check_against(program)
-            else:
-                _, profile = run_and_profile(module, list(request.inputs))
+            profile = request.training_profile()
 
             breaker = self.breaker(request.method)
             route = breaker.route()
@@ -780,8 +854,9 @@ class AlignmentService:
             )
             sp["route"] = route
 
+            deadline_ms = self._deadline_ms(request)
             plan = plan_deadline(
-                request.deadline_ms,
+                deadline_ms,
                 len(program.procedures),
                 self.config.policy,
             )
@@ -790,9 +865,7 @@ class AlignmentService:
             # must take turns; jobs=1 shards pass a null context and run
             # fully in parallel.
             pipeline_guard = (
-                self.config.pipeline_lock
-                if self.config.pipeline_lock is not None
-                else contextlib.nullcontext()
+                self.config.pipeline_lock or contextlib.nullcontext()
             )
             report = AlignmentReport()
             with pipeline_guard:
@@ -860,7 +933,7 @@ class AlignmentService:
                 "retried": report.retried,
                 "worker_crashes": report.worker_crashes,
                 "timeouts": report.timeouts,
-                "deadline_ms": request.deadline_ms,
+                "deadline_ms": deadline_ms,
                 "elapsed_ms": round(elapsed_ms, 3),
             }
             if violations:

@@ -3,8 +3,9 @@
 The alignment service's premise — alignment is a deterministic function
 of (CFG, profile, method, seed) — makes exactly-once recovery cheap: two
 requests that normalize to the same inputs *are* the same request, so a
-content-addressed **idempotency key** both names a journal record and
-coalesces duplicates.  The journal is an fsynced append-only JSONL file
+content-addressed **idempotency key** (computed by
+:func:`repro.service.core.parse_request`) both names a journal record
+and coalesces duplicates.  The journal is an fsynced append-only JSONL file
 the server writes at two points of the request lifecycle::
 
     {"v": 1, "type": "admitted",  "key": K, "sha": ..., "payload": {...}}
@@ -53,95 +54,12 @@ JOURNAL_VERSION = 1
 RECORD_TYPES = ("admitted", "completed", "failed")
 
 
-# -- idempotency keys ---------------------------------------------------------
-
-
-def _digest(payload: object) -> str:
+def canonical_digest(payload: object) -> str:
+    """sha256 of canonical JSON: record checksums and idempotency keys."""
     canonical = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=str
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-#: Raw-payload digest → computed key.  Keying compiles the request's
-#: source, which is far too expensive to repeat for every duplicate of a
-#: hot payload under Zipf traffic; the memo makes re-keying a duplicate a
-#: dict hit.  Bounded (FIFO eviction) so a key-diverse client cannot grow
-#: it without limit.
-_KEY_MEMO: dict[str, str] = {}
-_KEY_MEMO_MAX = 4096
-
-
-def request_key(payload: object) -> str:
-    """Content-addressed idempotency key for one request payload.
-
-    Two payloads that normalize to the same alignment inputs — compiled
-    CFGs, profile (explicit JSON or the inputs that generate one), method
-    alias, model, effort, seed, bound flag, deadline — map to the same
-    key, so a client retry or a duplicate submission coalesces onto one
-    unit of work and one journal history.
-
-    A payload that cannot be normalized (unparseable source, unknown
-    method — anything the worker would reject with a typed 400) falls
-    back to a digest of the canonical payload itself: still stable for a
-    byte-identical retry, never an exception at admission time.
-    """
-    try:
-        raw_digest = _digest(payload)
-        memoized = _KEY_MEMO.get(raw_digest)
-        if memoized is not None:
-            return memoized
-    except Exception:  # noqa: BLE001 — unserializable payloads skip the memo
-        raw_digest = None
-    key = _compute_request_key(payload)
-    if raw_digest is not None:
-        if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
-            _KEY_MEMO.pop(next(iter(_KEY_MEMO)))
-        _KEY_MEMO[raw_digest] = key
-    return key
-
-
-def _compute_request_key(payload: object) -> str:
-    try:
-        from repro.lang import compile_source
-        from repro.pipeline.artifacts import (
-            fingerprint_cfg,
-            fingerprint_profile,
-        )
-        from repro.pipeline.registry import normalize_method
-        from repro.profiles.edge_profile import ProgramProfile
-
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not an object")
-        module = compile_source(str(payload["source"]))
-        cfgs = [
-            (proc.name, fingerprint_cfg(proc.cfg))
-            for proc in module.program
-        ]
-        profile_json = payload.get("profile")
-        if profile_json is not None:
-            profile = ProgramProfile.from_json(str(profile_json))
-            profile_fp = sorted(
-                (name, fingerprint_profile(edge))
-                for name, edge in profile.procedures.items()
-            )
-        else:
-            # No explicit profile: it is produced by running the program
-            # on ``inputs``, a deterministic function of (CFG, inputs).
-            profile_fp = ["inputs", [int(x) for x in payload.get("inputs", [])]]
-        deadline = payload.get("deadline_ms")
-        return _digest({
-            "cfgs": cfgs,
-            "profile": profile_fp,
-            "method": normalize_method(str(payload.get("method", "tsp"))),
-            "model": str(payload.get("model", "alpha21164")),
-            "effort": str(payload.get("effort", "default")),
-            "seed": int(payload.get("seed", 0)),
-            "bound": bool(payload.get("bound", False)),
-            "deadline_ms": None if deadline is None else float(deadline),
-        })
-    except Exception:  # noqa: BLE001 — malformed payloads still get keys
-        return _digest({"raw": payload})
 
 
 # -- replay results -----------------------------------------------------------
@@ -201,7 +119,7 @@ class JournalStats:
 
 def _record_sha(record: dict) -> str:
     body = {k: v for k, v in record.items() if k != "sha"}
-    return _digest(body)
+    return canonical_digest(body)
 
 
 #: Completions a compaction keeps (most recent first to go stale last).

@@ -56,8 +56,13 @@ from repro.errors import (
     ShardFailoverError,
 )
 from repro.pipeline.executor import resolve_jobs
-from repro.service.core import AlignmentService, PendingRequest, ServiceConfig
-from repro.service.journal import request_key
+from repro.service.core import (
+    AlignmentService,
+    PendingRequest,
+    ServiceConfig,
+    keyed_request,
+    request_key,  # noqa: F401 — traced benchmark runs wrap it by this name
+)
 
 SHARD_RUNNING = "running"
 SHARD_RESTARTING = "restarting"
@@ -190,14 +195,17 @@ class ShardRequest:
     def __init__(
         self,
         supervisor: "ShardSupervisor",
-        key: str,
+        keyed: tuple,
         payload,
         shard_index: int,
         epoch: int,
         handle: PendingRequest,
     ):
         self._sup = supervisor
-        self.key = key
+        #: ``(key, request)`` from :func:`keyed_request`, handed to every
+        #: re-submission so none keys or parses the payload again.
+        self.keyed = keyed
+        self.key = keyed[0]
         self.payload = payload
         self.shard_index = shard_index
         self._epoch = epoch
@@ -262,18 +270,17 @@ class ShardRequest:
             self.key, self.shard_index, self._sup.config.shards
         )
         try:
-            self._hedge = self._sup._submit_to_shard(sibling, self.payload)
+            self._hedge = self._sup._submit_to_shard(
+                sibling, self.payload, self.keyed
+            )
         except Exception:  # noqa: BLE001 — a shed/dead sibling just means
             # no hedge cover; the primary (or its restart) still answers.
             return
         self._sup._record_hedged()
 
     def _refresh_primary(self) -> None:
-        worker = self._sup._workers[self.shard_index]
-        if worker.epoch == self._epoch or worker.state != SHARD_RUNNING:
-            return
-        service = worker.service
-        if service is None:
+        epoch = self._sup._workers[self.shard_index].epoch
+        if epoch == self._epoch:
             return
         try:
             # The old life journaled this admission, so the new life's
@@ -281,10 +288,12 @@ class ShardRequest:
             # or already completed it (cache hit); without a journal
             # this genuinely re-submits, which is the best a journal-less
             # tier can do.
-            self._primary = service.submit(self.payload)
+            self._primary = self._sup._submit_to_shard(
+                self.shard_index, self.payload, self.keyed
+            )
         except Exception:  # noqa: BLE001 — shard flapping; retry next poll
             return
-        self._epoch = worker.epoch
+        self._epoch = epoch
         self._sup._record_rerouted()
 
 
@@ -436,7 +445,8 @@ class ShardSupervisor:
         obs.install_tracer(self._tracer)
         if self._drained:
             raise ServiceUnavailableError("shard tier is drained")
-        key = request_key(payload)
+        keyed = keyed_request(payload)
+        key = keyed[0]
         primary = route_shard(key, self.config.shards)
         with self._lock:
             self.stats.routed += 1
@@ -444,26 +454,18 @@ class ShardSupervisor:
         last_unavailable: Exception | None = None
         for offset in range(self.config.shards):
             index = (primary + offset) % self.config.shards
-            worker = self._workers[index]
-            service = worker.service
-            if (
-                worker.state != SHARD_RUNNING
-                or service is None
-                or service.killed
-                or not service.healthy
-            ):
-                continue
+            epoch = self._workers[index].epoch
             try:
-                handle = service.submit(payload)
+                handle = self._submit_to_shard(index, payload, keyed)
             except ServiceUnavailableError as exc:
-                # Died between the health check and the hand-off (or is
-                # draining); the next shard can still take it.
+                # Down, or died between the health check and the hand-off
+                # (or is draining); the next shard can still take it.
                 last_unavailable = exc
                 continue
             if offset:
                 self._record_rerouted()
             self._after_route(index)
-            return ShardRequest(self, key, payload, index, worker.epoch, handle)
+            return ShardRequest(self, keyed, payload, index, epoch, handle)
         if self._draining:
             raise ServiceUnavailableError(
                 "shard tier is draining and no longer admits requests"
@@ -476,8 +478,8 @@ class ShardSupervisor:
     def align(self, payload, timeout: float | None = None) -> dict:
         return self.submit(payload).result(timeout)
 
-    def _submit_to_shard(self, index: int, payload) -> PendingRequest:
-        """Direct hand-off (hedging), bypassing routing."""
+    def _submit_to_shard(self, index: int, payload, keyed) -> PendingRequest:
+        """Hand-off to one shard, if it is running."""
         worker = self._workers[index]
         service = worker.service
         if (
@@ -487,7 +489,7 @@ class ShardSupervisor:
             or not service.healthy
         ):
             raise ServiceUnavailableError(f"shard {index} is not running")
-        return service.submit(payload)
+        return service.submit(payload, keyed)
 
     def _after_route(self, index: int) -> None:
         """Chaos hook: the routed request may doom its own shard —

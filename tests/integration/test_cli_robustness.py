@@ -84,6 +84,7 @@ class TestUsageErrors:
         (["--capacity", "0"], "--capacity"),
         (["--shards", "0"], "--shards"),
         (["--hedge-after-ms", "-1"], "--hedge-after-ms"),
+        (["--deadline-ms", "nan"], "--deadline-ms"),
     ])
     def test_serve_usage_errors(self, argv, flag, monkeypatch, capsys):
         # A bad combination must be rejected before any server starts.

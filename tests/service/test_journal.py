@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro import faults
+from repro.service.core import request_key
 from repro.service.journal import (
     JOURNAL_VERSION,
     RequestJournal,
-    request_key,
 )
 
 from .conftest import make_payload

@@ -22,7 +22,8 @@ from repro.service.client import (
     request_with_retry,
 )
 from repro.service.http_server import AlignmentHTTPServer
-from repro.service.journal import RequestJournal, request_key
+from repro.service.core import request_key
+from repro.service.journal import RequestJournal
 
 from .conftest import make_payload, one_shard_tier
 
