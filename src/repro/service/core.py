@@ -11,14 +11,15 @@ nothing below this layer knows it is inside a server.
 Request lifecycle (see ``docs/architecture.md``)::
 
     submit ─▶ key (memo hit, or parse: validate → compile → profile)
-        ─▶ coalesce ─▶ journal ─▶ admission (shed/503) ─▶ queue ─▶ worker:
+        ─▶ coalesce ─▶ journal ─▶ parse (if the memo keyed it)
+        ─▶ admission (shed/503) ─▶ queue ─▶ worker:
         breaker route → deadline plan → align (supervised pipeline)
         → breaker record → evaluate → verify → respond (or quarantine)
 
 :func:`parse_request` is the one normalizer; everything downstream reads
-its request.  A key served by the memo comes without one: a journaled
-service parses such a request when it misses dedup, and a service
-without a journal (no dedup) leaves the parse to its worker.
+its request.  A key served by the memo comes without one, so ``submit``
+parses such a request once it has missed dedup (a service without a
+journal has no dedup and parses every request it admits).
 
 Thread/context notes — the two stdlib traps this layer exists to absorb:
 
@@ -352,8 +353,8 @@ class _Queued:
 
     pending: PendingRequest
     payload: object
-    #: As :func:`keyed_request` returns it; ``None`` = the worker parses.
-    request: "AlignmentRequest | Exception | None"
+    #: The parsed request, or the error parsing it raised.
+    request: "AlignmentRequest | Exception"
     ctx: contextvars.Context
     key: str | None
 
@@ -572,18 +573,17 @@ class AlignmentService:
                     return waiting
                 pending = PendingRequest(next(self._ids))
                 self._inflight[key] = pending
-            if request is None:  # a memo hit that missed dedup
-                request = _parsed(payload)
             self.journal.admitted(
                 key, payload if isinstance(payload, dict) else {"raw": payload}
             )
         else:
             key = None  # no journal, no dedup
             pending = PendingRequest(next(self._ids))
+        if request is None:  # a memo hit (or a direct submit) missed dedup
+            request = _parsed(payload)
         ctx = contextvars.copy_context()
         item = _Queued(pending, payload, request, ctx, key)
         try:
-            # A request its worker has yet to parse: capacity alone.
             self.gate.submit(item, deadline_ms=self._deadline_ms(request))
         except Exception as exc:
             if key is not None:
@@ -604,7 +604,7 @@ class AlignmentService:
 
     def _deadline_ms(self, request) -> float | None:
         """The request's deadline, or the service default; ``None`` for a
-        request not parsed yet or that failed to parse."""
+        request that failed to parse."""
         if not isinstance(request, AlignmentRequest):
             return None
         if request.deadline_ms is None:
@@ -653,8 +653,6 @@ class AlignmentService:
                 self._busy = False
                 self._last_beat = time.monotonic()
                 continue
-            if item.request is None:
-                item.request = _parsed(item.payload)
             deadline_ms = self._deadline_ms(item.request)
             self._beat_grace_s = (
                 math.inf if deadline_ms is None else deadline_ms / 1000.0

@@ -142,14 +142,14 @@ class TestServiceAdmission:
         # deterministically, then release and let everything finish.
         release = threading.Event()
         stalled = threading.Event()
-        real_compile = core_mod.compile_source
+        real_align = core_mod.align_program
 
-        def slow_compile(source):
+        def slow_align(*args, **kwargs):
             stalled.set()
             assert release.wait(30)
-            return real_compile(source)
+            return real_align(*args, **kwargs)
 
-        monkeypatch.setattr(core_mod, "compile_source", slow_compile)
+        monkeypatch.setattr(core_mod, "align_program", slow_align)
         service = AlignmentService(ServiceConfig(capacity=2)).start()
         try:
             first = service.submit(make_payload())
@@ -179,14 +179,14 @@ class TestServiceAdmission:
 
         release = threading.Event()
         stalled = threading.Event()
-        real_compile = core_mod.compile_source
+        real_align = core_mod.align_program
 
-        def slow_compile(source):
+        def slow_align(*args, **kwargs):
             stalled.set()
             assert release.wait(30)
-            return real_compile(source)
+            return real_align(*args, **kwargs)
 
-        monkeypatch.setattr(core_mod, "compile_source", slow_compile)
+        monkeypatch.setattr(core_mod, "align_program", slow_align)
         service = AlignmentService(ServiceConfig(capacity=4)).start()
         inflight = service.submit(make_payload())
         assert stalled.wait(30)

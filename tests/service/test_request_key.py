@@ -14,7 +14,7 @@ import pytest
 
 import repro.service.core as core
 from repro.chaos.workloads import WorkloadConfig, payloads_for
-from repro.errors import UsageError
+from repro.errors import DeadlineShedError, UsageError
 from repro.lang import compile_source, run_and_profile
 from repro.profiles.edge_profile import ProgramProfile
 from repro.service import (
@@ -167,6 +167,47 @@ class TestKeyMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(core._KEY_MEMO) <= cap
+
+
+class TestMemoKeyedDeadline:
+    def test_repeated_payload_is_deadline_shed_without_a_journal(
+        self, monkeypatch
+    ):
+        """What plain ``repro serve`` runs: no journal, so no dedup.  A
+        repeated payload is keyed by the memo alone, and the gate must
+        still read its deadline (or the service default)."""
+        release = threading.Event()
+        stalled = threading.Event()
+        real_align = core.align_program
+
+        def gated_align(*args, **kwargs):
+            stalled.set()
+            assert release.wait(30)
+            return real_align(*args, **kwargs)
+
+        monkeypatch.setattr(core, "align_program", gated_align)
+        sup = ShardSupervisor(ShardTierConfig(
+            shards=1,
+            service=ServiceConfig(capacity=4, default_deadline_ms=5.0),
+        )).start()
+        try:
+            first = sup.submit(make_payload(seed=911))  # stalls the worker
+            assert stalled.wait(30)
+            queued = sup.submit(make_payload(seed=912))
+            sup._workers[0].service.gate.observe_service_time(1000.0)
+            tight = make_payload(seed=913, deadline_ms=1.0)
+            plain = make_payload(seed=914)
+            for payload in (tight, plain):
+                request_key(payload)  # the resubmission is a memo hit
+                with pytest.raises(DeadlineShedError):
+                    sup.submit(dict(payload))
+            release.set()
+            assert first.result(120)["status"] == "ok"
+            assert queued.result(120)["status"] == "ok"
+            assert sup.snapshot()["totals"]["deadline_shed"] == 2
+        finally:
+            release.set()
+            assert sup.drain(30)
 
 
 class TestWorkPerRequest:

@@ -230,16 +230,16 @@ class TestFailureIsolation:
         release = threading.Event()
         stalled = threading.Event()
         first_call = threading.Event()
-        real_compile = core_mod.compile_source
+        real_align = core_mod.align_program
 
-        def gated_compile(source):
+        def gated_align(*args, **kwargs):
             if not first_call.is_set():
                 first_call.set()
                 stalled.set()
                 assert release.wait(30)
-            return real_compile(source)
+            return real_align(*args, **kwargs)
 
-        monkeypatch.setattr(core_mod, "compile_source", gated_compile)
+        monkeypatch.setattr(core_mod, "align_program", gated_align)
         sup = make_tier(tmp_path, probe_interval_s=0.02)
         try:
             blocker = payload_for_shard(0)
