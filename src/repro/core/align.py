@@ -73,9 +73,7 @@ def _priced_result(task: ProcedureTask, layout) -> ProcedureResult:
     cost matrix; ``cities`` stays unset so these results do not populate
     TSP solver diagnostics in an :class:`AlignmentReport`.
     """
-    instance = instance_for(
-        task.cfg, task.profile, task.model, predictor=task.predictor
-    )
+    instance = instance_for(task)
     return ProcedureResult(
         name=task.name,
         layout=layout,
@@ -89,7 +87,6 @@ def _priced_result(task: ProcedureTask, layout) -> ProcedureResult:
     "greedy",
     aliases=("pettis-hansen", "ph"),
     description="Pettis–Hansen frequency chaining (the paper's baseline)",
-    uses_instance=True,
 )
 def _align_greedy(task: ProcedureTask) -> ProcedureResult:
     return _priced_result(
@@ -101,7 +98,6 @@ def _align_greedy(task: ProcedureTask) -> ProcedureResult:
     "cost-greedy",
     aliases=("calder-grunwald", "cg"),
     description="Calder–Grunwald cost-model greedy chaining",
-    uses_instance=True,
 )
 def _align_cost_greedy(task: ProcedureTask) -> ProcedureResult:
     return _priced_result(
@@ -114,7 +110,6 @@ def _align_cost_greedy(task: ProcedureTask) -> ProcedureResult:
     "cg-exhaustive",
     description="Calder–Grunwald plus exhaustive search over the blocks "
     "touched by the 15 hottest edges (§5)",
-    uses_instance=True,
 )
 def _align_cg_exhaustive(task: ProcedureTask) -> ProcedureResult:
     return _priced_result(
@@ -129,12 +124,9 @@ def _align_cg_exhaustive(task: ProcedureTask) -> ProcedureResult:
     "tsp",
     aliases=("dtsp",),
     description="the paper's near-optimal DTSP alignment",
-    uses_instance=True,
 )
 def _align_tsp(task: ProcedureTask) -> ProcedureResult:
-    instance = instance_for(
-        task.cfg, task.profile, task.model, predictor=task.predictor
-    )
+    instance = instance_for(task)
     with obs.span("tsp_solver", proc=task.name) as sp:
         alignment = tsp_align(
             task.cfg,
@@ -177,7 +169,7 @@ def _exttsp_result(task: ProcedureTask, *, refine: bool) -> ProcedureResult:
             task.profile,
             refine=refine,
             stats=stats,
-            merged=merge_order_for(task.cfg, task.profile),
+            merged=merge_order_for(task),
         )
         sp["merges"] = stats.merges
         sp["splits"] = stats.splits
@@ -200,7 +192,6 @@ def _exttsp_result(task: ProcedureTask, *, refine: bool) -> ProcedureResult:
     aliases=("ext-tsp", "bolt"),
     description="Ext-TSP chain merging plus single-block hill climb "
     "(Newell–Pupyrev's improved basic block reordering)",
-    uses_instance=True,
 )
 def _align_exttsp(task: ProcedureTask) -> ProcedureResult:
     return _exttsp_result(task, refine=True)
@@ -211,7 +202,6 @@ def _align_exttsp(task: ProcedureTask) -> ProcedureResult:
     aliases=("newell-pupyrev", "np"),
     description="greedy chain splits/merges maximizing the Ext-TSP gain "
     "(the BOLT-style merge phase, without refinement)",
-    uses_instance=True,
 )
 def _align_chain_merge(task: ProcedureTask) -> ProcedureResult:
     return _exttsp_result(task, refine=False)

@@ -121,22 +121,6 @@ class TaskTimeoutError(ReproError):
         self.timeout_ms = timeout_ms
 
 
-class PoisonTaskError(ReproError):
-    """A task failed every attempt of its retry budget and was quarantined.
-
-    Carries the final underlying failure; the executor records it in the
-    quarantine report rather than raising, so callers only ever see this
-    type through :func:`repro.pipeline.executor.run_tasks` (the strict,
-    raise-on-failure wrapper).
-    """
-
-    def __init__(self, message: str, *, attempts: int = 1,
-                 last_error: str | None = None):
-        super().__init__(message)
-        self.attempts = attempts
-        self.last_error = last_error
-
-
 class ArtifactStoreError(ReproError):
     """The on-disk artifact store could not serve a request.
 
@@ -292,7 +276,6 @@ __all__ = [
     "DegradationError",
     "JournalError",
     "LayoutVerificationError",
-    "PoisonTaskError",
     "ProfileMismatchError",
     "ProfileValidationError",
     "ReproError",

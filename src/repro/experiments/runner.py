@@ -41,7 +41,7 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.executor import resolve_jobs
 from repro.pipeline.registry import normalize_method
 from repro.pipeline.stages import run_align_tasks, run_bound_tasks
-from repro.pipeline.task import BoundTask, procedure_tasks
+from repro.pipeline.task import bound_tasks, procedure_tasks
 from repro.machine.icache import DirectMappedICache
 from repro.machine.models import ALPHA_21164, PenaltyModel
 from repro.machine.timing import TimingBreakdown, simulate_timing
@@ -325,24 +325,19 @@ def _case_lower_bound(
         budget=budget,
     )
     aligned = run_align_tasks(tasks, jobs=jobs, policy=policy)
-    bound_tasks = [
-        BoundTask(
-            name=task.name,
-            cfg=task.cfg,
-            profile=task.profile,
-            model=task.model,
-            index=task.index,
-            upper_bound=result.cost,
+    bounds = run_bound_tasks(
+        bound_tasks(
+            module.program,
+            run.profile,
+            model=model,
             budget=budget,
-            instance=result.instance,
-        )
-        for task, result in zip(tasks, aligned)
-        if task.profile.total()
-    ]
-    return sum(
-        r.bound
-        for r in run_bound_tasks(bound_tasks, jobs=jobs, policy=policy)
+            upper_bounds={r.name: r.cost for r in aligned},
+            instances={r.name: r.instance for r in aligned},
+        ),
+        jobs=jobs,
+        policy=policy,
     )
+    return sum(r.bound for r in bounds)
 
 
 def case_lower_bound(

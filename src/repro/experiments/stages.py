@@ -34,10 +34,9 @@ from repro.lang.lower import compile_source
 from repro.lang.vm import instrument, run_and_profile
 from repro.machine.models import ALPHA_21164, PenaltyModel
 from repro.pipeline.stages import instance_for
-from repro.pipeline.task import derive_seed
-from repro.profiles.edge_profile import EdgeProfile
+from repro.pipeline.task import procedure_tasks
 from repro.tsp.construction import identity_tour
-from repro.tsp.solve import DEFAULT, Effort, solve_dtsp
+from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp
 from repro.workloads.suite import get_benchmark
 
 STAGE_NAMES = (
@@ -128,33 +127,35 @@ def time_stages(
         materialize_program(program, greedy_layouts, predictors)
     times.greedy_program = sp.dur_ms / 1000.0
 
+    # The "tsp" method's tasks: the same instance keys and per-task seed
+    # stream as the pipeline's align stage.
+    tasks = procedure_tasks(
+        program, profile, method="tsp", model=model,
+        effort=get_effort(effort), seed=seed, budget=budget,
+    )
+
     with stage("tsp_matrix") as sp:
-        instances = {}
-        for proc in program:
-            edge_profile = profile.procedures.get(proc.name, EdgeProfile())
-            # Through the pipeline's content-addressed cache: a warm cache
-            # (e.g. the same case already aligned this session) serves the
-            # matrices instead of rebuilding, and a cold run seeds it for
-            # later passes.
-            instances[proc.name] = instance_for(proc.cfg, edge_profile, model)
+        # Through the pipeline's content-addressed cache: a warm cache
+        # (e.g. the same case already aligned this session) serves the
+        # matrices instead of rebuilding, and a cold run seeds it for
+        # later passes.
+        instances = {task.name: instance_for(task) for task in tasks}
     times.tsp_matrix = sp.dur_ms / 1000.0
 
     with stage("tsp_solver") as sp:
         tours: dict[str, list[int]] = {}
-        for index, (name, instance) in enumerate(instances.items()):
+        for task in tasks:
+            instance = instances[task.name]
             try:
-                tours[name] = solve_dtsp(
+                tours[task.name] = solve_dtsp(
                     instance.matrix,
                     effort=effort,
-                    # Same per-task derivation as the pipeline's align
-                    # stage, so this standalone solver loop draws the
-                    # "tsp" method's seed stream.
-                    seed=derive_seed(seed, "tsp", index),
+                    seed=task.effective_seed,
                     budget=budget,
                 ).tour
             except SolverBudgetExceeded as exc:
-                tours[name] = exc.best_so_far or identity_tour(instance.n)
-                times.degraded_procs.append(name)
+                tours[task.name] = exc.best_so_far or identity_tour(instance.n)
+                times.degraded_procs.append(task.name)
         sp["degraded"] = len(times.degraded_procs)
     times.tsp_solver = sp.dur_ms / 1000.0
 

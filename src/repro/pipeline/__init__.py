@@ -41,7 +41,6 @@ from repro.pipeline.executor import (
     register_handler,
     resolve_jobs,
     resolve_policy,
-    run_tasks,
     run_tasks_supervised,
     shutdown_pool,
 )
@@ -69,6 +68,7 @@ from repro.pipeline.task import (
     BoundTask,
     ProcedureResult,
     ProcedureTask,
+    bound_tasks,
     derive_seed,
     procedure_tasks,
 )
@@ -93,7 +93,6 @@ __all__ = [
     "register_handler",
     "resolve_jobs",
     "resolve_policy",
-    "run_tasks",
     "run_tasks_supervised",
     "shutdown_pool",
     "AlignerSpec",
@@ -115,6 +114,7 @@ __all__ = [
     "BoundTask",
     "ProcedureResult",
     "ProcedureTask",
+    "bound_tasks",
     "derive_seed",
     "procedure_tasks",
 ]

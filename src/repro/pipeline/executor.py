@@ -68,7 +68,6 @@ from typing import Any, Callable, Sequence, TypeVar
 from repro import faults, obs
 from repro.budget import RetryPolicy
 from repro.errors import (
-    PoisonTaskError,
     TaskTimeoutError,
     UnknownNameError,
     WorkerCrashError,
@@ -660,26 +659,3 @@ def run_tasks_supervised(
     obs.count("executor.pool_restarts", report.pool_restarts, stable=False)
     return report
 
-
-def run_tasks(
-    kind: str,
-    payloads: Sequence[Any],
-    *,
-    jobs: int | None = None,
-    policy: RetryPolicy | None = None,
-) -> list[Any]:
-    """Strict façade over :func:`run_tasks_supervised`: returns results in
-    payload order, raising :class:`~repro.errors.PoisonTaskError` if any
-    task exhausted its retry budget.  Callers that can degrade per task
-    (the pipeline stages) use the supervised form directly.
-    """
-    report = run_tasks_supervised(kind, payloads, jobs=jobs, policy=policy)
-    for outcome in report.outcomes:
-        if outcome.quarantined:
-            raise PoisonTaskError(
-                f"task {outcome.index} failed all {outcome.attempts} "
-                f"attempt(s): {outcome.error}",
-                attempts=outcome.attempts,
-                last_error=outcome.error,
-            )
-    return [outcome.result for outcome in report.outcomes]

@@ -8,8 +8,9 @@ cache-key normalizers all resolve method names through it — adding an
 aligner is one :func:`register_aligner` call, with no parallel edits in
 ``align.py`` / ``cli.py`` / ``runner.py``.
 
-The built-in methods (original / greedy / cost-greedy / cg-exhaustive /
-tsp) register themselves when :mod:`repro.core.align` is imported.
+The seven built-in methods (original / greedy / cost-greedy /
+cg-exhaustive / tsp / exttsp / chain-merge) register themselves when
+:mod:`repro.core.align` is imported.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class AlignerSpec:
     fn: AlignerFn
     aliases: tuple[str, ...] = ()
     description: str = ""
-    #: Whether the aligner consumes a DTSP instance (and therefore benefits
-    #: from the shared cost-matrix cache).
-    uses_instance: bool = False
 
 
 _REGISTRY: dict[str, AlignerSpec] = {}
@@ -55,7 +53,6 @@ def register_aligner(
     *,
     aliases: tuple[str, ...] = (),
     description: str = "",
-    uses_instance: bool = False,
     replace: bool = False,
 ):
     """Register an alignment method (usable directly or as a decorator).
@@ -72,7 +69,6 @@ def register_aligner(
                 decorated,
                 aliases=aliases,
                 description=description,
-                uses_instance=uses_instance,
                 replace=replace,
             )
             return decorated
@@ -91,7 +87,6 @@ def register_aligner(
         fn=fn,
         aliases=tuple(a.strip().lower() for a in aliases),
         description=description,
-        uses_instance=uses_instance,
     )
     # Replacing must be symmetric with unregistering: purge the replaced
     # spec's aliases first, or a stale alias keeps resolving to a canonical

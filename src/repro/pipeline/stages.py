@@ -9,24 +9,29 @@ individually cacheable stages with typed intermediate artifacts::
                                                 cached,
                                                 parallel)
 
+Every stage key is built from its task's input digests
+(:attr:`~repro.pipeline.task.ProcedureTask.digests`, computed once per
+task), and every stage uses the process-wide
+:func:`~repro.pipeline.artifacts.artifact_cache`.
+
 * The **cost-matrix stage** (:func:`instance_for`) builds the §2.2 DTSP
   instance, content-addressed by (CFG, profile, model, predictor) — so
   greedy/tsp/lower-bound passes over the same procedure share one matrix.
 * The **merge stage** (:func:`merge_order_for`) runs the Ext-TSP merge
   phase once per (CFG, profile, Ext-TSP parameters), shared by the
   ``chain-merge`` and ``exttsp`` aligners.
-* The **align stage** (:func:`align_procedures`) dispatches each task to
-  its registered aligner, fanning out over worker processes
-  (:mod:`repro.pipeline.executor`) and serving repeated tasks from the
-  artifact cache.  Results merge in program order, so layouts, reports,
-  stored cases, and tables are identical for any worker count.
+* The **align stage** (:func:`run_align_tasks`) and the **bound stage**
+  (:func:`run_bound_tasks`: certified per-procedure Held–Karp/branch-and-
+  bound floors) are one cached-stage loop, :func:`_run_cached`, fanning
+  cache misses out over worker processes
+  (:mod:`repro.pipeline.executor`).  Results merge in task order, so
+  layouts, bounds, reports, stored cases, and tables are identical for
+  any worker count.
 * The **evaluate stage** (:func:`evaluate_procedures`) is the single
   penalty-evaluation code path — ``evaluate_program`` delegates here, and
   the DTSP tour cost of an instance provably equals this stage's control
   penalty for the materialized layout (pinned by
   ``tests/properties/test_property_pipeline.py``).
-* The **bound stage** (:func:`lower_bound_procedures`) computes certified
-  per-procedure Held–Karp/branch-and-bound floors, cached and parallel.
 
 Budgets stay per-procedure (each task starts its own countdown, exactly as
 the serial loop did), the degradation ladder lives untouched inside the
@@ -36,7 +41,7 @@ aligners, and fault-injection plans are shipped to workers by the executor.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
 from repro.budget import Budget, RetryPolicy
@@ -48,16 +53,7 @@ from repro.core.exttsp import DEFAULT_PARAMS
 from repro.core.layout import ProgramLayout, original_layout
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
-from repro.pipeline.artifacts import (
-    ArtifactCache,
-    artifact_cache,
-    fingerprint_budget,
-    fingerprint_cfg,
-    fingerprint_effort,
-    fingerprint_model,
-    fingerprint_predictor,
-    fingerprint_profile,
-)
+from repro.pipeline.artifacts import ArtifactCache, artifact_cache
 from repro.pipeline.executor import (
     SupervisionReport,
     register_handler,
@@ -69,69 +65,96 @@ from repro.pipeline.task import (
     BoundTask,
     ProcedureResult,
     ProcedureTask,
+    bound_tasks,
     procedure_tasks,
 )
-from repro.profiles.edge_profile import EdgeProfile, ProgramProfile
+from repro.profiles.edge_profile import ProgramProfile
 from repro.tsp.solve import DEFAULT, Effort, get_effort
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle is fine at type time
+    from repro.core.align import AlignmentReport
     from repro.core.evaluate import ProgramPenalty
 
 
-# -- cost-matrix stage --------------------------------------------------------
+# -- stage keys ---------------------------------------------------------------
 
 
-def instance_key(
-    cfg, profile: EdgeProfile, model: PenaltyModel,
-    predictor: StaticPredictor | None,
-) -> str:
+def instance_key(task: ProcedureTask | BoundTask) -> str:
+    digests = task.digests
     return ArtifactCache.key(
         "instance",
-        fingerprint_cfg(cfg),
-        fingerprint_profile(profile),
-        fingerprint_model(model),
-        fingerprint_predictor(predictor),
+        digests.cfg,
+        digests.profile,
+        digests.model,
+        digests.predictor,
     )
 
 
-def instance_for(
-    cfg,
-    profile: EdgeProfile,
-    model: PenaltyModel,
-    *,
-    predictor: StaticPredictor | None = None,
-    cache: ArtifactCache | None = None,
-) -> AlignmentInstance:
+def merge_key(task: ProcedureTask) -> str:
+    digests = task.digests
+    return ArtifactCache.key(
+        "merge", digests.cfg, digests.profile, DEFAULT_PARAMS.fingerprint()
+    )
+
+
+def align_key(task: ProcedureTask) -> str:
+    # Every align artifact now carries dual pricing (penalty + Ext-TSP
+    # score), so the key covers the Ext-TSP scoring parameters: changing a
+    # weight or window must miss, not serve a stale score — and for the
+    # exttsp-family aligners the parameters also shape the layout itself.
+    digests = task.digests
+    return ArtifactCache.key(
+        "align",
+        task.method,
+        digests.cfg,
+        digests.profile,
+        digests.model,
+        digests.predictor,
+        digests.effort,
+        task.effective_seed,
+        digests.budget,
+        DEFAULT_PARAMS.fingerprint(),
+    )
+
+
+def bound_key(task: BoundTask) -> str:
+    # ``upper_bound`` is deliberately NOT part of the key: it only tightens
+    # the subgradient schedule (a warm-start hint), and any certified floor
+    # is valid for the (cfg, profile, model) instance regardless of which
+    # hint produced it.  Keying on it split identical artifacts — an
+    # align-then-bound run (hint = tour cost) could never hit the entry a
+    # bound-only run (hint = None) had written, pinning the bound stage's
+    # cross-run hit rate at zero.
+    digests = task.digests
+    return ArtifactCache.key(
+        "bound",
+        digests.cfg,
+        digests.profile,
+        digests.model,
+        repr(task.iterations),
+        digests.budget,
+    )
+
+
+# -- cost-matrix and merge stages ---------------------------------------------
+
+
+def instance_for(task: ProcedureTask) -> AlignmentInstance:
     """The DTSP instance for one procedure, served content-addressed.
 
     The key covers everything the matrix depends on — effort, seed, and
     budget deliberately excluded — so every method and every sweep over the
     same (CFG, profile, model, predictor) shares a single build.
     """
-    cache = cache if cache is not None else artifact_cache()
-    return cache.get_or_build(
-        instance_key(cfg, profile, model, predictor),
+    return artifact_cache().get_or_build(
+        instance_key(task),
         lambda: build_alignment_instance(
-            cfg, profile, model, predictor=predictor
+            task.cfg, task.profile, task.model, predictor=task.predictor
         ),
     )
 
 
-# -- merge stage --------------------------------------------------------------
-
-
-def merge_key(cfg, profile: EdgeProfile) -> str:
-    return ArtifactCache.key(
-        "merge",
-        fingerprint_cfg(cfg),
-        fingerprint_profile(profile),
-        DEFAULT_PARAMS.fingerprint(),
-    )
-
-
-def merge_order_for(
-    cfg, profile: EdgeProfile, *, cache: ArtifactCache | None = None
-) -> MergeOrder:
+def merge_order_for(task: ProcedureTask) -> MergeOrder:
     """The Ext-TSP merge phase's order for one procedure, served
     content-addressed.
 
@@ -140,10 +163,83 @@ def merge_order_for(
     excluded — so ``chain-merge`` and ``exttsp`` (merge + climb) over the
     same procedure share a single run.
     """
-    cache = cache if cache is not None else artifact_cache()
-    return cache.get_or_build(
-        merge_key(cfg, profile), lambda: merge_phase(cfg, profile)
+    return artifact_cache().get_or_build(
+        merge_key(task), lambda: merge_phase(task.cfg, task.profile)
     )
+
+
+# -- the cached-stage loop ----------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _CachedStage:
+    """What one stage brings to :func:`_run_cached`: its executor ``kind``
+    (which also names its span and counters), the worker-executable
+    ``solve``, the cache ``key``, which tasks are ``trivial`` (solved
+    inline, never cached or dispatched), the ``stand_in`` result of a
+    quarantined task, and a hook called on each freshly ``stored`` one."""
+
+    kind: str
+    solve: Callable[[Any], Any]
+    key: Callable[[Any], str]
+    trivial: Callable[[Any], bool]
+    stand_in: Callable[[Any, str | None], Any]
+    stored: Callable[[Any, Any], None] = lambda task, result: None
+
+
+def _run_cached(
+    stage: _CachedStage,
+    tasks: Sequence[Any],
+    *,
+    jobs: int | None,
+    policy: RetryPolicy | None,
+    supervision: SupervisionReport | None,
+) -> list:
+    """Resolve trivial tasks inline → scan the cache → supervised solve of
+    the misses → store.  Returns one result per task, in task order.
+
+    A task that exhausts its retry budget yields ``stage.stand_in`` and is
+    deliberately NOT cached — a later run with a healthier environment
+    should get a real solve.
+    """
+    cache = artifact_cache()
+    results: list = [None] * len(tasks)
+    misses: list[tuple[int, str]] = []
+    with obs.span(f"stage:{stage.kind}", tasks=len(tasks)) as sp:
+        for i, task in enumerate(tasks):
+            if stage.trivial(task):
+                results[i] = stage.solve(task)
+                continue
+            key = stage.key(task)
+            cached = cache.get(key)
+            if cached is not None:
+                results[i] = dataclasses.replace(cached, from_cache=True)
+            else:
+                misses.append((i, key))
+        # Stage-level hit/miss totals come from this parent-side scan, so
+        # (unlike the per-process cache.* counters) they are worker-count
+        # invariant.
+        hits = sum(1 for r in results if r is not None and r.from_cache)
+        sp["hits"] = hits
+        sp["misses"] = len(misses)
+        obs.count(f"{stage.kind}.cache_hits", hits)
+        obs.count(f"{stage.kind}.cache_misses", len(misses))
+
+        if misses:
+            report = run_tasks_supervised(
+                stage.kind, [tasks[i] for i, _ in misses], jobs=jobs,
+                policy=policy,
+            )
+            if supervision is not None:
+                supervision.merge_from(report)
+            for (i, key), outcome in zip(misses, report.outcomes):
+                if outcome.quarantined:
+                    results[i] = stage.stand_in(tasks[i], outcome.error)
+                    continue
+                results[i] = outcome.result
+                cache.put(key, outcome.result)
+                stage.stored(tasks[i], outcome.result)
+    return results
 
 
 # -- align stage --------------------------------------------------------------
@@ -165,29 +261,6 @@ def align_one(task: ProcedureTask) -> ProcedureResult:
 register_handler("align", align_one)
 
 
-def _is_trivial(task: ProcedureTask) -> bool:
-    return task.method == "original" or task.profile.total() == 0
-
-
-def align_key(task: ProcedureTask) -> str:
-    # Every align artifact now carries dual pricing (penalty + Ext-TSP
-    # score), so the key covers the Ext-TSP scoring parameters: changing a
-    # weight or window must miss, not serve a stale score — and for the
-    # exttsp-family aligners the parameters also shape the layout itself.
-    return ArtifactCache.key(
-        "align",
-        task.method,
-        fingerprint_cfg(task.cfg),
-        fingerprint_profile(task.profile),
-        fingerprint_model(task.model),
-        fingerprint_predictor(task.predictor),
-        fingerprint_effort(task.effort),
-        task.effective_seed,
-        fingerprint_budget(task.budget),
-        DEFAULT_PARAMS.fingerprint(),
-    )
-
-
 def quarantined_result(task: ProcedureTask, error: str | None) -> ProcedureResult:
     """The degraded stand-in for a poisoned align task: the procedure keeps
     its identity layout (always valid, never worse than the original under
@@ -201,78 +274,42 @@ def quarantined_result(task: ProcedureTask, error: str | None) -> ProcedureResul
     )
 
 
+def _seed_instance(task: ProcedureTask, result: ProcedureResult) -> None:
+    """Seed the cost-matrix cache from a worker's build, so the bound stage
+    (and other methods) reuse it."""
+    if result.instance is not None:
+        artifact_cache().put(instance_key(task), result.instance)
+
+
+def _is_trivial(task: ProcedureTask) -> bool:
+    return task.method == "original" or task.profile.total() == 0
+
+
+_ALIGN = _CachedStage(
+    kind="align",
+    solve=align_one,
+    key=align_key,
+    trivial=_is_trivial,
+    stand_in=quarantined_result,
+    stored=_seed_instance,
+)
+
+
 def run_align_tasks(
     tasks: list[ProcedureTask],
     *,
     jobs: int | None = None,
-    cache: ArtifactCache | None = None,
     policy: RetryPolicy | None = None,
     supervision: SupervisionReport | None = None,
 ) -> list[ProcedureResult]:
-    """The align stage: cache lookup → supervised parallel solve of misses
-    → store.
-
-    Returns one :class:`ProcedureResult` per task, in task order.  Trivial
-    tasks (method ``original`` or an empty profile slice) resolve inline;
-    cache misses fan out through the supervised executor under ``policy``
-    (retry/backoff/quarantine — see :mod:`repro.pipeline.executor`).  A
-    task that exhausts its retry budget yields its *identity* layout,
-    flagged ``quarantined``, instead of sinking the batch.  Pass a
+    """The align stage (see :func:`_run_cached`): one result per task, in
+    task order.  A task that exhausts its retry budget under ``policy``
+    keeps its *identity* layout, flagged ``quarantined``.  Pass a
     :class:`SupervisionReport` as ``supervision`` to observe retry and
-    quarantine accounting.
-    """
-    cache = cache if cache is not None else artifact_cache()
-    results: list[ProcedureResult | None] = [None] * len(tasks)
-    miss_indices: list[int] = []
-    with obs.span("stage:align", tasks=len(tasks)) as sp:
-        for i, task in enumerate(tasks):
-            if _is_trivial(task):
-                results[i] = align_one(task)
-                continue
-            cached = cache.get(align_key(task))
-            if cached is not None:
-                results[i] = dataclasses.replace(cached, from_cache=True)
-            else:
-                miss_indices.append(i)
-        # Stage-level hit/miss totals come from this parent-side scan, so
-        # (unlike the per-process cache.* counters) they are worker-count
-        # invariant.
-        hits = sum(
-            1 for r in results if r is not None and r.from_cache
-        )
-        sp["hits"] = hits
-        sp["misses"] = len(miss_indices)
-        obs.count("align.cache_hits", hits)
-        obs.count("align.cache_misses", len(miss_indices))
-
-        if miss_indices:
-            report = run_tasks_supervised(
-                "align", [tasks[i] for i in miss_indices], jobs=jobs,
-                policy=policy,
-            )
-            if supervision is not None:
-                supervision.merge_from(report)
-            for i, outcome in zip(miss_indices, report.outcomes):
-                if outcome.quarantined:
-                    # Poison task: keep the procedure with its original
-                    # order; deliberately NOT cached — a later run with a
-                    # healthier environment should get a real solve.
-                    results[i] = quarantined_result(tasks[i], outcome.error)
-                    continue
-                result = outcome.result
-                results[i] = result
-                cache.put(align_key(tasks[i]), result)
-                if result.instance is not None:
-                    # Seed the cost-matrix cache from the worker's build so
-                    # the bound stage (and other methods) reuse it.
-                    task = tasks[i]
-                    cache.put(
-                        instance_key(
-                            task.cfg, task.profile, task.model, task.predictor
-                        ),
-                        result.instance,
-                    )
-    return results  # type: ignore[return-value]
+    quarantine accounting."""
+    return _run_cached(
+        _ALIGN, tasks, jobs=jobs, policy=policy, supervision=supervision
+    )
 
 
 def align_procedures(
@@ -285,17 +322,15 @@ def align_procedures(
     seed: int = 0,
     budget: Budget | None = None,
     jobs: int | None = None,
-    cache: ArtifactCache | None = None,
     policy: RetryPolicy | None = None,
-    report=None,
+    report: AlignmentReport | None = None,
 ) -> ProgramLayout:
     """Align every procedure of ``program``: the full task → solve → layout
     pipeline behind :func:`repro.core.align.align_program`.
 
-    ``report`` (an :class:`~repro.core.align.AlignmentReport`-shaped object)
-    is populated from solver diagnostics in program order, keeping its
-    contents deterministic and independent of worker count; it also
-    receives retry/quarantine accounting from the supervised executor.
+    ``report`` is populated from solver diagnostics in program order,
+    keeping its contents deterministic and independent of worker count; it
+    also receives retry/quarantine accounting from the supervised executor.
     """
     tasks = procedure_tasks(
         program,
@@ -308,21 +343,21 @@ def align_procedures(
     )
     supervision = SupervisionReport()
     results = run_align_tasks(
-        tasks, jobs=jobs, cache=cache, policy=policy, supervision=supervision
+        tasks, jobs=jobs, policy=policy, supervision=supervision
     )
     layouts = ProgramLayout()
     for result in results:
         layouts[result.name] = result.layout
         if report is None:
             continue
-        if result.quarantined and hasattr(report, "quarantined"):
+        if result.quarantined:
             report.quarantined[result.name] = result.warning or "quarantined"
             report.warnings.append(
                 f"{result.name}: quarantined after repeated failures, "
                 f"kept identity layout ({result.warning})"
             )
             continue
-        if result.exttsp_score is not None and hasattr(report, "exttsp_scores"):
+        if result.exttsp_score is not None:
             report.exttsp_scores[result.name] = result.exttsp_score
         if result.cities is not None:
             report.cities[result.name] = result.cities
@@ -338,11 +373,9 @@ def align_procedures(
                         f"{result.name}: degraded to "
                         f"{result.degraded!r} ({result.warning})"
                     )
-    if report is not None and hasattr(report, "retried"):
+    if report is not None:
         report.retried += supervision.retried
-    if report is not None and hasattr(report, "worker_crashes"):
         report.worker_crashes += supervision.worker_crashes
-    if report is not None and hasattr(report, "timeouts"):
         report.timeouts += supervision.timeouts
     return layouts
 
@@ -396,16 +429,21 @@ def evaluate_procedures(
 
 
 def bound_one(task: BoundTask) -> BoundResult:
-    """Certified lower bound for one procedure (worker-executable)."""
+    """Certified lower bound for one procedure (worker-executable).  A task
+    without an instance uses the cached one, if the cost-matrix stage has
+    built it."""
     if task.profile.total() == 0:
         return BoundResult(task.name, 0.0)
+    instance = task.instance
+    if instance is None:
+        instance = artifact_cache().get(instance_key(task))
     return BoundResult(
         task.name,
         alignment_lower_bound(
             task.cfg,
             task.profile,
             task.model,
-            instance=task.instance,
+            instance=instance,
             upper_bound=task.upper_bound,
             iterations=task.iterations,
             budget=task.budget,
@@ -416,69 +454,29 @@ def bound_one(task: BoundTask) -> BoundResult:
 register_handler("bound", bound_one)
 
 
-def bound_key(task: BoundTask) -> str:
-    # ``upper_bound`` is deliberately NOT part of the key: it only tightens
-    # the subgradient schedule (a warm-start hint), and any certified floor
-    # is valid for the (cfg, profile, model) instance regardless of which
-    # hint produced it.  Keying on it split identical artifacts — an
-    # align-then-bound run (hint = tour cost) could never hit the entry a
-    # bound-only run (hint = None) had written, pinning the bound stage's
-    # cross-run hit rate at zero.
-    return ArtifactCache.key(
-        "bound",
-        fingerprint_cfg(task.cfg),
-        fingerprint_profile(task.profile),
-        fingerprint_model(task.model),
-        repr(task.iterations),
-        fingerprint_budget(task.budget),
-    )
+_BOUND = _CachedStage(
+    kind="bound",
+    solve=bound_one,
+    key=bound_key,
+    trivial=lambda task: task.profile.total() == 0,
+    # 0.0 is the loosest certified bound, so program totals stay
+    # well-defined (and conservative).
+    stand_in=lambda task, error: BoundResult(task.name, 0.0, quarantined=True),
+)
 
 
 def run_bound_tasks(
     tasks: list[BoundTask],
     *,
     jobs: int | None = None,
-    cache: ArtifactCache | None = None,
     policy: RetryPolicy | None = None,
     supervision: SupervisionReport | None = None,
 ) -> list[BoundResult]:
-    """The bound stage: cache lookup → supervised parallel certification of
-    misses.  A poisoned bound task degrades to 0.0 — the loosest certified
-    bound — so program totals stay well-defined (and conservative)."""
-    cache = cache if cache is not None else artifact_cache()
-    results: list[BoundResult | None] = [None] * len(tasks)
-    miss_indices: list[int] = []
-    with obs.span("stage:bound", tasks=len(tasks)) as sp:
-        for i, task in enumerate(tasks):
-            if task.profile.total() == 0:
-                results[i] = BoundResult(task.name, 0.0)
-                continue
-            cached = cache.get(bound_key(task))
-            if cached is not None:
-                results[i] = dataclasses.replace(cached, from_cache=True)
-            else:
-                miss_indices.append(i)
-        hits = sum(1 for r in results if r is not None and r.from_cache)
-        sp["hits"] = hits
-        sp["misses"] = len(miss_indices)
-        obs.count("bound.cache_hits", hits)
-        obs.count("bound.cache_misses", len(miss_indices))
-        if miss_indices:
-            report = run_tasks_supervised(
-                "bound", [tasks[i] for i in miss_indices], jobs=jobs,
-                policy=policy,
-            )
-            if supervision is not None:
-                supervision.merge_from(report)
-            for i, outcome in zip(miss_indices, report.outcomes):
-                if outcome.quarantined:
-                    results[i] = BoundResult(
-                        tasks[i].name, 0.0, quarantined=True
-                    )
-                    continue
-                results[i] = outcome.result
-                cache.put(bound_key(tasks[i]), outcome.result)
-    return results  # type: ignore[return-value]
+    """The bound stage over ``tasks`` (see :func:`_run_cached`).  A
+    poisoned bound task degrades to 0.0."""
+    return _run_cached(
+        _BOUND, tasks, jobs=jobs, policy=policy, supervision=supervision
+    )
 
 
 def lower_bound_procedures(
@@ -490,37 +488,16 @@ def lower_bound_procedures(
     upper_bounds: dict[str, float] | None = None,
     budget: Budget | None = None,
     jobs: int | None = None,
-    cache: ArtifactCache | None = None,
     policy: RetryPolicy | None = None,
 ) -> dict[str, float]:
     """Per-procedure certified lower bounds, in program order."""
-    tasks = []
-    for index, proc in enumerate(program):
-        edge_profile = profile.procedures.get(proc.name, EdgeProfile())
-        tasks.append(BoundTask(
-            name=proc.name,
-            cfg=proc.cfg,
-            profile=edge_profile,
-            model=model,
-            index=index,
-            upper_bound=(upper_bounds or {}).get(proc.name),
-            iterations=iterations,
-            budget=budget,
-            instance=(
-                cache_lookup_instance(proc.cfg, edge_profile, model, cache)
-                if edge_profile.total() else None
-            ),
-        ))
-    results = run_bound_tasks(tasks, jobs=jobs, cache=cache, policy=policy)
+    tasks = bound_tasks(
+        program,
+        profile,
+        model=model,
+        iterations=iterations,
+        budget=budget,
+        upper_bounds=upper_bounds,
+    )
+    results = run_bound_tasks(tasks, jobs=jobs, policy=policy)
     return {result.name: result.bound for result in results}
-
-
-def cache_lookup_instance(
-    cfg, profile: EdgeProfile, model: PenaltyModel,
-    cache: ArtifactCache | None = None,
-    predictor: StaticPredictor | None = None,
-) -> AlignmentInstance | None:
-    """A cached cost matrix if one exists — used to hand already-built
-    instances to bound tasks without forcing a build."""
-    cache = cache if cache is not None else artifact_cache()
-    return cache.get(instance_key(cfg, profile, model, predictor))

@@ -5,7 +5,14 @@ A :class:`ProcedureTask` is everything one procedure's alignment depends on
 budget — detached from the surrounding :class:`~repro.cfg.graph.Program` so
 it can be fingerprinted for the artifact cache and shipped to a worker
 process.  A :class:`ProcedureResult` is the corresponding output artifact:
-the layout plus solver diagnostics.
+the layout plus solver diagnostics.  :class:`BoundTask` and
+:class:`BoundResult` are the same pair for the certified lower bound.
+
+Tasks are frozen and fingerprint their inputs once: :attr:`digests` is
+computed on first use and every stage key
+(:mod:`repro.pipeline.stages`) is built from it.  The memo lives in the
+task's ``__dict__``, so a task keyed in the parent ships its digests to
+pool workers with the pickle.
 
 Tasks are deterministic by construction: the effective solver seed is
 :func:`derive_seed` over ``(seed, method, index)`` — a pure function of
@@ -16,14 +23,23 @@ it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.budget import Budget
 from repro.cfg.graph import ControlFlowGraph, Program
 from repro.core.layout import Layout
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
+from repro.pipeline.artifacts import (
+    fingerprint_budget,
+    fingerprint_cfg,
+    fingerprint_effort,
+    fingerprint_model,
+    fingerprint_predictor,
+    fingerprint_profile,
+)
 from repro.profiles.edge_profile import EdgeProfile, ProgramProfile
 from repro.tsp.solve import Effort
 
@@ -49,7 +65,35 @@ def derive_seed(seed: int, method: str, index: int) -> int:
     ) >> 1
 
 
-@dataclass
+@dataclass(frozen=True)
+class TaskDigests:
+    """The fingerprints of one task's inputs, from which every stage key is
+    built."""
+
+    cfg: str
+    profile: str
+    model: str
+    predictor: str
+    effort: str | None
+    budget: str
+
+
+def _digests(task: "ProcedureTask | BoundTask") -> TaskDigests:
+    """The task's input fingerprints, computed on first use.  A bound task
+    has no predictor (its instance trains on its own profile) and no
+    solver effort."""
+    effort = getattr(task, "effort", None)
+    return TaskDigests(
+        cfg=fingerprint_cfg(task.cfg),
+        profile=fingerprint_profile(task.profile),
+        model=fingerprint_model(task.model),
+        predictor=fingerprint_predictor(getattr(task, "predictor", None)),
+        effort=None if effort is None else fingerprint_effort(effort),
+        budget=fingerprint_budget(task.budget),
+    )
+
+
+@dataclass(frozen=True)
 class ProcedureTask:
     """One procedure's alignment job, self-contained and picklable."""
 
@@ -70,6 +114,8 @@ class ProcedureTask:
     def effective_seed(self) -> int:
         """Per-procedure solver seed — see :func:`derive_seed`."""
         return derive_seed(self.seed, self.method, self.index)
+
+    digests = cached_property(_digests)
 
 
 @dataclass
@@ -102,7 +148,7 @@ class ProcedureResult:
     quarantined: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundTask:
     """One procedure's certified-lower-bound job."""
 
@@ -111,12 +157,14 @@ class BoundTask:
     profile: EdgeProfile
     model: PenaltyModel
     index: int = 0
-    seed: int = 0
-    effort: Effort | None = None
+    #: Cost of a known tour, a warm start for the subgradient schedule.
     upper_bound: float | None = None
     iterations: int | None = None
     budget: Budget | None = None
+    #: The procedure's DTSP instance, when one is already built.
     instance: "AlignmentInstance | None" = None
+
+    digests = cached_property(_digests)
 
 
 @dataclass
@@ -143,9 +191,8 @@ def procedure_tasks(
     budget: Budget | None = None,
 ) -> list[ProcedureTask]:
     """One task per procedure, in program order."""
-    tasks = []
-    for index, proc in enumerate(program):
-        tasks.append(ProcedureTask(
+    return [
+        ProcedureTask(
             name=proc.name,
             cfg=proc.cfg,
             profile=profile.procedures.get(proc.name, EdgeProfile()),
@@ -156,5 +203,37 @@ def procedure_tasks(
             seed=seed,
             predictor=(predictor_for or {}).get(proc.name),
             budget=budget,
-        ))
-    return tasks
+        )
+        for index, proc in enumerate(program)
+    ]
+
+
+def bound_tasks(
+    program: Program,
+    profile: ProgramProfile,
+    *,
+    model: PenaltyModel,
+    iterations: int | None = None,
+    budget: Budget | None = None,
+    upper_bounds: dict[str, float | None] | None = None,
+    instances: dict[str, "AlignmentInstance | None"] | None = None,
+) -> list[BoundTask]:
+    """One bound task per procedure, in program order.  ``upper_bounds``
+    (warm-start tour costs) and ``instances`` (already-built DTSP
+    instances) are keyed by procedure name."""
+    upper_bounds = upper_bounds or {}
+    instances = instances or {}
+    return [
+        BoundTask(
+            name=proc.name,
+            cfg=proc.cfg,
+            profile=profile.procedures.get(proc.name, EdgeProfile()),
+            model=model,
+            index=index,
+            upper_bound=upper_bounds.get(proc.name),
+            iterations=iterations,
+            budget=budget,
+            instance=instances.get(proc.name),
+        )
+        for index, proc in enumerate(program)
+    ]

@@ -128,11 +128,21 @@ def test_cache_is_bypassed_while_faults_are_armed():
 
 
 def test_instance_for_shares_matrices_across_clients():
+    from repro.pipeline.task import ProcedureTask
+    from repro.tsp.solve import get_effort
+
     reset_artifact_cache()
     proc = make_proc()
     profile = make_profile(proc)
-    first = instance_for(proc.cfg, profile, ALPHA_21164)
-    second = instance_for(proc.cfg, profile, ALPHA_21164)
+
+    def task(method):
+        return ProcedureTask(
+            name="p", cfg=proc.cfg, profile=profile, method=method,
+            model=ALPHA_21164, effort=get_effort("default"),
+        )
+
+    first = instance_for(task("greedy"))
+    second = instance_for(task("tsp"))
     assert first is second                  # literally one build
     stats = artifact_cache().stats("instance")
     assert stats.hits >= 1

@@ -9,9 +9,16 @@ from repro.pipeline.executor import (
     JOBS_ENV,
     register_handler,
     resolve_jobs,
-    run_tasks,
+    run_tasks_supervised,
     shutdown_pool,
 )
+
+
+def _results(kind, payloads, **kwargs):
+    """Run a batch that must quarantine nothing; its results in order."""
+    report = run_tasks_supervised(kind, payloads, **kwargs)
+    assert not report.quarantined
+    return [outcome.result for outcome in report.outcomes]
 
 
 def test_resolve_jobs_explicit_wins(monkeypatch):
@@ -34,7 +41,7 @@ def test_resolve_jobs_defaults_and_clamps(monkeypatch):
 def test_serial_path_runs_in_process():
     seen = []
     register_handler("test-serial", lambda x: seen.append(x) or x * 2)
-    assert run_tasks("test-serial", [1, 2, 3], jobs=1) == [2, 4, 6]
+    assert _results("test-serial", [1, 2, 3], jobs=1) == [2, 4, 6]
     assert seen == [1, 2, 3]
 
 
@@ -42,13 +49,13 @@ def test_single_payload_stays_serial_even_with_jobs():
     # A lone task is not worth a round-trip through the pool.
     marker = object()     # unpicklable closure result proves in-process run
     register_handler("test-single", lambda x: (x, marker))
-    [(value, got)] = run_tasks("test-single", [5], jobs=4)
+    [(value, got)] = _results("test-single", [5], jobs=4)
     assert value == 5 and got is marker
 
 
 def test_unknown_kind_raises():
     with pytest.raises(KeyError):
-        run_tasks("test-unregistered-kind", [1], jobs=1)
+        run_tasks_supervised("test-unregistered-kind", [1], jobs=1)
 
 
 def test_parallel_matches_serial_on_real_tasks():
@@ -67,8 +74,8 @@ def test_parallel_matches_serial_on_real_tasks():
         program, profile, method="tsp", model=ALPHA_21164,
         effort=get_effort("quick"),
     )
-    serial = run_tasks("align", tasks, jobs=1)
-    parallel = run_tasks("align", tasks, jobs=2)
+    serial = _results("align", tasks, jobs=1)
+    parallel = _results("align", tasks, jobs=2)
     shutdown_pool()
     assert [r.name for r in serial] == [r.name for r in parallel]
     for a, b in zip(serial, parallel):
@@ -99,9 +106,9 @@ def test_pool_tasks_counter_proves_the_pool_ran():
         return obs.counters().get("executor.pool_tasks", 0)
 
     before = pool_tasks()
-    run_tasks("align", tasks, jobs=1)
+    _results("align", tasks, jobs=1)
     assert pool_tasks() == before
-    run_tasks("align", tasks, jobs=2)
+    _results("align", tasks, jobs=2)
     shutdown_pool()
     expected = len(tasks) if (os.cpu_count() or 1) > 1 else 0
     assert pool_tasks() - before == expected
@@ -123,7 +130,7 @@ def test_fault_plans_ship_to_workers_and_counters_merge():
         effort=get_effort("quick"),
     )
     with faults.inject_faults(solver_timeout=True) as plan:
-        results = run_tasks("align", tasks, jobs=2)
+        results = _results("align", tasks, jobs=2)
     shutdown_pool()
     solvable = [t for t in tasks if t.profile.total() and len(t.cfg) > 2]
     assert plan.trips("solver") >= len(solvable) > 0
@@ -150,7 +157,7 @@ def test_nested_plans_innermost_ships_to_workers():
     )
     with faults.inject_faults(solver_timeout=True) as outer:
         with faults.inject_faults(solver_timeout=True) as inner:
-            run_tasks("align", tasks, jobs=2)
+            _results("align", tasks, jobs=2)
     shutdown_pool()
     assert inner.trips("solver") > 0
     assert outer.trips("solver") == 0
@@ -244,8 +251,8 @@ def test_chunked_pool_matches_serial_on_large_batches():
     )
     tasks = (tasks * 4)[:20]  # force multi-payload chunks
     assert _chunk_size(len(tasks), 2, RetryPolicy()) > 1
-    serial = run_tasks("align", tasks, jobs=1)
-    parallel = run_tasks("align", tasks, jobs=2)
+    serial = _results("align", tasks, jobs=1)
+    parallel = _results("align", tasks, jobs=2)
     shutdown_pool()
     assert [r.name for r in serial] == [r.name for r in parallel]
     for a, b in zip(serial, parallel):

@@ -13,7 +13,6 @@ from repro.core.aligners.exttsp_merge import merge_phase
 from repro.experiments.runner import case_lower_bound, profiled_run, run_case
 from repro.pipeline import stages
 from repro.pipeline.artifacts import (
-    ArtifactCache,
     ArtifactStore,
     artifact_cache,
     reset_artifact_cache,
@@ -54,6 +53,23 @@ def _profiled_procedures() -> list:
         if proc.name in profile.procedures
         and profile.procedures[proc.name].total()
     ]
+
+
+def _merge_task():
+    """An ``exttsp`` task for the first profiled procedure."""
+    from repro.machine.models import ALPHA_21164
+    from repro.pipeline.task import procedure_tasks
+    from repro.tsp.solve import get_effort
+
+    program, profile = _program_and_profile()
+    return next(
+        task
+        for task in procedure_tasks(
+            program, profile, method="exttsp", model=ALPHA_21164,
+            effort=get_effort("default"),
+        )
+        if task.profile.total()
+    )
 
 
 def _orders(layouts) -> dict:
@@ -111,26 +127,24 @@ def test_merge_artifact_is_served_from_the_store(tmp_path):
 
 
 def test_damaged_merge_entry_is_evicted_and_recomputed(tmp_path):
-    cfg, profile = _profiled_procedures()[0]
-    expected = merge_phase(cfg, profile)
-    store = ArtifactStore(tmp_path / "store")
+    task = _merge_task()
+    expected = merge_phase(task.cfg, task.profile)
+    store = set_default_store(tmp_path / "store")
     with faults.inject_faults(store_corrupt=True) as plan:
-        stages.merge_order_for(cfg, profile, cache=ArtifactCache(store=store))
+        stages.merge_order_for(task)
         assert plan.trips("store_corrupt") == 1
-    fresh = ArtifactCache(store=store)
-    assert stages.merge_order_for(cfg, profile, cache=fresh) == expected
+    reset_artifact_cache()
+    assert stages.merge_order_for(task) == expected
     assert store.stats.evictions == 1
-    assert fresh.stats("merge").misses == 1
+    assert artifact_cache().stats("merge").misses == 1
     # The recomputed entry was written back whole.
-    assert ArtifactStore(store.root).get(stages.merge_key(cfg, profile)) == (
-        expected
-    )
+    assert ArtifactStore(store.root).get(stages.merge_key(task)) == expected
 
 
 def test_merge_artifact_is_bypassed_while_pipeline_faults_are_armed(
     monkeypatch,
 ):
-    cfg, profile = _profiled_procedures()[0]
+    task = _merge_task()
     runs = []
 
     def counted(*args):
@@ -138,12 +152,11 @@ def test_merge_artifact_is_bypassed_while_pipeline_faults_are_armed(
         return merge_phase(*args)
 
     monkeypatch.setattr(stages, "merge_phase", counted)
-    cache = ArtifactCache()
-    first = stages.merge_order_for(cfg, profile, cache=cache)
-    assert stages.merge_order_for(cfg, profile, cache=cache) is first
+    first = stages.merge_order_for(task)
+    assert stages.merge_order_for(task) is first
     assert len(runs) == 1
     with faults.inject_faults(solver_timeout=True):
-        stages.merge_order_for(cfg, profile, cache=cache)
-        stages.merge_order_for(cfg, profile, cache=cache)
+        stages.merge_order_for(task)
+        stages.merge_order_for(task)
     assert len(runs) == 3
-    assert stages.merge_order_for(cfg, profile, cache=cache) is first
+    assert stages.merge_order_for(task) is first

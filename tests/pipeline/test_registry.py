@@ -59,7 +59,6 @@ def test_unknown_method_raises_value_error_with_choices():
 def test_get_aligner_returns_spec_with_metadata():
     spec = get_aligner("dtsp")
     assert spec.name == "tsp"
-    assert spec.uses_instance
     assert callable(spec.fn)
 
 

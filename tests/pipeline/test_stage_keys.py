@@ -1,0 +1,143 @@
+"""Stage keys: pinned to the recorded values, and built from one set of
+input fingerprints per task.
+
+A moved key leaves every existing store cold, so the ``instance``,
+``merge``, ``align`` and ``bound`` keys of every profiled procedure of two
+suite cases, and one ``case`` key, are compared with values recorded
+before the keys were rebuilt from the task's digest memo.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.budget import Budget
+from repro.core.align import ALIGN_METHODS, align_program, lower_bound_program
+from repro.experiments.runner import case_key, profiled_run
+from repro.machine.models import ALPHA_21064, ALPHA_21164
+from repro.pipeline import stages
+from repro.pipeline.artifacts import reset_artifact_cache
+from repro.pipeline.task import bound_tasks, procedure_tasks
+from repro.tsp.solve import get_effort
+from repro.workloads.suite import compile_benchmark
+
+#: ``case_key`` plus ``variant -> case -> proc -> {instance, merge, bound,
+#: align: {method -> key}}``, recorded with the per-function key builders
+#: that took a CFG and a profile.
+GOLDEN = pathlib.Path(__file__).with_name("stage_keys_golden.json")
+
+CASES = (("com", "in"), ("xli", "q7"))
+
+#: The defaults, and a variant that moves every other key component.
+VARIANTS = {
+    "default": dict(
+        model=ALPHA_21164, effort="default", seed=0, budget=None,
+        iterations=None,
+    ),
+    "tuned": dict(
+        model=ALPHA_21064, effort="quick", seed=7,
+        budget=Budget(wall_ms=250.0), iterations=40,
+    ),
+}
+
+
+def _keys(variant: dict, benchmark: str, dataset: str) -> dict:
+    program = compile_benchmark(benchmark).program
+    profile = profiled_run(benchmark, dataset).profile
+    procs = {}
+    for task in bound_tasks(
+        program, profile, model=variant["model"],
+        iterations=variant["iterations"], budget=variant["budget"],
+    ):
+        if task.profile.total():
+            procs[task.name] = {
+                "instance": stages.instance_key(task),
+                "bound": stages.bound_key(task),
+                "align": {},
+            }
+    for method in ALIGN_METHODS:
+        if method == "original":
+            continue
+        for task in procedure_tasks(
+            program, profile, method=method, model=variant["model"],
+            effort=get_effort(variant["effort"]), seed=variant["seed"],
+            budget=variant["budget"],
+        ):
+            if task.name not in procs:
+                continue
+            keys = procs[task.name]
+            keys["align"][method] = stages.align_key(task)
+            keys["merge"] = stages.merge_key(task)
+            # One cost matrix per procedure, whichever task asks for it.
+            assert stages.instance_key(task) == keys["instance"]
+    return procs
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: ".".join(c))
+def test_stage_keys_match_recorded(variant, case):
+    recorded = json.loads(GOLDEN.read_text())["variants"][variant]
+    label = ".".join(case)
+    assert _keys(VARIANTS[variant], *case) == recorded[label]
+
+
+def test_case_key_matches_recorded():
+    recorded = json.loads(GOLDEN.read_text())["case_key"]
+    assert case_key("com", "in") == recorded["com.in"]
+
+
+# -- work: one fingerprint of each input per task ------------------------------
+
+
+def test_each_task_fingerprints_its_cfg_and_profile_once(monkeypatch):
+    """Every stage key of a task comes from one memo, so an align pass or
+    a bound pass fingerprints each profiled procedure's CFG and profile at
+    most once, however many keys it builds."""
+    benchmark, dataset = "esp", "ti"
+    program = compile_benchmark(benchmark).program
+    profile = profiled_run(benchmark, dataset).profile
+    profiled = sum(
+        1 for proc in program
+        if proc.name in profile.procedures
+        and profile.procedures[proc.name].total()
+    )
+    assert 0 < profiled < len(program.procedures)
+
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Wherever the pipeline looks the fingerprints up.
+    for module_name, module in list(sys.modules.items()):
+        if not module_name.startswith("repro.pipeline"):
+            continue
+        for name in ("fingerprint_cfg", "fingerprint_profile"):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, counting(name, getattr(module, name))
+                )
+
+    reset_artifact_cache()
+    passes = [
+        lambda method=method: align_program(
+            program, profile, method=method, jobs=1
+        )
+        for method in ALIGN_METHODS
+    ]
+    passes.append(lambda: lower_bound_program(program, profile, jobs=1))
+    for run in passes:
+        before = Counter(calls)
+        run()
+        for name in ("fingerprint_cfg", "fingerprint_profile"):
+            assert calls[name] - before[name] <= profiled, name
+    assert calls["fingerprint_cfg"] > 0
+    reset_artifact_cache()

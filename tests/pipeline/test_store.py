@@ -290,17 +290,18 @@ class TestSerialParallelEquivalence:
 
     @pytest.mark.usefixtures("no_ambient_chaos")
     def test_cold_serial_then_warm_parallel_share_one_store(self, store):
+        from repro.pipeline.artifacts import reset_artifact_cache
         from repro.pipeline.executor import shutdown_pool
         from repro.pipeline.stages import run_align_tasks
 
-        cold = run_align_tasks(
-            self._tasks(), jobs=1, cache=ArtifactCache(store=store)
-        )
+        set_default_store(store)
+        reset_artifact_cache()
+        cold = run_align_tasks(self._tasks(), jobs=1)
         # A fresh in-memory cache simulates a new process; every non-trivial
         # result must come from the verified store, byte-identical.
-        warm = run_align_tasks(
-            self._tasks(), jobs=4, cache=ArtifactCache(store=store)
-        )
+        reset_artifact_cache()
+        warm = run_align_tasks(self._tasks(), jobs=4)
+        reset_artifact_cache()
         shutdown_pool()
         for a, b in zip(cold, warm):
             assert a.name == b.name

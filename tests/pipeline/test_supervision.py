@@ -6,13 +6,11 @@ import pytest
 
 from repro import faults
 from repro.budget import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.errors import PoisonTaskError
 from repro.pipeline.executor import (
     RETRIES_ENV,
     TASK_TIMEOUT_ENV,
     register_handler,
     resolve_policy,
-    run_tasks,
     run_tasks_supervised,
     shutdown_pool,
 )
@@ -23,6 +21,13 @@ NO_SLEEP = lambda seconds: None  # noqa: E731 — tests never really back off
 #: environment chaos plan would add faults of its own to those counts.
 #: The other tests here run under it.
 only_own_faults = pytest.mark.usefixtures("no_ambient_chaos")
+
+
+def _clean(tasks):
+    """A serial batch that must quarantine nothing; its results in order."""
+    report = run_tasks_supervised("align", tasks, jobs=1, sleep=NO_SLEEP)
+    assert not report.quarantined
+    return [outcome.result for outcome in report.outcomes]
 
 
 def _com_tasks(method="tsp"):
@@ -144,13 +149,18 @@ class TestSerialSupervision:
         assert report.outcomes[0].attempts == 1
         assert report.outcomes[0].quarantined
 
-    def test_strict_facade_raises_poison_task_error(self):
+    def test_exhausted_task_is_quarantined_with_its_last_error(self):
         register_handler(
             "t-strict", lambda n: (_ for _ in ()).throw(RuntimeError("bad")),
         )
-        with pytest.raises(PoisonTaskError) as info:
-            run_tasks("t-strict", [0], jobs=1, policy=RetryPolicy(retries=1))
-        assert info.value.attempts == 2
+        report = run_tasks_supervised(
+            "t-strict", [0], jobs=1, policy=RetryPolicy(retries=1),
+            sleep=NO_SLEEP,
+        )
+        [outcome] = report.outcomes
+        assert outcome.quarantined
+        assert outcome.attempts == 2
+        assert "bad" in outcome.error
 
     @only_own_faults
     def test_quarantine_report_is_structured(self):
@@ -220,7 +230,7 @@ class TestParallelSupervision:
         """With no fault plan armed, jobs=2 fans out over real workers
         (even on one core) and returns the serial run's results."""
         tasks = _com_tasks()
-        clean = run_tasks("align", tasks, jobs=1)
+        clean = _clean(tasks)
         before = force_pool()
         report = run_tasks_supervised("align", tasks, jobs=2, sleep=NO_SLEEP)
         assert force_pool() > before
@@ -237,7 +247,7 @@ class TestParallelSupervision:
         worker — the pool breaks, is rebuilt, and the batch completes with
         the same results as a clean serial run."""
         tasks = _com_tasks()
-        clean = run_tasks("align", tasks, jobs=1)
+        clean = _clean(tasks)
         before = force_pool()
         with faults.inject_faults(worker_crash=1) as plan:
             report = run_tasks_supervised(
@@ -270,7 +280,7 @@ class TestParallelSupervision:
 class TestChaosMode:
     def test_chaos_crashes_are_invisible_in_results(self, monkeypatch):
         tasks = _com_tasks()
-        clean = run_tasks("align", tasks, jobs=1)
+        clean = _clean(tasks)
         monkeypatch.setenv(faults.CHAOS_ENV, "worker_crash=%3")
         report = run_tasks_supervised("align", tasks, jobs=1, sleep=NO_SLEEP)
         monkeypatch.setenv(faults.CHAOS_ENV, "")
@@ -288,24 +298,34 @@ class TestChaosMode:
         fresh caches at jobs=1 and jobs=2, all return the clean results —
         torn entries are evicted and re-solved, the rest served from
         checksum-verified hits, and the second warm pass is all hits."""
-        from repro.pipeline.artifacts import ArtifactCache, ArtifactStore
+        from repro.pipeline.artifacts import (
+            reset_artifact_cache,
+            reset_default_store,
+            set_default_store,
+        )
         from repro.pipeline.stages import run_align_tasks
 
+        def fresh_run(jobs):
+            reset_artifact_cache()
+            return run_align_tasks(tasks, jobs=jobs)
+
         tasks = _com_tasks()
-        clean = run_tasks("align", tasks, jobs=1)
-        store = ArtifactStore(tmp_path / "store")
-        monkeypatch.setenv(
-            faults.CHAOS_ENV, "worker_crash=%5,store_corrupt=%3"
-        )
-        cold = run_align_tasks(tasks, jobs=2, cache=ArtifactCache(store=store))
-        monkeypatch.setenv(faults.CHAOS_ENV, "")
-        assert store.stats.writes >= 3  # so %3 tore at least one
-        warm = run_align_tasks(tasks, jobs=1, cache=ArtifactCache(store=store))
-        assert store.stats.evictions >= 1
-        assert store.stats.hits >= 1
-        rewarm = run_align_tasks(
-            tasks, jobs=2, cache=ArtifactCache(store=store)
-        )
+        clean = _clean(tasks)
+        store = set_default_store(tmp_path / "store")
+        try:
+            monkeypatch.setenv(
+                faults.CHAOS_ENV, "worker_crash=%5,store_corrupt=%3"
+            )
+            cold = fresh_run(2)
+            monkeypatch.setenv(faults.CHAOS_ENV, "")
+            assert store.stats.writes >= 3  # so %3 tore at least one
+            warm = fresh_run(1)
+            assert store.stats.evictions >= 1
+            assert store.stats.hits >= 1
+            rewarm = fresh_run(2)
+        finally:
+            reset_default_store()
+            reset_artifact_cache()
         shutdown_pool()
         solved = [
             r for r, task in zip(rewarm, tasks) if task.profile.total() > 0
