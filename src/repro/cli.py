@@ -220,8 +220,9 @@ def cmd_align(args) -> int:
     baseline = None
     score_baseline = None
     # The tsp method's tour costs are the bound's upper bounds: branch and
-    # bound then starts from them instead of re-solving each procedure.
-    tour_costs = None
+    # bound then starts from them instead of re-solving each procedure,
+    # and the optima the tsp solves proved are the bounds outright.
+    tour_costs = optima = None
     for method in methods:
         report = AlignmentReport()
         layouts = align_program(
@@ -230,6 +231,7 @@ def cmd_align(args) -> int:
         )
         if normalize_method(method) == "tsp":
             tour_costs = dict(report.costs)
+            optima = dict(report.optima)
         penalty = evaluate_program(
             program, layouts, testing, model, predictors=predictors
         )
@@ -246,7 +248,7 @@ def cmd_align(args) -> int:
     if args.bound:
         bound = lower_bound_program(
             program, training, model=model, upper_bounds=tour_costs,
-            jobs=args.jobs, policy=policy,
+            optima=optima, jobs=args.jobs, policy=policy,
         )
         rows.append(["(lower bound)", bound.total, bound.total / baseline,
                      "", "", "", "", ""])

@@ -151,6 +151,7 @@ def _align_tsp(task: ProcedureTask) -> ProcedureResult:
         degraded=alignment.degraded,
         warning=alignment.warning,
         instance=alignment.instance,
+        optimum=alignment.optimum,
     )
 
 
@@ -222,6 +223,10 @@ class AlignmentReport:
 
     cities: dict[str, int] = field(default_factory=dict)
     costs: dict[str, float] = field(default_factory=dict)
+    #: Tour costs the solver proved optimal, for the procedures where it
+    #: did (see :attr:`~repro.pipeline.task.ProcedureResult.optimum`):
+    #: :func:`lower_bound_program` returns them as the bound.
+    optima: dict[str, float] = field(default_factory=dict)
     #: Per-procedure Ext-TSP scores of the emitted layouts (dual pricing;
     #: every aligner fills this, including ``original``).
     exttsp_scores: dict[str, float] = field(default_factory=dict)
@@ -306,11 +311,15 @@ def lower_bound_program(
     budget: Budget | None = None,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
+    optima: dict[str, float] | None = None,
 ) -> LowerBoundReport:
     """Held–Karp lower bound on the total control penalty of any layout.
 
     ``upper_bounds`` optionally supplies known per-procedure tour costs
     (e.g. from a TSP alignment) to tighten the subgradient schedule.
+    ``optima`` supplies the optima a TSP alignment already proved
+    (:attr:`AlignmentReport.optima`); those procedures' bounds are the
+    proofs, not proved again.
     """
     report = LowerBoundReport()
     report.per_procedure.update(lower_bound_procedures(
@@ -322,5 +331,6 @@ def lower_bound_program(
         budget=budget,
         jobs=jobs,
         policy=policy,
+        optima=optima,
     ))
     return report

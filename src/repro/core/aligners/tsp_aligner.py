@@ -70,6 +70,12 @@ class TspAlignment:
     degraded: str = "none"
     #: Human-readable reason when ``degraded != "none"``.
     warning: str | None = None
+    #: The proven optimum of ``instance`` when the solve ended at a proof
+    #: (exact DP, or a cost that met the AP target or the target a
+    #: branch-and-bound certificate proved), and ``instance`` is the one
+    #: the bound stage builds (no predictor).  The bound stage returns it
+    #: instead of proving it again.  ``None`` on every degraded rung.
+    optimum: float | None = None
 
 
 def _best_construction_layout(
@@ -102,33 +108,57 @@ def _best_construction_layout(
     return layout, instance.layout_cost(layout)
 
 
+class _Certificate:
+    """Branch and bound on the first run's tour, capped at
+    :data:`CERTIFY_NODES_PER_CITY` nodes per city and polling the budget:
+    the ``certify`` callable of :func:`~repro.tsp.solve.solve_dtsp`.  It
+    returns the proven optimum, or None, and keeps it as ``proven``."""
+
+    def __init__(self, matrix, timer: BudgetTimer | None) -> None:
+        self.matrix = matrix
+        self.timer = timer
+        self.proven: float | None = None
+
+    def __call__(self, tour: list[int], cost: float) -> float | None:
+        proof = branch_and_bound(
+            self.matrix,
+            upper_bound=cost,
+            initial_tour=tour,
+            max_nodes=CERTIFY_NODES_PER_CITY * self.matrix.shape[0],
+            budget=self.timer,
+            caller="certificate",
+        )
+        obs.count("tsp.certified_bnb", int(proof.optimal))
+        if not proof.optimal:
+            return None
+        self.proven = proof.cost
+        return self.proven
+
+
 def _stop_rule(matrix, effort: Effort, timer: BudgetTimer | None):
     """The certify-and-stop rule for one solve: ``(target, certify)``.
 
     The target is the assignment (AP) bound, which no tour beats, so a tour
-    that meets it is optimal.  ``certify`` runs branch and bound on the
-    first run's tour, capped at :data:`CERTIFY_NODES_PER_CITY` nodes per
-    city and polling the budget; it returns the proven optimum, or None.
+    that meets it is optimal.  ``certify`` is a :class:`_Certificate`.
     Only the proof is used — BnB's own tour never becomes a layout, so
     layouts stay the kernel's whichever assignment backend broke ties.
     The exact-DP path needs neither: ``(None, None)``.
     """
-    n = matrix.shape[0]
-    if solves_exactly(n, effort):
+    if solves_exactly(matrix.shape[0], effort):
         return None, None
+    return assignment_cycle_cover(matrix).cost, _Certificate(matrix, timer)
 
-    def certify(tour: list[int], cost: float) -> float | None:
-        proof = branch_and_bound(
-            matrix,
-            upper_bound=cost,
-            initial_tour=tour,
-            max_nodes=CERTIFY_NODES_PER_CITY * n,
-            budget=timer,
-        )
-        obs.count("tsp.certified_bnb", int(proof.optimal))
-        return proof.cost if proof.optimal else None
 
-    return assignment_cycle_cover(matrix).cost, certify
+def _proven_optimum(result, n: int, effort: Effort, target, certify):
+    """The optimum a finished solve proved, or None: its cost when exact
+    DP found it, or when it met the AP target or the optimum the
+    certificate proved (then the lower of the two, the certified floor)."""
+    if solves_exactly(n, effort):
+        return result.cost
+    for floor in (target, None if certify is None else certify.proven):
+        if floor is not None and result.cost <= floor + 1e-9:
+            return min(result.cost, floor)
+    return None
 
 
 def tsp_align(
@@ -183,6 +213,12 @@ def tsp_align(
                 instance=instance,
                 runs_finding_best=result.runs_finding_best,
                 runs_total=len(result.runs),
+                optimum=(
+                    None if predictor is not None
+                    else _proven_optimum(
+                        result, instance.n, effort, target, certify
+                    )
+                ),
             )
         # The solver failed to avoid a forbidden edge (cannot happen with an
         # identity start in the mix, but fail safe rather than corrupt).
@@ -251,6 +287,7 @@ def alignment_lower_bound(
     iterations: int | None = None,
     exact_nodes: int = 20_000,
     budget: Budget | BudgetTimer | None = None,
+    optimum: float | None = None,
 ) -> float:
     """Certified lower bound on the procedure's achievable control penalty.
 
@@ -258,14 +295,19 @@ def alignment_lower_bound(
     profile and machine model.  The bound is the optimum when it can be
     proved: directly, when the assignment (AP) relaxation's cycle cover is
     a single tour, or by branch and bound within ``exact_nodes``
-    subproblems (alignment instances usually certify in well under a
-    hundred nodes).  Otherwise it is the Held–Karp subgradient bound — the
-    paper's appendix bound.  Pass ``exact_nodes=0`` to force pure
-    Held–Karp.
+    subproblems (most suite procedures certify in a few dozen nodes; the
+    eqntott ``eval_expr`` bound takes 1 146).  Otherwise it is the
+    Held–Karp subgradient bound — the paper's appendix bound.  Pass
+    ``exact_nodes=0`` to force pure Held–Karp.
 
     ``upper_bound`` should be the cost of a known tour (the tsp aligner's);
     without one, a quick solve supplies it.  Either way branch and bound
     starts from that incumbent and runs no heuristic of its own.
+
+    ``optimum`` is an optimum the tsp aligner already proved on this
+    instance (:attr:`TspAlignment.optimum`): it is returned, capped at
+    ``upper_bound``, with no relaxation or search, and counted in
+    ``bound.proofs_reused``.
 
     Degrades, never raises: on an exhausted budget (or injected fault) the
     loosest certified bound — 0.0, since penalties are non-negative — is
@@ -276,6 +318,9 @@ def alignment_lower_bound(
     timer = ensure_timer(budget)
     try:
         faults.check_bound_timeout()
+        if optimum is not None:
+            obs.count("bound.proofs_reused")
+            return optimum if upper_bound is None else min(optimum, upper_bound)
         if instance is None:
             instance = build_alignment_instance(cfg, profile, model)
         if exact_nodes > 0 and (timer is None or not timer.expired):

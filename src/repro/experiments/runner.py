@@ -312,9 +312,10 @@ def _case_lower_bound(
 ) -> float:
     module = compile_benchmark(benchmark)
     run = profiled_run(benchmark, dataset)
-    # The TSP tours serve as the subgradient targets.  Going through the
-    # align stage means these solves are shared, via the artifact cache,
-    # with the case's own ``tsp`` method — one solve feeds both.
+    # The TSP tours serve as the subgradient targets, and the optima they
+    # proved are the bounds.  Going through the align stage means these
+    # solves are shared, via the artifact cache, with the case's own
+    # ``tsp`` method — one solve feeds both.
     tasks = procedure_tasks(
         module.program,
         run.profile,
@@ -333,6 +334,7 @@ def _case_lower_bound(
             budget=budget,
             upper_bounds={r.name: r.cost for r in aligned},
             instances={r.name: r.instance for r in aligned},
+            optima={r.name: r.optimum for r in aligned},
         ),
         jobs=jobs,
         policy=policy,

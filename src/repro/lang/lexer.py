@@ -9,6 +9,7 @@ imperative language: functions, integers/floats, global scalars and arrays,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -46,55 +47,84 @@ class Token:
         return f"Token({self.kind}, {self.text!r}@{self.line}:{self.column})"
 
 
+#: One alternation for every token that starts with an ASCII character
+#: (operators longest first, so maximal munch works).  A number or name
+#: that runs on into non-ASCII digits or letters, and a token that starts
+#: with one, is finished by the ``str`` predicates the language is defined
+#: by (:func:`_finish_number`, :data:`_NAME_TAIL`): ``\\w`` is exactly
+#: ``isalnum() or "_"``, but no regex class is ``isdigit``/``isalpha``.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<number>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+    r"|(?P<name>[A-Za-z_]\w*)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + ")"
+)
+_NAME_TAIL = re.compile(r"\w*")
+
+
+def _finish_number(source: str, i: int, seen_dot: bool) -> int:
+    """The end of a number whose text so far ends before ``i``."""
+    n = len(source)
+    while i < n and (source[i].isdigit() or (source[i] == "." and not seen_dot)):
+        seen_dot = seen_dot or source[i] == "."
+        i += 1
+    return i
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``, raising :class:`LangError` on bad input."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     line = 1
     column = 1
     i = 0
     n = len(source)
     while i < n:
-        ch = source[i]
-        if ch == "\n":
+        m = match(source, i)
+        kind = m.lastgroup if m is not None else None
+        if kind == "newline":
             line += 1
             column = 1
             i += 1
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
+        if kind == "space":
+            column += m.end() - i
+            i = m.end()
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
+        if kind == "comment":
+            i = m.end()
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < n and (source[i].isdigit() or (source[i] == "." and not seen_dot)):
-                seen_dot = seen_dot or source[i] == "."
-                i += 1
-            text = source[start:i]
-            kind = "float" if "." in text else "int"
-            tokens.append(Token(kind, text, line, column))
-            column += i - start
+        if kind == "op":
+            text = m.group()
+            append(Token("op", text, line, column))
+            i = m.end()
+            column += len(text)
             continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, column))
-            column += i - start
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, column))
-                i += len(op)
-                column += len(op)
-                break
+        ch = source[i]
+        if kind == "number":
+            end = m.end()
+            if end < n and not source[end].isascii():
+                end = _finish_number(source, end, "." in m.group())
+        elif kind == "name":
+            end = m.end()
+        elif ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+            kind = "number"
+            end = _finish_number(source, i, False)
+        elif ch.isalpha():
+            kind = "name"
+            end = _NAME_TAIL.match(source, i + 1).end()
         else:
             raise LangError(f"unexpected character {ch!r}", line, column)
+        text = source[i:end]
+        if kind == "number":
+            kind = "float" if "." in text else "int"
+        else:
+            kind = "keyword" if text in KEYWORDS else "ident"
+        append(Token(kind, text, line, column))
+        column += end - i
+        i = end
     tokens.append(Token("eof", "", line, column))
     return tokens

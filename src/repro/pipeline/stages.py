@@ -366,6 +366,8 @@ def align_procedures(
                 result.runs_finding_best,
                 result.runs_total,
             )
+            if result.optimum is not None:
+                report.optima[result.name] = result.optimum
             if result.degraded != "none":
                 report.degraded[result.name] = result.degraded
                 if result.warning:
@@ -430,12 +432,13 @@ def evaluate_procedures(
 
 def bound_one(task: BoundTask) -> BoundResult:
     """Certified lower bound for one procedure (worker-executable).  A task
+    carrying the tsp aligner's proven optimum returns it; otherwise a task
     without an instance uses the cached one, if the cost-matrix stage has
     built it."""
     if task.profile.total() == 0:
         return BoundResult(task.name, 0.0)
     instance = task.instance
-    if instance is None:
+    if instance is None and task.optimum is None:
         instance = artifact_cache().get(instance_key(task))
     return BoundResult(
         task.name,
@@ -447,6 +450,7 @@ def bound_one(task: BoundTask) -> BoundResult:
             upper_bound=task.upper_bound,
             iterations=task.iterations,
             budget=task.budget,
+            optimum=task.optimum,
         ),
     )
 
@@ -489,8 +493,11 @@ def lower_bound_procedures(
     budget: Budget | None = None,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
+    optima: dict[str, float] | None = None,
 ) -> dict[str, float]:
-    """Per-procedure certified lower bounds, in program order."""
+    """Per-procedure certified lower bounds, in program order.  A
+    procedure in ``optima`` (the tsp aligner's proven optima) is bounded
+    by its proof."""
     tasks = bound_tasks(
         program,
         profile,
@@ -498,6 +505,7 @@ def lower_bound_procedures(
         iterations=iterations,
         budget=budget,
         upper_bounds=upper_bounds,
+        optima=optima,
     )
     results = run_bound_tasks(tasks, jobs=jobs, policy=policy)
     return {result.name: result.bound for result in results}

@@ -146,6 +146,10 @@ class ProcedureResult:
     #: Whether the task was poisoned (failed its whole retry budget) and
     #: this result is the identity-layout stand-in.
     quarantined: bool = False
+    #: The proven optimum, when the solve ended at a proof on the instance
+    #: the bound stage builds (TSP aligner only; see
+    #: :attr:`~repro.core.aligners.tsp_aligner.TspAlignment.optimum`).
+    optimum: float | None = None
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,10 @@ class BoundTask:
     budget: Budget | None = None
     #: The procedure's DTSP instance, when one is already built.
     instance: "AlignmentInstance | None" = None
+    #: An optimum the tsp aligner proved on that instance: the bound is
+    #: this proof, capped at ``upper_bound``.  Like the hint, not a key
+    #: component — it is the value a search would certify.
+    optimum: float | None = None
 
     digests = cached_property(_digests)
 
@@ -217,12 +225,15 @@ def bound_tasks(
     budget: Budget | None = None,
     upper_bounds: dict[str, float | None] | None = None,
     instances: dict[str, "AlignmentInstance | None"] | None = None,
+    optima: dict[str, float | None] | None = None,
 ) -> list[BoundTask]:
     """One bound task per procedure, in program order.  ``upper_bounds``
-    (warm-start tour costs) and ``instances`` (already-built DTSP
-    instances) are keyed by procedure name."""
+    (warm-start tour costs), ``instances`` (already-built DTSP instances)
+    and ``optima`` (optima the tsp aligner proved) are keyed by procedure
+    name."""
     upper_bounds = upper_bounds or {}
     instances = instances or {}
+    optima = optima or {}
     return [
         BoundTask(
             name=proc.name,
@@ -234,6 +245,7 @@ def bound_tasks(
             iterations=iterations,
             budget=budget,
             instance=instances.get(proc.name),
+            optimum=optima.get(proc.name),
         )
         for index, proc in enumerate(program)
     ]

@@ -895,6 +895,7 @@ class AlignmentService:
                         profile,
                         model=model,
                         upper_bounds=dict(report.costs),
+                        optima=dict(report.optima),
                         budget=plan.budget,
                         jobs=self.config.jobs,
                         policy=plan.policy,

@@ -71,13 +71,34 @@ def solve_assignment(
     itself is only guaranteed identical across environments with
     ``backend="pure"``.
     """
-    cost = check_matrix(cost)
+    match, total, _ = assignment_solver(backend)(check_matrix(cost), None)
+    return match, total
+
+
+def assignment_solver(backend: str | None = None):
+    """The resolved backend's solver, ``solve(cost, parent) -> (match,
+    total, state)``, for callers that validate one matrix and then solve
+    many derived from it (branch and bound): it checks nothing.
+
+    The pure backend returns its :class:`PureAssignment` as ``state`` and,
+    given a ``parent`` state whose costs ``cost`` only raises, re-optimizes
+    from it (:meth:`PureAssignment.resolve`).  SciPy solves from scratch,
+    which in C is cheaper than any warm start here, and returns no state.
+    """
     if resolve_assignment_backend(backend) == "scipy":
-        rows, cols = _scipy_assignment(cost)
-        match = np.asarray(cols, dtype=np.int64)
-        return match, float(cost[rows, cols].sum())
-    solution = PureAssignment(cost)
-    return solution.match, solution.total
+        return _scipy_solve
+    return _pure_solve
+
+
+def _scipy_solve(cost: np.ndarray, parent: None = None):
+    rows, cols = _scipy_assignment(cost)
+    match = np.asarray(cols, dtype=np.int64)
+    return match, float(cost[rows, cols].sum()), None
+
+
+def _pure_solve(cost: np.ndarray, parent: "PureAssignment | None" = None):
+    solution = PureAssignment(cost) if parent is None else parent.resolve(cost)
+    return solution.match, solution.total, solution
 
 
 class PureAssignment:

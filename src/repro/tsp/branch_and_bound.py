@@ -9,6 +9,12 @@ optimality on the mid-sized alignment instances the bitmask DP (n ≤ 16)
 cannot reach: the tsp aligner uses it to stop searching at a proven
 optimum, the bound stage to certify its floor, and the appendix bench to
 measure true AP/HK gaps.  It never runs a heuristic of its own.
+
+The node loop is lean on purpose — a search can take thousands of nodes
+(the serve-cold benchmark's ``xli`` bounds take 8 399): the root matrix is
+validated once and each node calls the resolved assignment backend
+directly, reads its cycles from one ``tolist()``, and builds an
+expansion's children from one running matrix that gains a commit per arc.
 """
 
 from __future__ import annotations
@@ -19,13 +25,8 @@ import numpy as np
 
 from repro import obs
 from repro.budget import Budget, BudgetTimer, ensure_timer
-from repro.tsp.assignment import (
-    CycleCover,
-    PureAssignment,
-    resolve_assignment_backend,
-    solve_assignment,
-)
-from repro.tsp.instance import check_matrix, tour_cost, tour_from_successors
+from repro.tsp.assignment import assignment_solver
+from repro.tsp.instance import check_matrix, tour_cost
 
 
 @dataclass
@@ -38,17 +39,22 @@ class BnBResult:
     nodes: int
 
 
-def _cycle_cover(
-    work: np.ndarray, parent: PureAssignment | None, pure: bool
-) -> tuple[CycleCover, PureAssignment | None]:
-    """Solve one subproblem's assignment relaxation.  The pure backend
-    re-optimizes its parent's solution (a child only forbids arcs); SciPy
-    solves from scratch, which in C is cheaper than any warm start here."""
-    if not pure:
-        match, total = solve_assignment(work)
-        return CycleCover(successor=match, cost=total), None
-    solution = PureAssignment(work) if parent is None else parent.resolve(work)
-    return CycleCover(successor=solution.match, cost=solution.total), solution
+def _cycles(successor: list[int]) -> list[list[int]]:
+    """The cycles of a cycle cover, each from its lowest city, in order of
+    that city (so the first one is the tour from city 0)."""
+    seen = [False] * len(successor)
+    cycles = []
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        cycle = []
+        city = start
+        while not seen[city]:
+            seen[city] = True
+            cycle.append(city)
+            city = successor[city]
+        cycles.append(cycle)
+    return cycles
 
 
 def branch_and_bound(
@@ -59,6 +65,7 @@ def branch_and_bound(
     max_nodes: int = 50_000,
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
+    caller: str = "bound",
 ) -> BnBResult:
     """Solve the DTSP exactly (within ``max_nodes`` subproblems).
 
@@ -69,9 +76,10 @@ def branch_and_bound(
     rather than ``tour``'s cost.  An expired ``budget`` stops the node loop
     gracefully: the incumbent is returned with ``optimal=False`` (same
     contract as a node-limit hit).  Adds the subproblems solved to the
-    ``bnb.nodes`` counter.  The search is deterministic; ``seed`` is
-    accepted for callers of the signature that seeded a heuristic
-    incumbent, and ignored.
+    ``bnb.nodes`` counter, inside a ``bnb`` span that records them, the
+    outcome and ``caller`` (``"certificate"`` or ``"bound"``).  The search
+    is deterministic; ``seed`` is accepted for callers of the signature
+    that seeded a heuristic incumbent, and ignored.
     """
     matrix = check_matrix(matrix)
     timer = ensure_timer(budget)
@@ -85,53 +93,56 @@ def branch_and_bound(
 
     nodes = 0
     optimal = True
-    pure = resolve_assignment_backend() == "pure"
+    solve = assignment_solver()
     # Each stack entry is the modified matrix of the subproblem (self-loops
     # forbidden) with its parent's pure-backend solution to warm-start
     # from.  Matrices are small (alignment instances are a few hundred
     # cities at most), so copying beats bookkeeping.
     root = matrix.copy()
     np.fill_diagonal(root, forbid)
-    stack: list[tuple[np.ndarray, PureAssignment | None]] = [(root, None)]
+    stack: list[tuple[np.ndarray, object]] = [(root, None)]
     eps = 1e-9
 
-    while stack:
-        if nodes >= max_nodes or (timer is not None and timer.expired):
-            optimal = False
-            break
-        work, parent = stack.pop()
-        nodes += 1
-        cover, solution = _cycle_cover(work, parent, pure)
-        if cover.cost >= best_cost - eps or cover.cost >= forbid:
-            continue
-        cycles = cover.cycles()
-        if len(cycles) == 1:
-            tour = tour_from_successors(cover.successor, start=0)
-            true_cost = tour_cost(matrix, tour)
-            if true_cost < best_cost - eps:
-                best_cost = true_cost
-                best_tour = tour
-            continue
-        shortest = min(cycles, key=len)
-        arcs = [
-            (city, int(cover.successor[city]))
-            for city in shortest
-        ]
-        committed: list[tuple[int, int]] = []
-        for src, dst in arcs:
-            child = work.copy()
-            for csrc, cdst in committed:
-                # Commit arc: forbid every alternative leaving csrc or
-                # entering cdst.
-                row = child[csrc].copy()
-                child[csrc, :] = forbid
-                child[csrc, cdst] = row[cdst]
-                col = child[:, cdst].copy()
-                child[:, cdst] = forbid
-                child[csrc, cdst] = col[csrc]
-            child[src, dst] = forbid
-            stack.append((child, solution))
-            committed.append((src, dst))
+    with obs.span("bnb", caller=caller, cities=n) as sp:
+        while stack:
+            if nodes >= max_nodes or (timer is not None and timer.expired):
+                optimal = False
+                break
+            work, parent = stack.pop()
+            nodes += 1
+            match, total, solution = solve(work, parent)
+            if total >= best_cost - eps or total >= forbid:
+                continue
+            successor = match.tolist()
+            cycles = _cycles(successor)
+            if len(cycles) == 1:
+                tour = cycles[0]
+                true_cost = tour_cost(matrix, tour)
+                if true_cost < best_cost - eps:
+                    best_cost = true_cost
+                    best_tour = tour
+                continue
+            # Child k forbids arc k of the shortest subtour and commits
+            # arcs 0..k-1 (every other arc leaving their sources or
+            # entering their targets is forbidden).  The commits
+            # accumulate on one running matrix, so each child is one copy
+            # of it plus one forbidden arc (the last child takes the
+            # running matrix itself).
+            shortest = min(cycles, key=len)
+            running = work.copy()
+            last = len(shortest) - 1
+            for k, src in enumerate(shortest):
+                dst = successor[src]
+                child = running.copy() if k < last else running
+                child[src, dst] = forbid
+                stack.append((child, solution))
+                if k < last:
+                    keep = running[src, dst]
+                    running[src, :] = forbid
+                    running[:, dst] = forbid
+                    running[src, dst] = keep
+        sp["nodes"] = nodes
+        sp["optimal"] = optimal
 
     obs.count("bnb.nodes", nodes)
     return BnBResult(tour=best_tour, cost=best_cost, optimal=optimal, nodes=nodes)

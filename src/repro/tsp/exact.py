@@ -7,12 +7,36 @@ truth to validate the heuristics and lower bounds against.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.tsp.instance import TSPError, check_matrix
 
 #: Refuse instances beyond this size (2^20 states would already be painful).
 MAX_EXACT_CITIES = 16
+
+
+@lru_cache(maxsize=None)
+def _layers(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per popcount layer 1..m-1 of the DP over ``m`` cities: the source
+    masks without city k, as row k of an ``m × C(m-1, layer)`` table, and
+    the flat ``dp`` index of each one's target ``(mask | bit_k, k)``.
+    Depends on ``m`` only, so it is built once per size (4 MB at m = 15)
+    and shared read-only."""
+    masks = np.arange(1 << m, dtype=np.intp)
+    cities = np.arange(m, dtype=np.intp)
+    popcount = ((masks[:, None] >> cities) & 1).sum(axis=1)
+    tables = []
+    for layer in range(1, m):
+        in_layer = masks[popcount == layer]
+        sources = np.stack(
+            [in_layer[(in_layer >> k) & 1 == 0] for k in range(m)]
+        )
+        targets = (sources | (1 << cities)[:, None]) * m + cities[:, None]
+        sources.flags.writeable = targets.flags.writeable = False
+        tables.append((sources, targets))
+    return tables
 
 
 def exact_tour(matrix: np.ndarray) -> tuple[list[int], float]:
@@ -38,31 +62,21 @@ def exact_tour(matrix: np.ndarray) -> tuple[list[int], float]:
         dp[1 << j, j] = matrix[0, j + 1]
 
     # Layered vectorized Held–Karp: every transition grows the subset by
-    # one city, so masks can be processed popcount-layer by layer with the
-    # whole layer's relaxation done in array ops.  dp[mask | bit_k, k] has
-    # exactly one predecessor mask (mask itself), so the min over j is a
-    # plain row-wise argmin — no scatter conflicts.
-    masks = np.arange(size, dtype=np.int64)
-    popcount = np.zeros(size, dtype=np.int64)
-    for j in range(m):
-        popcount += (masks >> j) & 1
-    inner = matrix[1:, 1:]
-    for layer in range(1, m):
-        layer_masks = masks[popcount == layer]
-        for k in range(m):
-            bit = 1 << k
-            sources = layer_masks[(layer_masks & bit) == 0]
-            if sources.size == 0:
-                continue
-            # dp[mask, j] is inf whenever j is outside mask (never
-            # written), so unreachable predecessors exclude themselves.
-            cand = dp[sources] + inner[:, k]
-            arg = np.argmin(cand, axis=1)
-            best = cand[np.arange(sources.size), arg]
-            ok = best < inf
-            targets = sources[ok] | bit
-            dp[targets, k] = best[ok]
-            parent[targets, k] = arg[ok]
+    # one city, so masks are processed popcount-layer by layer, every
+    # (source mask, free city k) pair of a layer relaxed in one gather.
+    # dp[mask | bit_k, k] has exactly one predecessor mask (mask itself),
+    # so the min over j is a plain argmin (first minimum on ties) — no
+    # scatter conflicts.  dp[mask, j] is inf whenever j is outside mask
+    # (never written), so unreachable predecessors exclude themselves.
+    into = np.ascontiguousarray(matrix[1:, 1:].T)[:, None, :]  # c(j, k)
+    flat_dp = dp.reshape(-1)
+    flat_parent = parent.reshape(-1)
+    for sources, targets in _layers(m):
+        cand = dp[sources] + into
+        arg = np.argmin(cand, axis=2)
+        best = np.take_along_axis(cand, arg[..., None], axis=2)[..., 0]
+        flat_dp[targets] = best
+        flat_parent[targets] = np.where(best < inf, arg, -1)
 
     full = size - 1
     closing = dp[full] + matrix[1:, 0]

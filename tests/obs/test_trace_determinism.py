@@ -115,6 +115,15 @@ class TestTraceContentDeterminism:
             assert name in serial_counters, name
         assert serial_counters["tsp.certified_bnb"] > 0
         assert serial_counters["bnb.nodes"] > 0
+        # So is the bound's reuse of the aligner's proofs, and every
+        # branch-and-bound run is a span carrying its nodes and caller.
+        assert serial_counters["bound.proofs_reused"] > 0
+        searches = [
+            dict(attrs) for (name, attrs), count in serial_spans.items()
+            if name == "bnb" for _ in range(count)
+        ]
+        assert {s["caller"] for s in searches} == {"certificate"}
+        assert sum(s["nodes"] for s in searches) == serial_counters["bnb.nodes"]
         # So is the Ext-TSP work: moves and merges scored, not just applied.
         assert serial_counters["exttsp.refine_candidates"] > 0
         assert serial_counters["exttsp.merge_candidates"] > 0

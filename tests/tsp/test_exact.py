@@ -1,11 +1,14 @@
 """Tests for the exact solvers (bitmask DP and Hamiltonian paths)."""
 
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro.tsp import TSPError, exact_path, exact_tour, path_cost, tour_cost
+from repro.tsp.exact import MAX_EXACT_CITIES
 
 
 def brute_force_tour(matrix):
@@ -80,3 +83,45 @@ class TestExactPath:
             exact_path(m, 0, 0)
         with pytest.raises(TSPError):
             exact_path(m, 0, 9)
+
+
+# -- tie-breaking, pinned ------------------------------------------------------
+
+#: ``exact_golden.json``: the (tour, cost) of tie-heavy integer matrices at
+#: every size the DP takes, recorded with the per-city relaxation loop the
+#: one-gather-per-layer DP replaced.  Re-record (only on purpose) with
+#: ``python -m tests.tsp.test_exact``.
+EXACT_GOLDEN = pathlib.Path(__file__).with_name("exact_golden.json")
+
+
+def _tie_heavy(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(100 * n + seed)
+    m = rng.integers(0, 3 if seed % 2 else 6, size=(n, n)).astype(float)
+    np.fill_diagonal(m, 0)
+    return m
+
+
+def _tie_cases():
+    for n in range(3, MAX_EXACT_CITIES + 1):
+        for seed in range(3):
+            yield f"{n}/{seed}", _tie_heavy(n, seed)
+
+
+def test_tie_breaking_matches_recorded_tours():
+    recorded = json.loads(EXACT_GOLDEN.read_text())
+    for name, matrix in _tie_cases():
+        tour, cost = exact_tour(matrix)
+        assert [tour, cost] == recorded[name], name
+
+
+def _record() -> None:  # pragma: no cover - run by hand
+    EXACT_GOLDEN.write_text(json.dumps(
+        {name: [[int(c) for c in tour], cost]
+         for name, matrix in _tie_cases()
+         for tour, cost in [exact_tour(matrix)]},
+        sort_keys=True,
+    ) + "\n")
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _record()
