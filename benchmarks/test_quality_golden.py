@@ -6,9 +6,10 @@ For every procedure of the paper suite (12 cases, train = test) and of the
 bench's synth-large program, ``benchmarks/golden/quality.json`` pins
 
 * under ``"tsp"``: the tsp aligner's tour cost and the certified lower
-  bound, both with the tour costs as upper bounds (what ``run_case``, the
-  service and ``repro align --bound`` do) and without (a bound-only run);
-  written by the solver that ran the full effort on every procedure;
+  bound, both right after the tsp pass (what ``run_case``, the service
+  and ``repro align --bound`` do) and in a bound-only run; written by the
+  solver that ran the full effort on every procedure, when the first
+  bound still took the tour costs as upper bounds;
 * under ``"exttsp"``: for the ``chain-merge`` and ``exttsp`` layouts, the
   Ext-TSP score, the 1997 penalty and a digest of the block order; written
   by the float-gain refinement that preceded the exact class-count gains.
@@ -79,15 +80,13 @@ def measure_tsp() -> dict:
         align_program(
             program, profile, method="tsp", seed=0, jobs=1, report=report
         )
-        hinted = lower_bound_program(
-            program, profile, upper_bounds=dict(report.costs), jobs=1
-        )
-        reset_artifact_cache()  # the bound cache ignores the hint
+        after_align = lower_bound_program(program, profile, jobs=1)
+        reset_artifact_cache()  # a cold bound-only run
         plain = lower_bound_program(program, profile, jobs=1)
         out[label] = {
             name: [
                 report.costs.get(name),
-                hinted.per_procedure.get(name),
+                after_align.per_procedure.get(name),
                 plain.per_procedure.get(name),
             ]
             for name in sorted(plain.per_procedure)

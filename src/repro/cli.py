@@ -49,7 +49,7 @@ from repro.core import (
     lower_bound_program,
     train_predictors,
 )
-from repro.core.align import ALIGN_METHODS, AlignmentReport, normalize_method
+from repro.core.align import ALIGN_METHODS
 from repro.core.exttsp import exttsp_program_score
 from repro.errors import ProfileValidationError, ReproError, UsageError
 from repro.experiments.report import format_table
@@ -219,19 +219,11 @@ def cmd_align(args) -> int:
     rows = []
     baseline = None
     score_baseline = None
-    # The tsp method's tour costs are the bound's upper bounds: branch and
-    # bound then starts from them instead of re-solving each procedure,
-    # and the optima the tsp solves proved are the bounds outright.
-    tour_costs = optima = None
     for method in methods:
-        report = AlignmentReport()
         layouts = align_program(
             program, training, method=method, model=model,
-            effort=args.effort, jobs=args.jobs, policy=policy, report=report,
+            effort=args.effort, jobs=args.jobs, policy=policy,
         )
-        if normalize_method(method) == "tsp":
-            tour_costs = dict(report.costs)
-            optima = dict(report.optima)
         penalty = evaluate_program(
             program, layouts, testing, model, predictors=predictors
         )
@@ -247,8 +239,7 @@ def cmd_align(args) -> int:
         ])
     if args.bound:
         bound = lower_bound_program(
-            program, training, model=model, upper_bounds=tour_costs,
-            optima=optima, jobs=args.jobs, policy=policy,
+            program, training, model=model, jobs=args.jobs, policy=policy,
         )
         rows.append(["(lower bound)", bound.total, bound.total / baseline,
                      "", "", "", "", ""])

@@ -151,7 +151,6 @@ def _align_tsp(task: ProcedureTask) -> ProcedureResult:
         degraded=alignment.degraded,
         warning=alignment.warning,
         instance=alignment.instance,
-        optimum=alignment.optimum,
     )
 
 
@@ -223,10 +222,6 @@ class AlignmentReport:
 
     cities: dict[str, int] = field(default_factory=dict)
     costs: dict[str, float] = field(default_factory=dict)
-    #: Tour costs the solver proved optimal, for the procedures where it
-    #: did (see :attr:`~repro.pipeline.task.ProcedureResult.optimum`):
-    #: :func:`lower_bound_program` returns them as the bound.
-    optima: dict[str, float] = field(default_factory=dict)
     #: Per-procedure Ext-TSP scores of the emitted layouts (dual pricing;
     #: every aligner fills this, including ``original``).
     exttsp_scores: dict[str, float] = field(default_factory=dict)
@@ -292,7 +287,7 @@ def align_program(
 
 @dataclass
 class LowerBoundReport:
-    """Held–Karp penalty lower bounds, per procedure and total."""
+    """Certified penalty lower bounds, per procedure and total."""
 
     per_procedure: dict[str, float] = field(default_factory=dict)
 
@@ -306,31 +301,20 @@ def lower_bound_program(
     profile: ProgramProfile,
     *,
     model: PenaltyModel = ALPHA_21164,
-    iterations: int | None = None,
-    upper_bounds: dict[str, float] | None = None,
     budget: Budget | None = None,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
-    optima: dict[str, float] | None = None,
 ) -> LowerBoundReport:
-    """Held–Karp lower bound on the total control penalty of any layout.
-
-    ``upper_bounds`` optionally supplies known per-procedure tour costs
-    (e.g. from a TSP alignment) to tighten the subgradient schedule.
-    ``optima`` supplies the optima a TSP alignment already proved
-    (:attr:`AlignmentReport.optima`); those procedures' bounds are the
-    proofs, not proved again.
-    """
+    """Certified lower bound on the total control penalty of any layout:
+    per procedure, the alignment optimum (see
+    :func:`~repro.core.aligners.tsp_aligner.alignment_lower_bound`)."""
     report = LowerBoundReport()
     report.per_procedure.update(lower_bound_procedures(
         program,
         profile,
         model=model,
-        iterations=iterations,
-        upper_bounds=upper_bounds,
         budget=budget,
         jobs=jobs,
         policy=policy,
-        optima=optima,
     ))
     return report

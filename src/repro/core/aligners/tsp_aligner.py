@@ -2,10 +2,10 @@
 
 Build the §2.2 cost matrix, solve the DTSP with iterated 3-Opt (exact DP on
 small procedures), and read the tour back as a layout.  The search stops
-as soon as its tour is proved optimal — by the assignment bound or by a
-small branch-and-bound certificate (see ``_stop_rule``).  Also exposes the
-per-procedure Held–Karp lower bound — the provable floor under any layout's
-control penalty.
+as soon as its tour is proved optimal — by the assignment bound or by the
+path-cover optimum (see ``_stop_rule``).  Also exposes the per-procedure
+certified lower bound — the provable floor under any layout's control
+penalty, which is that same optimum.
 
 Resilience: the aligner is a best-effort pass.  When the solver exhausts
 its :class:`~repro.budget.Budget` (or a fault is injected), it *degrades*
@@ -38,23 +38,17 @@ from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
 from repro.profiles.edge_profile import EdgeProfile
 from repro.tsp.assignment import assignment_cycle_cover
-from repro.tsp.branch_and_bound import branch_and_bound
 from repro.tsp.construction import (
     greedy_edge_tour,
     identity_tour,
     nearest_neighbor_tour,
 )
-from repro.tsp.held_karp import held_karp_bound_directed
 from repro.tsp.instance import tour_cost
+from repro.tsp.path_cover import PathCover, path_cover
 from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp, solves_exactly
 
 #: Rung names of the degradation ladder, in order of decreasing quality.
 DEGRADATION_RUNGS = ("none", "construction", "greedy", "original")
-
-#: Node cap of the first run's optimality certificate, per city.  Small on
-#: purpose: a certificate that does not close quickly costs more than the
-#: remaining starts it would save.
-CERTIFY_NODES_PER_CITY = 8
 
 
 @dataclass
@@ -70,12 +64,6 @@ class TspAlignment:
     degraded: str = "none"
     #: Human-readable reason when ``degraded != "none"``.
     warning: str | None = None
-    #: The proven optimum of ``instance`` when the solve ended at a proof
-    #: (exact DP, or a cost that met the AP target or the target a
-    #: branch-and-bound certificate proved), and ``instance`` is the one
-    #: the bound stage builds (no predictor).  The bound stage returns it
-    #: instead of proving it again.  ``None`` on every degraded rung.
-    optimum: float | None = None
 
 
 def _best_construction_layout(
@@ -108,57 +96,47 @@ def _best_construction_layout(
     return layout, instance.layout_cost(layout)
 
 
-class _Certificate:
-    """Branch and bound on the first run's tour, capped at
-    :data:`CERTIFY_NODES_PER_CITY` nodes per city and polling the budget:
-    the ``certify`` callable of :func:`~repro.tsp.solve.solve_dtsp`.  It
-    returns the proven optimum, or None, and keeps it as ``proven``."""
+def _optimum(
+    instance: AlignmentInstance, timer: BudgetTimer | None
+) -> PathCover | None:
+    """The instance's path-cover optimum, or None once ``timer`` expires."""
+    return path_cover(instance.matrix, *instance.sparse_form(), budget=timer)
 
-    def __init__(self, matrix, timer: BudgetTimer | None) -> None:
-        self.matrix = matrix
+
+class _Certificate:
+    """The path-cover optimum, searched once the first run ends: the
+    ``certify`` callable of :func:`~repro.tsp.solve.solve_dtsp`.  It
+    returns a cost no tour beats, or None when the budget expires."""
+
+    def __init__(
+        self, instance: AlignmentInstance, timer: BudgetTimer | None
+    ) -> None:
+        self.instance = instance
         self.timer = timer
-        self.proven: float | None = None
 
     def __call__(self, tour: list[int], cost: float) -> float | None:
-        proof = branch_and_bound(
-            self.matrix,
-            upper_bound=cost,
-            initial_tour=tour,
-            max_nodes=CERTIFY_NODES_PER_CITY * self.matrix.shape[0],
-            budget=self.timer,
-            caller="certificate",
-        )
-        obs.count("tsp.certified_bnb", int(proof.optimal))
-        if not proof.optimal:
+        cover = _optimum(self.instance, self.timer)
+        if cover is None:
             return None
-        self.proven = proof.cost
-        return self.proven
+        obs.count("tsp.certified_cover", int(cover.optimal))
+        return min(cost, cover.bound)
 
 
-def _stop_rule(matrix, effort: Effort, timer: BudgetTimer | None):
+def _stop_rule(
+    instance: AlignmentInstance, effort: Effort, timer: BudgetTimer | None
+):
     """The certify-and-stop rule for one solve: ``(target, certify)``.
 
     The target is the assignment (AP) bound, which no tour beats, so a tour
     that meets it is optimal.  ``certify`` is a :class:`_Certificate`.
-    Only the proof is used — BnB's own tour never becomes a layout, so
-    layouts stay the kernel's whichever assignment backend broke ties.
+    Only the proof is used — the cover's own tour never becomes a layout,
+    so layouts stay the kernel's whichever assignment backend broke ties.
     The exact-DP path needs neither: ``(None, None)``.
     """
-    if solves_exactly(matrix.shape[0], effort):
+    if solves_exactly(instance.n, effort):
         return None, None
-    return assignment_cycle_cover(matrix).cost, _Certificate(matrix, timer)
-
-
-def _proven_optimum(result, n: int, effort: Effort, target, certify):
-    """The optimum a finished solve proved, or None: its cost when exact
-    DP found it, or when it met the AP target or the optimum the
-    certificate proved (then the lower of the two, the certified floor)."""
-    if solves_exactly(n, effort):
-        return result.cost
-    for floor in (target, None if certify is None else certify.proven):
-        if floor is not None and result.cost <= floor + 1e-9:
-            return min(result.cost, floor)
-    return None
+    target = assignment_cycle_cover(instance.matrix).cost
+    return target, _Certificate(instance, timer)
 
 
 def tsp_align(
@@ -199,7 +177,7 @@ def tsp_align(
     salvaged: list[list[int]] = []
     warning: str
     try:
-        target, certify = _stop_rule(instance.matrix, effort, timer)
+        target, certify = _stop_rule(instance, effort, timer)
         result = solve_dtsp(
             instance.matrix, effort=effort, seed=seed, budget=timer,
             target=target, certify=certify,
@@ -213,12 +191,6 @@ def tsp_align(
                 instance=instance,
                 runs_finding_best=result.runs_finding_best,
                 runs_total=len(result.runs),
-                optimum=(
-                    None if predictor is not None
-                    else _proven_optimum(
-                        result, instance.n, effort, target, certify
-                    )
-                ),
             )
         # The solver failed to avoid a forbidden edge (cannot happen with an
         # identity start in the mix, but fail safe rather than corrupt).
@@ -283,31 +255,15 @@ def alignment_lower_bound(
     model: PenaltyModel,
     *,
     instance: AlignmentInstance | None = None,
-    upper_bound: float | None = None,
-    iterations: int | None = None,
-    exact_nodes: int = 20_000,
     budget: Budget | BudgetTimer | None = None,
-    optimum: float | None = None,
 ) -> float:
     """Certified lower bound on the procedure's achievable control penalty.
 
     No layout of this procedure can have a smaller total penalty under this
-    profile and machine model.  The bound is the optimum when it can be
-    proved: directly, when the assignment (AP) relaxation's cycle cover is
-    a single tour, or by branch and bound within ``exact_nodes``
-    subproblems (most suite procedures certify in a few dozen nodes; the
-    eqntott ``eval_expr`` bound takes 1 146).  Otherwise it is the
-    Held–Karp subgradient bound — the paper's appendix bound.  Pass
-    ``exact_nodes=0`` to force pure Held–Karp.
-
-    ``upper_bound`` should be the cost of a known tour (the tsp aligner's);
-    without one, a quick solve supplies it.  Either way branch and bound
-    starts from that incumbent and runs no heuristic of its own.
-
-    ``optimum`` is an optimum the tsp aligner already proved on this
-    instance (:attr:`TspAlignment.optimum`): it is returned, capped at
-    ``upper_bound``, with no relaxation or search, and counted in
-    ``bound.proofs_reused``.
+    profile and machine model.  The bound is the optimum: the cost of the
+    tour the path-cover search reconstructs (see
+    :mod:`repro.tsp.path_cover`), or the cover's floor in the rare case
+    that tour does not attain it.
 
     Degrades, never raises: on an exhausted budget (or injected fault) the
     loosest certified bound — 0.0, since penalties are non-negative — is
@@ -315,49 +271,11 @@ def alignment_lower_bound(
     """
     if profile.total() == 0:
         return 0.0
-    timer = ensure_timer(budget)
     try:
         faults.check_bound_timeout()
-        if optimum is not None:
-            obs.count("bound.proofs_reused")
-            return optimum if upper_bound is None else min(optimum, upper_bound)
-        if instance is None:
-            instance = build_alignment_instance(cfg, profile, model)
-        if exact_nodes > 0 and (timer is None or not timer.expired):
-            cover = assignment_cycle_cover(instance.matrix)
-            if cover.is_tour:
-                # A tour as cheap as the relaxation is optimal.
-                if upper_bound is None:
-                    return cover.cost
-                return min(cover.cost, upper_bound)
-        incumbent = None
-        if upper_bound is None:
-            # A tight upper bound keeps the subgradient step sizes sane; a
-            # quick heuristic tour is far tighter than the original layout.
-            original_cost = instance.layout_cost(original_layout(cfg))
-            upper_bound = original_cost
-            try:
-                quick = solve_dtsp(instance.matrix, effort="quick", budget=timer)
-                if quick.cost < original_cost:
-                    incumbent, upper_bound = quick.tour, quick.cost
-            except SolverBudgetExceeded:
-                pass
-        if exact_nodes > 0:
-            exact = branch_and_bound(
-                instance.matrix,
-                upper_bound=upper_bound,
-                initial_tour=incumbent,
-                max_nodes=exact_nodes,
-                budget=timer,
-            )
-            if exact.optimal:
-                return min(exact.cost, upper_bound)
-        result = held_karp_bound_directed(
-            instance.matrix,
-            tour_upper_bound=upper_bound,
-            iterations=iterations,
-            budget=timer,
-        )
-        return min(result.bound, upper_bound)
     except SolverBudgetExceeded:
         return 0.0
+    if instance is None:
+        instance = build_alignment_instance(cfg, profile, model)
+    cover = _optimum(instance, ensure_timer(budget))
+    return 0.0 if cover is None else cover.bound

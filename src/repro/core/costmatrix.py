@@ -53,6 +53,23 @@ class AlignmentInstance:
     def dummy_index(self) -> int:
         return self.n - 1
 
+    def sparse_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(defaults, arcs)``: each row's default cost and the
+        profitable arcs, ``(src, dst)`` rows cheaper than their row's
+        default.  A block's default is its cost toward the dummy (no CFG
+        successor is the dummy); the dummy's is its zero toward the
+        entry.  Self-loops and arcs into the entry are excluded, and so
+        is a successor that costs more than its default — a tour that
+        needs one pays more than the path-cover floor."""
+        matrix = self.matrix
+        entry, dummy = self.entry_index, self.dummy_index
+        defaults = matrix[:, dummy].copy()
+        defaults[dummy] = matrix[dummy, entry]
+        profitable = matrix < defaults[:, None]
+        profitable[:, entry] = False
+        np.fill_diagonal(profitable, False)
+        return defaults, np.argwhere(profitable)
+
     def index_of(self) -> dict[int, int]:
         return {city: i for i, city in enumerate(self.cities)}
 

@@ -40,8 +40,8 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.executor import resolve_jobs
 from repro.pipeline.registry import normalize_method
-from repro.pipeline.stages import run_align_tasks, run_bound_tasks
-from repro.pipeline.task import bound_tasks, procedure_tasks
+from repro.pipeline.stages import run_bound_tasks
+from repro.pipeline.task import bound_tasks
 from repro.machine.icache import DirectMappedICache
 from repro.machine.models import ALPHA_21164, PenaltyModel
 from repro.machine.timing import TimingBreakdown, simulate_timing
@@ -289,8 +289,6 @@ def run_case(
                 benchmark,
                 dataset,
                 model=model,
-                effort=effort,
-                seed=seed,
                 budget=budget,
                 jobs=jobs,
                 policy=policy,
@@ -304,38 +302,14 @@ def _case_lower_bound(
     dataset: str,
     *,
     model: PenaltyModel,
-    effort: Effort,
-    seed: int,
     budget: Budget | None,
     jobs: int,
     policy: RetryPolicy | None = None,
 ) -> float:
     module = compile_benchmark(benchmark)
     run = profiled_run(benchmark, dataset)
-    # The TSP tours serve as the subgradient targets, and the optima they
-    # proved are the bounds.  Going through the align stage means these
-    # solves are shared, via the artifact cache, with the case's own
-    # ``tsp`` method — one solve feeds both.
-    tasks = procedure_tasks(
-        module.program,
-        run.profile,
-        method="tsp",
-        model=model,
-        effort=effort,
-        seed=seed,
-        budget=budget,
-    )
-    aligned = run_align_tasks(tasks, jobs=jobs, policy=policy)
     bounds = run_bound_tasks(
-        bound_tasks(
-            module.program,
-            run.profile,
-            model=model,
-            budget=budget,
-            upper_bounds={r.name: r.cost for r in aligned},
-            instances={r.name: r.instance for r in aligned},
-            optima={r.name: r.optimum for r in aligned},
-        ),
+        bound_tasks(module.program, run.profile, model=model, budget=budget),
         jobs=jobs,
         policy=policy,
     )
@@ -347,21 +321,17 @@ def case_lower_bound(
     dataset: str,
     *,
     model: PenaltyModel = ALPHA_21164,
-    effort: Effort | str = DEFAULT,
-    seed: int = 0,
     budget: Budget | None = None,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
 ) -> float:
-    """Held–Karp lower bound for one case, with TSP tours as the subgradient
-    targets (cached — every figure reuses it; arguments are normalized
+    """Certified lower bound for one case: the sum of its procedures'
+    bounds (cached — every figure reuses it; arguments are normalized
     before the cache boundary)."""
     return _case_lower_bound(
         benchmark,
         dataset,
         model=model,
-        effort=get_effort(effort),
-        seed=seed,
         budget=budget,
         jobs=resolve_jobs(jobs),
         policy=policy,

@@ -3,7 +3,6 @@
 from repro.machine.icache import (
     CacheStats,
     DirectMappedICache,
-    SetAssociativeICache,
     WORD_BYTES,
 )
 from repro.machine.models import (
@@ -38,7 +37,6 @@ __all__ = [
     "DirectMappedICache",
     "PenaltyModel",
     "STANDARD_MODELS",
-    "SetAssociativeICache",
     "StaticPredictor",
     "UNIT_COST",
     "WORD_BYTES",

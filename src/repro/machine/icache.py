@@ -170,44 +170,3 @@ class DirectMappedICache:
         self._tags = [None if t < 0 else int(t) for t in tags.tolist()]
         return misses
 
-
-class SetAssociativeICache:
-    """An LRU set-associative cache, for the fully/highly-associative
-    comparisons in the McFarling-style cache analyses."""
-
-    def __init__(
-        self, size_bytes: int = 8192, line_bytes: int = 32, ways: int = 4
-    ):
-        if not _is_power_of_two(size_bytes) or not _is_power_of_two(line_bytes):
-            raise ValueError("cache and line sizes must be powers of two")
-        if ways <= 0 or size_bytes % (line_bytes * ways) != 0:
-            raise ValueError("inconsistent cache geometry")
-        self.size_bytes = size_bytes
-        self.line_bytes = line_bytes
-        self.ways = ways
-        self.num_sets = size_bytes // (line_bytes * ways)
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self.stats = CacheStats()
-
-    def reset(self) -> None:
-        self._sets = [[] for _ in range(self.num_sets)]
-        self.stats = CacheStats()
-
-    def fetch(self, address: int, words: int) -> int:
-        if words <= 0:
-            return 0
-        first_line = address // self.line_bytes
-        last_line = (address + words * WORD_BYTES - 1) // self.line_bytes
-        misses = 0
-        for line in range(first_line, last_line + 1):
-            cache_set = self._sets[line % self.num_sets]
-            if line in cache_set:
-                cache_set.remove(line)
-            else:
-                misses += 1
-                if len(cache_set) >= self.ways:
-                    cache_set.pop(0)
-            cache_set.append(line)
-        self.stats.accesses += last_line - first_line + 1
-        self.stats.misses += misses
-        return misses

@@ -637,8 +637,14 @@ class ArtifactCache:
             self._stats.clear()
 
 
+#: Entries the process-wide cache keeps, evicting the oldest beyond that.
+#: A suite pass stores ~270; a long-lived ``repro serve`` stores a few per
+#: distinct request, and without a cap every instance it ever built would
+#: stay resident.
+DEFAULT_MAX_ENTRIES = 4096
+
 #: The process-wide default cache all pipeline stages consult.
-_DEFAULT_CACHE = ArtifactCache()
+_DEFAULT_CACHE = ArtifactCache(max_entries=DEFAULT_MAX_ENTRIES)
 
 
 def artifact_cache() -> ArtifactCache:

@@ -118,20 +118,15 @@ def align_key(task: ProcedureTask) -> str:
 
 
 def bound_key(task: BoundTask) -> str:
-    # ``upper_bound`` is deliberately NOT part of the key: it only tightens
-    # the subgradient schedule (a warm-start hint), and any certified floor
-    # is valid for the (cfg, profile, model) instance regardless of which
-    # hint produced it.  Keying on it split identical artifacts — an
-    # align-then-bound run (hint = tour cost) could never hit the entry a
-    # bound-only run (hint = None) had written, pinning the bound stage's
-    # cross-run hit rate at zero.
+    # ``repr(None)`` fills the slot a Held–Karp iteration count once held,
+    # so keys — and bounds in persisted stores — stay where they were.
     digests = task.digests
     return ArtifactCache.key(
         "bound",
         digests.cfg,
         digests.profile,
         digests.model,
-        repr(task.iterations),
+        repr(None),
         digests.budget,
     )
 
@@ -366,8 +361,6 @@ def align_procedures(
                 result.runs_finding_best,
                 result.runs_total,
             )
-            if result.optimum is not None:
-                report.optima[result.name] = result.optimum
             if result.degraded != "none":
                 report.degraded[result.name] = result.degraded
                 if result.warning:
@@ -431,26 +424,18 @@ def evaluate_procedures(
 
 
 def bound_one(task: BoundTask) -> BoundResult:
-    """Certified lower bound for one procedure (worker-executable).  A task
-    carrying the tsp aligner's proven optimum returns it; otherwise a task
-    without an instance uses the cached one, if the cost-matrix stage has
-    built it."""
+    """Certified lower bound for one procedure (worker-executable), on the
+    cached instance when the cost-matrix stage has built it."""
     if task.profile.total() == 0:
         return BoundResult(task.name, 0.0)
-    instance = task.instance
-    if instance is None and task.optimum is None:
-        instance = artifact_cache().get(instance_key(task))
     return BoundResult(
         task.name,
         alignment_lower_bound(
             task.cfg,
             task.profile,
             task.model,
-            instance=instance,
-            upper_bound=task.upper_bound,
-            iterations=task.iterations,
+            instance=artifact_cache().get(instance_key(task)),
             budget=task.budget,
-            optimum=task.optimum,
         ),
     )
 
@@ -488,24 +473,11 @@ def lower_bound_procedures(
     profile: ProgramProfile,
     *,
     model: PenaltyModel,
-    iterations: int | None = None,
-    upper_bounds: dict[str, float] | None = None,
     budget: Budget | None = None,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
-    optima: dict[str, float] | None = None,
 ) -> dict[str, float]:
-    """Per-procedure certified lower bounds, in program order.  A
-    procedure in ``optima`` (the tsp aligner's proven optima) is bounded
-    by its proof."""
-    tasks = bound_tasks(
-        program,
-        profile,
-        model=model,
-        iterations=iterations,
-        budget=budget,
-        upper_bounds=upper_bounds,
-        optima=optima,
-    )
+    """Per-procedure certified lower bounds, in program order."""
+    tasks = bound_tasks(program, profile, model=model, budget=budget)
     results = run_bound_tasks(tasks, jobs=jobs, policy=policy)
     return {result.name: result.bound for result in results}

@@ -146,10 +146,6 @@ class ProcedureResult:
     #: Whether the task was poisoned (failed its whole retry budget) and
     #: this result is the identity-layout stand-in.
     quarantined: bool = False
-    #: The proven optimum, when the solve ended at a proof on the instance
-    #: the bound stage builds (TSP aligner only; see
-    #: :attr:`~repro.core.aligners.tsp_aligner.TspAlignment.optimum`).
-    optimum: float | None = None
 
 
 @dataclass(frozen=True)
@@ -161,16 +157,7 @@ class BoundTask:
     profile: EdgeProfile
     model: PenaltyModel
     index: int = 0
-    #: Cost of a known tour, a warm start for the subgradient schedule.
-    upper_bound: float | None = None
-    iterations: int | None = None
     budget: Budget | None = None
-    #: The procedure's DTSP instance, when one is already built.
-    instance: "AlignmentInstance | None" = None
-    #: An optimum the tsp aligner proved on that instance: the bound is
-    #: this proof, capped at ``upper_bound``.  Like the hint, not a key
-    #: component — it is the value a search would certify.
-    optimum: float | None = None
 
     digests = cached_property(_digests)
 
@@ -221,19 +208,9 @@ def bound_tasks(
     profile: ProgramProfile,
     *,
     model: PenaltyModel,
-    iterations: int | None = None,
     budget: Budget | None = None,
-    upper_bounds: dict[str, float | None] | None = None,
-    instances: dict[str, "AlignmentInstance | None"] | None = None,
-    optima: dict[str, float | None] | None = None,
 ) -> list[BoundTask]:
-    """One bound task per procedure, in program order.  ``upper_bounds``
-    (warm-start tour costs), ``instances`` (already-built DTSP instances)
-    and ``optima`` (optima the tsp aligner proved) are keyed by procedure
-    name."""
-    upper_bounds = upper_bounds or {}
-    instances = instances or {}
-    optima = optima or {}
+    """One bound task per procedure, in program order."""
     return [
         BoundTask(
             name=proc.name,
@@ -241,11 +218,7 @@ def bound_tasks(
             profile=profile.procedures.get(proc.name, EdgeProfile()),
             model=model,
             index=index,
-            upper_bound=upper_bounds.get(proc.name),
-            iterations=iterations,
             budget=budget,
-            instance=instances.get(proc.name),
-            optimum=optima.get(proc.name),
         )
         for index, proc in enumerate(program)
     ]

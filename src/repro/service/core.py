@@ -894,8 +894,6 @@ class AlignmentService:
                         program,
                         profile,
                         model=model,
-                        upper_bounds=dict(report.costs),
-                        optima=dict(report.optima),
                         budget=plan.budget,
                         jobs=self.config.jobs,
                         policy=plan.policy,

@@ -1,6 +1,7 @@
 """From-scratch TSP library: directed construction, iterated 3-Opt on a
 flat-array kernel, the 2-node symmetrization, Held–Karp bounds, assignment
-bounds, patching, and exact DP for small instances."""
+bounds, patching, exact DP for small instances, and the path-cover search
+that solves alignment instances exactly."""
 
 from repro.tsp.branch_and_bound import BnBResult, branch_and_bound
 from repro.tsp.assignment import (
@@ -40,6 +41,7 @@ from repro.tsp.kernel import (
     kernel_iterated_three_opt,
 )
 from repro.tsp.patching import patched_tour
+from repro.tsp.path_cover import PathCover, path_cover
 from repro.tsp.solve import (
     DEFAULT,
     EFFORTS,
@@ -64,6 +66,7 @@ __all__ = [
     "KernelState",
     "KernelStats",
     "PAPER",
+    "PathCover",
     "QUICK",
     "RunResult",
     "SolveResult",
@@ -88,6 +91,7 @@ __all__ = [
     "nearest_neighbor_tour",
     "out_neighbor_lists",
     "patched_tour",
+    "path_cover",
     "path_cost",
     "solution_gap",
     "solve_assignment",

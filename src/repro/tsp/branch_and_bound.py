@@ -4,17 +4,18 @@ Carpaneto–Toth-style subtour branching: solve the assignment relaxation at
 each node; if the cycle cover is a single tour it is optimal for the node,
 otherwise branch on the arcs of the shortest subtour (child k forbids arc k
 and commits arcs 1..k-1).  Given a good upper bound — the cost of an
-iterated 3-Opt tour, which the caller already has — this certifies
-optimality on the mid-sized alignment instances the bitmask DP (n ≤ 16)
-cannot reach: the tsp aligner uses it to stop searching at a proven
-optimum, the bound stage to certify its floor, and the appendix bench to
-measure true AP/HK gaps.  It never runs a heuristic of its own.
+iterated 3-Opt tour — this certifies optimality on general matrices the
+bitmask DP (n ≤ 16) cannot reach.  The appendix bench uses it to measure
+true AP/HK gaps, as do ablation A2 and the benchmark's bound probes.  It
+never runs a heuristic of its own.  Alignment instances have a sparser
+structure, and the aligner and the bound stage search that instead
+(:mod:`repro.tsp.path_cover`).
 
 The node loop is lean on purpose — a search can take thousands of nodes
-(the serve-cold benchmark's ``xli`` bounds take 8 399): the root matrix is
-validated once and each node calls the resolved assignment backend
-directly, reads its cycles from one ``tolist()``, and builds an
-expansion's children from one running matrix that gains a commit per arc.
+(serve-cold's ``xli`` instances take 8 399): the root matrix is validated
+once and each node calls the resolved assignment backend directly, reads
+its cycles from one ``tolist()``, and builds an expansion's children from
+one running matrix that gains a commit per arc.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ def branch_and_bound(
     max_nodes: int = 50_000,
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
-    caller: str = "bound",
 ) -> BnBResult:
     """Solve the DTSP exactly (within ``max_nodes`` subproblems).
 
@@ -76,8 +76,8 @@ def branch_and_bound(
     rather than ``tour``'s cost.  An expired ``budget`` stops the node loop
     gracefully: the incumbent is returned with ``optimal=False`` (same
     contract as a node-limit hit).  Adds the subproblems solved to the
-    ``bnb.nodes`` counter, inside a ``bnb`` span that records them, the
-    outcome and ``caller`` (``"certificate"`` or ``"bound"``).  The search
+    ``bnb.nodes`` counter, inside a ``bnb`` span that records them and
+    the outcome.  The search
     is deterministic; ``seed`` is accepted for callers of the signature
     that seeded a heuristic incumbent, and ignored.
     """
@@ -103,7 +103,7 @@ def branch_and_bound(
     stack: list[tuple[np.ndarray, object]] = [(root, None)]
     eps = 1e-9
 
-    with obs.span("bnb", caller=caller, cities=n) as sp:
+    with obs.span("bnb", cities=n) as sp:
         while stack:
             if nodes >= max_nodes or (timer is not None and timer.expired):
                 optimal = False

@@ -30,16 +30,7 @@ class TestTspAlign:
         alignment = tsp_align(loop_cfg, loop_profile["main"], ALPHA_21164)
         bound = alignment_lower_bound(
             loop_cfg, loop_profile["main"], ALPHA_21164,
-            instance=alignment.instance, upper_bound=alignment.cost,
-        )
-        assert bound <= alignment.cost + 1e-6
-
-    def test_hk_only_bound_still_valid(self, loop_cfg, loop_profile):
-        alignment = tsp_align(loop_cfg, loop_profile["main"], ALPHA_21164)
-        bound = alignment_lower_bound(
-            loop_cfg, loop_profile["main"], ALPHA_21164,
-            instance=alignment.instance, upper_bound=alignment.cost,
-            exact_nodes=0,
+            instance=alignment.instance,
         )
         assert bound <= alignment.cost + 1e-6
 

@@ -20,6 +20,7 @@ from repro.experiments import (
     sweep_case,
 )
 from repro.experiments.runner import DEFAULT_METHODS, case_lower_bound
+from repro.pipeline.executor import resolve_jobs
 from repro.faults import inject_faults
 from repro.machine.models import ALPHA_21164, get_model
 from repro.pipeline.artifacts import (
@@ -353,6 +354,6 @@ class TestCacheNormalization:
     def test_lower_bound_normalized_before_cache(self):
         first = case_lower_bound("su2", "sh")
         size = case_lower_bound.cache_info().currsize
-        second = case_lower_bound("su2", "sh", effort="default")
+        second = case_lower_bound("su2", "sh", jobs=resolve_jobs(None))
         assert first == second
         assert case_lower_bound.cache_info().currsize == size

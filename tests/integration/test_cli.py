@@ -83,12 +83,11 @@ class TestAlign:
         for needle in ("original", "greedy", "tsp", "(lower bound)"):
             assert needle in out
 
-    def test_bound_uses_tsp_costs_without_changing_the_total(
-        self, tmp_path, capsys, monkeypatch
+    def test_bound_row_is_the_same_whichever_method_runs(
+        self, tmp_path, capsys
     ):
-        """``--bound`` hands the tsp method's tour costs to the bound stage
-        as upper bounds; the certified total is the same as without them."""
-        import repro.cli as cli
+        """``--bound`` certifies from the procedures alone: the row is the
+        same after a tsp pass as after a greedy one."""
         from repro.experiments.runner import profiled_run
         from repro.pipeline.artifacts import reset_artifact_cache
         from repro.workloads.suite import get_benchmark
@@ -97,14 +96,6 @@ class TestAlign:
         source.write_text(get_benchmark("com").source)
         profile = tmp_path / "com.json"
         profile.write_text(profiled_run("com", "in").profile.to_json())
-        hints = []
-        real = cli.lower_bound_program
-
-        def spy(*args, **kwargs):
-            hints.append(kwargs.get("upper_bounds"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "lower_bound_program", spy)
         bound_rows = []
         for method in ("tsp", "greedy"):
             reset_artifact_cache()  # no cached bound from the other run
@@ -116,9 +107,6 @@ class TestAlign:
             bound_rows.append(
                 [line for line in out.splitlines() if "(lower bound)" in line]
             )
-        tsp_hint, greedy_hint = hints
-        assert tsp_hint and all(cost > 0 for cost in tsp_hint.values())
-        assert greedy_hint is None
         assert bound_rows[0] == bound_rows[1] != []
 
     def test_align_from_saved_profile(self, program_file, tmp_path, capsys):

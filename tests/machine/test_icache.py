@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.machine import DirectMappedICache, SetAssociativeICache, WORD_BYTES
+from repro.machine import DirectMappedICache, WORD_BYTES
 
 
 class TestDirectMapped:
@@ -58,31 +58,6 @@ class TestDirectMapped:
             DirectMappedICache(1000, 32)
         with pytest.raises(ValueError):
             DirectMappedICache(32, 64)
-
-
-class TestSetAssociative:
-    def test_lru_within_set(self):
-        # 2 sets, 2 ways, 32-byte lines.
-        cache = SetAssociativeICache(128, 32, ways=2)
-        cache.fetch(0, 1)       # set 0
-        cache.fetch(64, 1)      # set 0
-        cache.fetch(0, 1)       # touch line 0 (now MRU)
-        cache.fetch(128, 1)     # set 0: evicts LRU = line at 64
-        assert cache.fetch(0, 1) == 0
-        assert cache.fetch(64, 1) == 1
-
-    def test_higher_associativity_never_worse_on_conflicts(self):
-        addresses = [0, 1024, 2048, 0, 1024, 2048] * 30
-        direct = DirectMappedICache(1024, 32)
-        assoc = SetAssociativeICache(1024, 32, ways=4)
-        for addr in addresses:
-            direct.fetch(addr, 1)
-            assoc.fetch(addr, 1)
-        assert assoc.stats.misses <= direct.stats.misses
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            SetAssociativeICache(128, 32, ways=3)
 
     def test_word_bytes_constant(self):
         assert WORD_BYTES == 4

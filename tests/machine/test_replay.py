@@ -3,7 +3,7 @@ trace replay.
 
 Two completely independent accountings of Table 3 penalties — the §2.2
 closed-form sums in :mod:`repro.core.evaluate` and the per-transition
-replay in :mod:`repro.machine.replay` — must agree exactly under static
+replay in ``reference_replay.py`` (a test-only oracle) — must agree exactly under static
 prediction.  This pins down the cost formula, the fixup attribution, and
 the materialization decisions simultaneously.
 """
@@ -16,8 +16,9 @@ from repro.core import align_program, evaluate_program, train_predictors
 from repro.core.materialize import materialize_program
 from repro.lang import compile_source, execute
 from repro.machine import ALPHA_21064, ALPHA_21164, DEEP_PIPE
-from repro.machine.replay import replay_static_penalties
 from repro.profiles import ProgramProfile
+
+from .reference_replay import replay_static_penalties
 
 SOURCE = """
 arr memo[128];

@@ -111,19 +111,23 @@ class TestTraceContentDeterminism:
         assert serial_counters.get("tsp.runs", 0) > 0
         # Certify-and-stop's work counters are part of the contract too
         # (the dict equality above compares them across worker counts).
-        for name in ("tsp.certified_ap", "tsp.certified_bnb", "bnb.nodes"):
+        for name in (
+            "tsp.certified_ap", "tsp.certified_cover", "path_cover.nodes"
+        ):
             assert name in serial_counters, name
-        assert serial_counters["tsp.certified_bnb"] > 0
-        assert serial_counters["bnb.nodes"] > 0
-        # So is the bound's reuse of the aligner's proofs, and every
-        # branch-and-bound run is a span carrying its nodes and caller.
-        assert serial_counters["bound.proofs_reused"] > 0
+        assert serial_counters["tsp.certified_cover"] > 0
+        # Every path-cover search — the aligner's certificates and the
+        # bound's — is a span carrying its nodes; no dense search runs.
         searches = [
             dict(attrs) for (name, attrs), count in serial_spans.items()
-            if name == "bnb" for _ in range(count)
+            if name == "path_cover" for _ in range(count)
         ]
-        assert {s["caller"] for s in searches} == {"certificate"}
-        assert sum(s["nodes"] for s in searches) == serial_counters["bnb.nodes"]
+        assert len(searches) > serial_counters["tsp.certified_cover"]
+        assert (
+            sum(s["nodes"] for s in searches)
+            == serial_counters["path_cover.nodes"] > 0
+        )
+        assert "bnb.nodes" not in serial_counters
         # So is the Ext-TSP work: moves and merges scored, not just applied.
         assert serial_counters["exttsp.refine_candidates"] > 0
         assert serial_counters["exttsp.merge_candidates"] > 0

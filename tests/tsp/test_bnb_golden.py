@@ -5,14 +5,17 @@
 alignment instances, for each assignment backend, recorded before the
 node loop was rewritten.  The search order is part of the contract: the
 same node count means the same subproblems in the same order, and so the
-same certificates, bounds and ``bnb.nodes`` totals.
+same appendix-bench and bound-probe results and ``bnb.nodes`` totals.
 
 The real instances are every profiled procedure of the suite cases, of
 the ``synth-large`` benchmark program and of the ``serve-cold``
-benchmark's tsp-with-bound profile shapes, each run as the bound stage
-runs it (the tour's cost as the upper bound) and as the tsp aligner's
-certificate runs it (the tour itself, ``8 n`` nodes).  The recorded tour
-and its cost are inputs, so the golden does not move with the heuristic.
+benchmark's tsp-with-bound profile shapes, each run from a tour's cost
+as the upper bound (``"bound"``, 20 000 nodes) and from the tour itself
+(``"certificate"``, ``8 n`` nodes) — the two ways the aligner and the
+bound stage once searched them, before both moved to the path-cover
+search (:mod:`repro.tsp.path_cover`, which ``test_path_cover.py`` checks
+against the recorded optima).  The recorded tour and its cost are
+inputs, so the golden does not move with the heuristic.
 
 Re-record (only on purpose: node counts are meant to stay put) with
 ``python tests/tsp/test_bnb_golden.py``.
@@ -40,9 +43,9 @@ GOLDEN = pathlib.Path(__file__).with_name("bnb_golden.json")
 
 BACKENDS = ("scipy", "pure")
 
-#: Bound stage's node cap (``alignment_lower_bound``'s ``exact_nodes``).
+#: Node caps of the two recorded runs on a real instance: the bound's,
+#: and the certificate's per city.
 BOUND_NODES = 20_000
-#: The tsp aligner's certificate cap, per city.
 CERTIFY_NODES_PER_CITY = 8
 
 
