@@ -19,7 +19,10 @@ Request lifecycle (see ``docs/architecture.md``)::
 :func:`parse_request` is the one normalizer; everything downstream reads
 its request.  A key served by the memo comes without one, so ``submit``
 parses such a request once it has missed dedup (a service without a
-journal has no dedup and parses every request it admits).
+journal has no dedup and parses every request it admits).  Compiling and
+validating run once per distinct source (:func:`_compiled`): requests
+that share a source share its module read-only, and only the profile,
+the fields and the key are worked out per request.
 
 Thread/context notes — the two stdlib traps this layer exists to absorb:
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import math
 import queue
@@ -131,8 +135,31 @@ class AlignmentRequest:
         return run_and_profile(self.module, list(self.inputs))[1]
 
 
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str) -> tuple[CompiledModule, tuple]:
+    """``(module, cfgs)`` of a source: the compiled, validated module and
+    its ``(name, fingerprint_cfg)`` pairs.
+
+    A pure function of the source text, so it is memoized: requests that
+    share a source (a fresh profile over unchanged code) compile it once
+    and share the module read-only.  A source that fails raises anew on
+    every submission, as ``lru_cache`` never caches an exception.
+    """
+    obs.count("lang.compiles", stable=False)
+    module = compile_source(source)
+    try:
+        validate_program(module.program)
+    except CFGError as exc:
+        raise UsageError(f"invalid control-flow graph: {exc}") from None
+    cfgs = tuple(
+        (proc.name, fingerprint_cfg(proc.cfg)) for proc in module.program
+    )
+    return module, cfgs
+
+
 def parse_request(payload) -> AlignmentRequest:
-    """Validate, compile and key a JSON request body.
+    """Validate, compile and key a JSON request body (the compile is
+    memoized per source, :func:`_compiled`).
 
     Bad input raises a typed 400-class error — :class:`UsageError` naming
     the field, the compiler's ``LangError``, a ``ProfileError`` — never a
@@ -187,11 +214,7 @@ def parse_request(payload) -> AlignmentRequest:
             raise UsageError("'deadline_ms' must be positive and finite")
     bound = bool(payload.get("bound", False))
 
-    module = compile_source(source)
-    try:
-        validate_program(module.program)
-    except CFGError as exc:
-        raise UsageError(f"invalid control-flow graph: {exc}") from None
+    module, cfgs = _compiled(source)
     profile = None
     if profile_json is not None:
         profile = ProgramProfile.from_json(profile_json)
@@ -202,7 +225,6 @@ def parse_request(payload) -> AlignmentRequest:
         )
     else:
         profile_fp = ["inputs", list(inputs)]
-    cfgs = [(proc.name, fingerprint_cfg(proc.cfg)) for proc in module.program]
     key = canonical_digest({
         "cfgs": cfgs,
         "profile": profile_fp,

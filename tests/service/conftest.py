@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.service.core as core
+from repro.lang import compile_source, run_and_profile
 from repro.service import (
     AlignmentService,
     ServiceConfig,
@@ -39,11 +41,31 @@ def make_payload(**overrides) -> dict:
     return payload
 
 
+def explicit_profile_payload(source=SERVICE_SOURCE, **overrides) -> dict:
+    """A payload carrying the profile of ``source`` run on 0..19."""
+    _, profile = run_and_profile(compile_source(source), list(range(20)))
+    payload = make_payload(
+        source=source, profile=profile.to_json(), **overrides
+    )
+    payload.pop("inputs")
+    return payload
+
+
 def one_shard_tier(journal_dir: str | None = None) -> ShardSupervisor:
     """What ``repro serve [--journal-dir DIR]`` runs, at capacity 4."""
     return ShardSupervisor(ShardTierConfig(
         shards=1, journal_dir=journal_dir, service=ServiceConfig(capacity=4)
     ))
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """Key and compile from scratch: no key-memo entry or compiled source
+    left by another test."""
+    monkeypatch.setattr(core, "_KEY_MEMO", {})
+    core._compiled.cache_clear()
+    yield
+    core._compiled.cache_clear()
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ import pytest
 import repro.service.core as core
 from repro.chaos.workloads import WorkloadConfig, payloads_for
 from repro.errors import DeadlineShedError, UsageError
-from repro.lang import compile_source, run_and_profile
 from repro.profiles.edge_profile import ProgramProfile
 from repro.service import (
     AlignmentService,
@@ -29,27 +28,12 @@ from repro.service import (
 )
 from repro.service.client import request_alignment
 
-from .conftest import SERVICE_SOURCE, make_payload
+from .conftest import SERVICE_SOURCE, explicit_profile_payload, make_payload
 from .test_http import http_service  # noqa: F401 — fixture
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "request_keys_golden.json").read_text()
 )
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """Key from scratch: no memo entry left by another test."""
-    monkeypatch.setattr(core, "_KEY_MEMO", {})
-
-
-def explicit_profile_payload(**overrides) -> dict:
-    _, profile = run_and_profile(
-        compile_source(SERVICE_SOURCE), list(range(20))
-    )
-    payload = make_payload(profile=profile.to_json(), **overrides)
-    payload.pop("inputs")
-    return payload
 
 
 def variant_payloads() -> dict:
@@ -217,7 +201,11 @@ class TestWorkPerRequest:
     def test_one_parse_per_request(self, tmp_path, monkeypatch, fresh_memo):
         cold = explicit_profile_payload(seed=901)
         hedged = explicit_profile_payload(seed=902)
+        other = explicit_profile_payload(
+            source=SERVICE_SOURCE.replace("v > 10", "v > 12"), seed=903
+        )
         primary = route_shard(parse_request(hedged).key, 2)
+        core._compiled.cache_clear()  # the cold request compiles anew
         counts = Counter()
 
         def counted(name, fn):
@@ -257,7 +245,12 @@ class TestWorkPerRequest:
             request = sup.submit(hedged)
             assert request.result(120)["status"] == "ok"
             assert request.winner == "hedge"
-            # The hedge reuses the submission's key and parsed request.
+            # The hedge reuses the submission's key and parsed request,
+            # and the cold request already compiled the shared source.
+            assert counts == {"profile": 1, "digest": 1}
+
+            counts.clear()
+            assert sup.align(other, timeout=120)["status"] == "ok"
             assert counts == {"compile": 1, "profile": 1, "digest": 1}
         finally:
             assert sup.drain(30)

@@ -82,6 +82,7 @@ class TestHeldKarp:
 
 class TestAssignment:
     def test_matches_scipy(self):
+        pytest.importorskip("scipy")
         from scipy.optimize import linear_sum_assignment
 
         for seed in range(6):
