@@ -2,8 +2,9 @@
 
 A from-scratch reproduction of Young, Johnson, Karger & Smith's branch
 alignment system: CFG substrate, profiling, machine penalty models, the
-DTSP reduction with iterated 3-Opt and Held–Karp lower bounds, greedy
-baselines, a tiny benchmark language + VM, and the full experiment harness.
+DTSP reduction solved exactly as a path cover (the paper's iterated 3-Opt
+and Held–Karp bounds stay for its appendix), greedy baselines, a tiny
+benchmark language + VM, and the full experiment harness.
 
 Quickstart::
 

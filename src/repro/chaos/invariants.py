@@ -21,7 +21,7 @@ The suite:
   record).  Orphans are excused only under journal-damage sites, where a
   degraded journal drops terminal records by design.
 * ``responses_verified`` — every ok response carries valid permutation
-  layouts and respects its own Held–Karp floors.
+  layouts and respects its own path-cover floors.
 * ``journal_replayable`` — every journal the run wrote loads cleanly;
   interior corruption appears only under schedules that damage the
   journal on purpose.

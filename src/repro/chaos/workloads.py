@@ -134,7 +134,7 @@ def response_signature(response: dict) -> str:
 
 
 def response_valid(response: dict) -> "str | None":
-    """Check one ok response's tour validity and Held–Karp floor from
+    """Check one ok response's tour validity and path-cover floor from
     the response alone; returns a violation string or ``None``."""
     layouts = response.get("layouts") or {}
     costs = response.get("costs") or {}
@@ -146,7 +146,7 @@ def response_valid(response: dict) -> "str | None":
         cost = costs.get(name)
         if cost is not None and floor is not None and cost < floor - 1e-6:
             return (
-                f"cost {cost} for {name!r} beats its Held–Karp floor "
+                f"cost {cost} for {name!r} beats its path-cover floor "
                 f"{floor}"
             )
     return None
@@ -154,7 +154,7 @@ def response_valid(response: dict) -> "str | None":
 
 def payloads_for(config: WorkloadConfig) -> list[dict]:
     """The run's request payloads: distinct seeds over the same branchy
-    program, Held–Karp bounds on so every response carries its floor."""
+    program, path-cover bounds on so every response carries its floor."""
     return [
         {
             "source": _SOURCE,

@@ -895,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="MS",
                            help="per-request deadline")
     p_request.add_argument("--bound", action="store_true",
-                           help="also certify Held–Karp floors (verified "
+                           help="also certify path-cover floors (verified "
                                 "against the served costs)")
     p_request.add_argument("--timeout", type=float, default=600.0,
                            metavar="S", help="client-side wait (seconds)")

@@ -1,19 +1,22 @@
 """The paper's contribution: near-optimal alignment via the DTSP reduction.
 
-Build the §2.2 cost matrix, solve the DTSP with iterated 3-Opt (exact DP on
-small procedures), and read the tour back as a layout.  The search stops
-as soon as its tour is proved optimal — by the assignment bound or by the
-path-cover optimum (see ``_stop_rule``).  Also exposes the per-procedure
-certified lower bound — the provable floor under any layout's control
-penalty, which is that same optimum.
+Build the §2.2 cost matrix, solve the DTSP exactly, and read the tour back
+as a layout.  An alignment row costs one default except toward a few CFG
+successors, so the optimum is a maximum-weight path cover over the
+profitable successor arcs (:mod:`repro.tsp.path_cover`), and its paths
+joined in order are an optimal tour.  The paper's iterated 3-Opt
+(:func:`~repro.tsp.solve.solve_dtsp`, exact DP on small procedures) runs
+only when a hand-built model makes that tour miss the cover's floor.
+Also exposes the per-procedure certified lower bound — the provable floor
+under any layout's control penalty, which is that same optimum.
 
 Resilience: the aligner is a best-effort pass.  When the solver exhausts
 its :class:`~repro.budget.Budget` (or a fault is injected), it *degrades*
 instead of raising, stepping down a ladder of ever-cheaper rungs:
 
     tsp (full solve) → construction (best of greedy-edge / nearest-neighbor
-    / identity tours, plus any tour salvaged from the interrupted solve)
-    → greedy (Pettis–Hansen chaining) → original (no reordering)
+    / identity tours, plus the best cover salvaged from the interrupted
+    search) → greedy (Pettis–Hansen chaining) → original (no reordering)
 
 Every rung yields a valid, penalty-evaluable layout; the construction rung
 always considers the identity tour, so a degraded result is never worse
@@ -27,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro import faults, obs
+from repro import faults
 from repro.budget import Budget, BudgetTimer, ensure_timer
 from repro.cfg.graph import ControlFlowGraph
 from repro.core.aligners.greedy import pettis_hansen_layout
@@ -37,7 +40,6 @@ from repro.errors import ReproError, SolverBudgetExceeded
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
 from repro.profiles.edge_profile import EdgeProfile
-from repro.tsp.assignment import assignment_cycle_cover
 from repro.tsp.construction import (
     greedy_edge_tour,
     identity_tour,
@@ -45,7 +47,7 @@ from repro.tsp.construction import (
 )
 from repro.tsp.instance import tour_cost
 from repro.tsp.path_cover import PathCover, path_cover
-from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp, solves_exactly
+from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp
 
 #: Rung names of the degradation ladder, in order of decreasing quality.
 DEGRADATION_RUNGS = ("none", "construction", "greedy", "original")
@@ -98,45 +100,10 @@ def _best_construction_layout(
 
 def _optimum(
     instance: AlignmentInstance, timer: BudgetTimer | None
-) -> PathCover | None:
-    """The instance's path-cover optimum, or None once ``timer`` expires."""
+) -> PathCover:
+    """The instance's path-cover optimum; raises
+    :class:`~repro.errors.SolverBudgetExceeded` once ``timer`` expires."""
     return path_cover(instance.matrix, *instance.sparse_form(), budget=timer)
-
-
-class _Certificate:
-    """The path-cover optimum, searched once the first run ends: the
-    ``certify`` callable of :func:`~repro.tsp.solve.solve_dtsp`.  It
-    returns a cost no tour beats, or None when the budget expires."""
-
-    def __init__(
-        self, instance: AlignmentInstance, timer: BudgetTimer | None
-    ) -> None:
-        self.instance = instance
-        self.timer = timer
-
-    def __call__(self, tour: list[int], cost: float) -> float | None:
-        cover = _optimum(self.instance, self.timer)
-        if cover is None:
-            return None
-        obs.count("tsp.certified_cover", int(cover.optimal))
-        return min(cost, cover.bound)
-
-
-def _stop_rule(
-    instance: AlignmentInstance, effort: Effort, timer: BudgetTimer | None
-):
-    """The certify-and-stop rule for one solve: ``(target, certify)``.
-
-    The target is the assignment (AP) bound, which no tour beats, so a tour
-    that meets it is optimal.  ``certify`` is a :class:`_Certificate`.
-    Only the proof is used — the cover's own tour never becomes a layout,
-    so layouts stay the kernel's whichever assignment backend broke ties.
-    The exact-DP path needs neither: ``(None, None)``.
-    """
-    if solves_exactly(instance.n, effort):
-        return None, None
-    target = assignment_cycle_cover(instance.matrix).cost
-    return target, _Certificate(instance, timer)
 
 
 def tsp_align(
@@ -177,23 +144,26 @@ def tsp_align(
     salvaged: list[list[int]] = []
     warning: str
     try:
-        target, certify = _stop_rule(instance, effort, timer)
-        result = solve_dtsp(
-            instance.matrix, effort=effort, seed=seed, budget=timer,
-            target=target, certify=certify,
-        )
-        if target is not None:
-            obs.count("tsp.certified_ap", int(result.cost <= target + 1e-9))
-        if result.cost < instance.big:
-            return TspAlignment(
-                layout=instance.layout_from_cycle(result.tour),
-                cost=result.cost,
-                instance=instance,
-                runs_finding_best=result.runs_finding_best,
-                runs_total=len(result.runs),
+        faults.check_solver_timeout()
+        cover = _optimum(instance, timer)
+        tour, cost, runs = cover.tour, cover.cost, []
+        if not cover.optimal:
+            result = solve_dtsp(
+                instance.matrix, effort=effort, seed=seed, budget=timer
             )
-        # The solver failed to avoid a forbidden edge (cannot happen with an
-        # identity start in the mix, but fail safe rather than corrupt).
+            runs = result.runs
+            if result.cost < cost:
+                tour, cost = result.tour, result.cost
+        if cost < instance.big:
+            return TspAlignment(
+                layout=instance.layout_from_cycle(tour),
+                cost=cost,
+                instance=instance,
+                runs_finding_best=sum(r.cost <= cost + 1e-6 for r in runs),
+                runs_total=len(runs),
+            )
+        # A tour through a forbidden edge (neither the cover's join nor
+        # the fallback, with its identity start, needs one): fail safe.
         warning = "solver tour used a forbidden edge"
     except SolverBudgetExceeded as exc:
         warning = str(exc)
@@ -277,5 +247,7 @@ def alignment_lower_bound(
         return 0.0
     if instance is None:
         instance = build_alignment_instance(cfg, profile, model)
-    cover = _optimum(instance, ensure_timer(budget))
-    return 0.0 if cover is None else cover.bound
+    try:
+        return _optimum(instance, ensure_timer(budget)).bound
+    except SolverBudgetExceeded:
+        return 0.0

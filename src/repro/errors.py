@@ -217,7 +217,7 @@ class LayoutVerificationError(ServiceError):
     """An emitted layout failed independent re-verification.
 
     The response verifier checks permutation validity, aligner-vs-
-    evaluator cost agreement, and the Held–Karp floor before anything is
+    evaluator cost agreement, and the path-cover floor before anything is
     served; a violation means a pipeline bug, so the response is
     quarantined — recorded, counted, never returned as a layout.
     """

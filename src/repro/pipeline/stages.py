@@ -21,9 +21,9 @@ task), and every stage uses the process-wide
   phase once per (CFG, profile, Ext-TSP parameters), shared by the
   ``chain-merge`` and ``exttsp`` aligners.
 * The **align stage** (:func:`run_align_tasks`) and the **bound stage**
-  (:func:`run_bound_tasks`: certified per-procedure Held–Karp/branch-and-
-  bound floors) are one cached-stage loop, :func:`_run_cached`, fanning
-  cache misses out over worker processes
+  (:func:`run_bound_tasks`: certified per-procedure path-cover floors)
+  are one cached-stage loop, :func:`_run_cached`, fanning cache misses
+  out over worker processes
   (:mod:`repro.pipeline.executor`).  Results merge in task order, so
   layouts, bounds, reports, stored cases, and tables are identical for
   any worker count.

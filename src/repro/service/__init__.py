@@ -19,7 +19,7 @@ serving-grade robustness layer:
   with ``degraded="breaker_fallback"`` accounting.
 * **Verification** (:mod:`.verify`) — every response is independently
   re-checked (permutation validity, aligner-vs-evaluator cost agreement,
-  Held–Karp floor); violations are quarantined, never served.
+  path-cover floor); violations are quarantined, never served.
 * **Graceful drain** (:mod:`.core`, :mod:`.http_server`) — SIGTERM stops
   admission, finishes in-flight work, flushes observability state, and
   exits 0.

@@ -125,7 +125,7 @@ class AlignmentRequest:
     profile: ProgramProfile | None = field(repr=False)
     #: The payload's own; ``None`` = the service default applies.
     deadline_ms: float | None
-    #: Also certify Held–Karp floors and include them in verification.
+    #: Also certify path-cover floors and include them in verification.
     bound: bool
 
     def training_profile(self) -> ProgramProfile:
@@ -761,7 +761,7 @@ class AlignmentService:
                 violations = self._verify_replayed(request, response)
                 if violations is None or violations:
                     # A replayed layout that cannot be re-proved against
-                    # the Held–Karp floor is never served from the
+                    # the path-cover floor is never served from the
                     # journal: fall back to re-solving it.
                     reverify_failed += 1
                     obs.count("service.replay_rejected")
@@ -815,7 +815,7 @@ class AlignmentService:
     def _verify_replayed(self, request, response) -> list[str] | None:
         """Re-prove a journaled response before it may be served again.
 
-        Recomputes the freshly parsed request's profile and Held–Karp
+        Recomputes the freshly parsed request's profile and path-cover
         floors and runs the full response verifier over the recorded
         layouts and costs — the journal is treated as untrusted bytes,
         exactly like a solver's output.  Returns the violation list

@@ -11,7 +11,7 @@ module enforces them *per response*:
 2. **Cost agreement** — the cost the aligner reported for a procedure
    equals the evaluation stage's control penalty for the same layout
    (§2.2's reduction: two walks over one model must not drift).
-3. **Bound sanity** — when a Held–Karp floor is available, no reported
+3. **Bound sanity** — when a path-cover floor is available, no reported
    cost may sit below it (a "better than provably possible" layout is a
    corrupt cost matrix or a broken solver, not a miracle).
 
@@ -56,7 +56,7 @@ def verify_layouts(
     ``costs`` are the aligner-reported per-procedure tour costs (absent
     entries — trivial or quarantined procedures — skip the agreement
     check but still get permutation checks).  ``bounds`` are certified
-    Held–Karp floors when the request asked for them.
+    path-cover floors when the request asked for them.
     """
     violations: list[str] = []
     for proc in program:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -509,8 +508,6 @@ def kernel_iterated_three_opt(
     neighbors: int = 12,
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
-    target: float | None = None,
-    certify: Callable[[list[int], float], float | None] | None = None,
 ) -> SolveResult:
     """Run iterated 3-opt from each start; return the best tour found.
 
@@ -528,15 +525,6 @@ def kernel_iterated_three_opt(
     periodically inside the descent); on expiry
     :class:`SolverBudgetExceeded` propagates with the best complete tour
     found so far attached as ``best_so_far``.
-
-    ``target`` is a cost no tour can beat (a certified lower bound): once
-    the incumbent is within ``1e-9`` of it, the solve stops — no more
-    kicks, no polish, no further starts.  ``certify`` is called at most
-    once, with the first run's tour and cost when that run ends above
-    ``target`` and more starts remain; it returns a proven optimum (which
-    becomes the target) or None.  Until the stop, the trajectory is the
-    same as without a target; ``target=None`` and ``certify=None`` replay
-    the full-effort solve bit for bit.
     """
     matrix = check_matrix(matrix)
     n = matrix.shape[0]
@@ -561,11 +549,8 @@ def kernel_iterated_three_opt(
             seen_tour = state.tour.tolist()
             seen_cost = cost
 
-    def reached(cost: float) -> bool:
-        return target is not None and cost <= target + 1e-9
-
     try:
-        for run_index, start_kind in enumerate(starts):
+        for start_kind in starts:
             if timer is not None:
                 timer.check(where="iterated-3opt")
             with obs.span("tsp_run", start=start_kind):
@@ -575,7 +560,7 @@ def kernel_iterated_three_opt(
                 note(current_cost)
                 run_best = current_cost
                 kicked = 0
-                while kicked < kicks and not reached(current_cost):
+                while kicked < kicks:
                     kicked += 1
                     if timer is not None:
                         timer.tick(where="iterated-3opt")
@@ -593,27 +578,17 @@ def kernel_iterated_three_opt(
                         note(current_cost)
                     else:
                         kernel.restore(state, snap)
-                if not reached(current_cost):
-                    # Or-opt polish: a full descent with relocations enabled
-                    # from the run's final tour.  Only improving moves apply,
-                    # so this can only lower the run's cost.
-                    kernel.wake_all(state)
-                    current_cost = kernel.descend(state, budget=timer)
-                    run_best = min(run_best, current_cost)
-                    note(current_cost)
+                # Or-opt polish: a full descent with relocations enabled
+                # from the run's final tour.  Only improving moves apply,
+                # so this can only lower the run's cost.
+                kernel.wake_all(state)
+                current_cost = kernel.descend(state, budget=timer)
+                run_best = min(run_best, current_cost)
+                note(current_cost)
                 runs.append(RunResult(start_kind, run_best, kicked))
             if current_cost < best_cost:
                 best_tour = state.tour.tolist()
                 best_cost = current_cost
-            if (
-                certify is not None and run_index == 0 and len(starts) > 1
-                and not reached(best_cost)
-            ):
-                proven = certify(list(best_tour), best_cost)
-                if proven is not None:
-                    target = proven
-            if reached(best_cost):
-                break
     except SolverBudgetExceeded as exc:
         if state is not None and state.cost < seen_cost:
             # descend() syncs the state before raising, so this is a

@@ -14,7 +14,6 @@ flat-array solver kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -64,20 +63,12 @@ def get_effort(effort: "Effort | str") -> Effort:
         ) from None
 
 
-def solves_exactly(n: int, effort: Effort | str = DEFAULT) -> bool:
-    """True when :func:`solve_dtsp` answers an ``n``-city instance by
-    exact DP rather than iterated 3-Opt."""
-    return n <= min(get_effort(effort).exact_threshold, MAX_EXACT_CITIES)
-
-
 def solve_dtsp(
     matrix: np.ndarray,
     *,
     effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
-    target: float | None = None,
-    certify: Callable[[list[int], float], float | None] | None = None,
 ) -> SolveResult:
     """Find a (near-)optimal directed tour.
 
@@ -87,18 +78,13 @@ def solve_dtsp(
     :class:`~repro.errors.SolverBudgetExceeded` is raised (carrying the
     best tour found so far, if any) so callers can degrade to a cheaper
     construction.
-
-    ``target`` (a certified lower bound) and ``certify`` (an optimality
-    certificate for the first run) let the kernel stop at a proven optimum
-    — see :func:`~repro.tsp.kernel.kernel_iterated_three_opt`.  The exact
-    path ignores both.
     """
     faults.check_solver_timeout()
     matrix = check_matrix(matrix)
     effort = get_effort(effort)
     timer = ensure_timer(budget)
     n = matrix.shape[0]
-    if solves_exactly(n, effort):
+    if n <= min(effort.exact_threshold, MAX_EXACT_CITIES):
         with obs.span("dtsp_solve", cities=n, mode="exact"):
             if timer is not None:
                 timer.check(where="exact")
@@ -114,8 +100,6 @@ def solve_dtsp(
             neighbors=effort.neighbors,
             seed=seed,
             budget=timer,
-            target=target,
-            certify=certify,
         )
 
 

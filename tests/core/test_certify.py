@@ -1,12 +1,16 @@
-"""Certify-and-stop: the tsp aligner ends its search at a proven optimum,
-and the bound stage returns that optimum.
+"""The tsp aligner lays out the path cover's own tour, and the bound stage
+returns that tour's cost.
 
-The contract: the same tour *cost* as the full-effort search (a different
-co-optimal tour is allowed), valid entry-first layouts, the degradation
-ladder intact when the budget runs out inside the certificate, layouts
-that do not depend on the assignment backend, and a certified bound that
-is the optimum whatever upper bound is known.
+The contract: the same tour *cost* as the paper's full-effort search (a
+different co-optimal tour is allowed) with no 3-Opt run at all, valid
+entry-first layouts, the degradation ladder intact when the budget runs
+out inside the search (with the best cover found so far salvaged),
+layouts that do not depend on whether SciPy is installed, and a
+certified bound that is the optimum however it is reached.
 """
+
+import importlib
+import sys
 
 import pytest
 
@@ -16,12 +20,23 @@ from repro import obs
 from repro.budget import Budget
 from repro.core import build_alignment_instance
 from repro.core.aligners.tsp_aligner import alignment_lower_bound, tsp_align
+from repro.lang import compile_source
 from repro.machine import ALPHA_21164
+from repro.machine.models import STANDARD_MODELS
 from repro.profiles import EdgeProfile, synthesize_profile
-from repro.tsp import branch_and_bound, exact_tour, get_effort, solve_dtsp
+from repro.tsp import branch_and_bound, exact_tour, solve_dtsp, tour_cost
+from repro.workloads.suite import SUITE
 from repro.workloads.synthetic import random_biases, random_program
 
 PROGRAM_SEEDS = (0, 1, 2, 3)
+
+#: serve-cold's profile shapes: shape p profiles SUITE source p % 6 with
+#: biases and walks seeded 7000 + p, 8 walks of at most 2000 steps.
+SERVE_SHAPES = 120
+SERVE_SHAPE_SEED = 7000
+
+#: The module, not the function ``repro.tsp`` re-exports under its name.
+path_cover_module = importlib.import_module("repro.tsp.path_cover")
 
 
 def procedures(seed):
@@ -42,63 +57,68 @@ def procedures(seed):
     ]
 
 
-def full_effort(monkeypatch):
-    """Switch the stop rule off: the search runs every start in full."""
-    monkeypatch.setattr(
-        tsp_aligner, "_stop_rule", lambda instance, effort, timer: (None, None)
-    )
+def serve_cold_shapes():
+    """``(program, profile)`` of each of serve-cold's 120 profile shapes."""
+    sources = tuple(SUITE)
+    programs = {
+        abbr: compile_source(SUITE[abbr].source).program for abbr in sources
+    }
+    for position in range(SERVE_SHAPES):
+        program = programs[sources[position % len(sources)]]
+        seed = SERVE_SHAPE_SEED + position
+        yield program, synthesize_profile(
+            program, random_biases(program, seed), seed=seed,
+            walks_per_procedure=8, max_steps=2000,
+        )
 
 
 class TestCertifiedSolve:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_certified_cost_equals_full_effort_cost_on_grid(self, seed):
-        effort = get_effort("default")
         for cfg, edges in procedures(seed):
             instance = build_alignment_instance(cfg, edges, ALPHA_21164)
             full = solve_dtsp(instance.matrix, seed=seed)
-            target, certify = tsp_aligner._stop_rule(instance, effort, None)
-            certified = solve_dtsp(
-                instance.matrix, seed=seed, target=target, certify=certify
-            )
-            assert certified.cost == pytest.approx(full.cost, rel=1e-12)
-            assert sorted(certified.tour) == list(range(instance.n))
+            aligned = tsp_align(cfg, edges, ALPHA_21164, instance=instance)
+            assert aligned.cost == pytest.approx(full.cost, rel=1e-12)
+            assert aligned.cost == instance.layout_cost(aligned.layout)
 
-    def test_aligner_matches_full_effort_with_less_work(self, monkeypatch):
-        def run():
-            obs.tracer().reset_counters()
-            results = [
-                tsp_align(cfg, edges, ALPHA_21164, seed=3)
-                for seed in PROGRAM_SEEDS
-                for cfg, edges in procedures(seed)
-            ]
-            return results, obs.counters()
+    def test_aligner_matches_full_effort_with_less_work(self):
+        """Every tour costs what the paper's full-effort 3-Opt finds, and
+        the aligner reaches it with one path-cover search per procedure
+        and no 3-Opt run or kick."""
+        obs.tracer().reset_counters()
+        cases = [
+            (cfg, edges, tsp_align(cfg, edges, ALPHA_21164, seed=3))
+            for seed in PROGRAM_SEEDS
+            for cfg, edges in procedures(seed)
+        ]
+        counters = obs.counters()
+        obs.tracer().reset_counters()
+        full = [
+            solve_dtsp(result.instance.matrix, seed=3) for _, _, result in cases
+        ]
+        full_counters = obs.counters()
 
-        certified, counters = run()
-        with monkeypatch.context() as patch:
-            full_effort(patch)
-            full, full_counters = run()
-
-        for cert, ref in zip(certified, full):
-            assert cert.cost == ref.cost  # integral penalties: exact
-            assert cert.degraded == "none"
-            cfg_blocks = sorted(ref.layout.order)
-            assert sorted(cert.layout.order) == cfg_blocks
-            assert cert.layout.order[0] == ref.layout.order[0]
-            assert cert.cost == cert.instance.layout_cost(cert.layout)
-        assert counters["tsp.kicks"] < full_counters["tsp.kicks"]
-        assert counters["tsp.runs"] < full_counters["tsp.runs"]
-        assert counters["tsp.certified_ap"] > 0
-        assert counters["tsp.certified_cover"] > 0
-        assert counters["path_cover.nodes"] > 0
+        for (cfg, _, result), ref in zip(cases, full):
+            assert result.cost == ref.cost  # integral penalties: exact
+            assert result.degraded == "none"
+            assert sorted(result.layout.order) == sorted(cfg.block_ids)
+            assert result.layout.order[0] == cfg.entry
+            assert result.cost == result.instance.layout_cost(result.layout)
+            assert result.runs_total == 0
+        assert "tsp.runs" not in counters and "tsp.kicks" not in counters
         assert "bnb.nodes" not in counters
-        assert "tsp.certified_ap" not in full_counters
+        assert len(cases) <= counters["path_cover.nodes"] < full_counters[
+            "tsp.kicks"
+        ]
 
     def test_budget_expiring_inside_the_certificate_degrades(
         self, monkeypatch
     ):
-        """The certificate polls the budget; once it has expired, the next
-        start raises and the ladder takes over with the first run's tour
-        among the construction candidates."""
+        """The search polls the budget at every node; once it has expired
+        inside the search, the ladder takes over with the best cover
+        found so far, as a joined tour, among the construction
+        candidates."""
 
         class Clock:
             now = 0.0
@@ -106,65 +126,83 @@ class TestCertifiedSolve:
             def __call__(self):
                 return self.now
 
-        real = tsp_aligner._Certificate.__call__
         clock = Clock()
-        calls = []
+        real_match = path_cover_module.max_weight_matching
+        real_rung = tsp_aligner._best_construction_layout
+        salvaged = []
 
-        def expire_then_certify(certificate, tour, cost):
-            clock.now += 10.0  # the budget runs out inside the certificate
-            calls.append(cost)
-            assert real(certificate, tour, cost) is None
-            return None
+        def expire_after_one_node(out):
+            clock.now += 10.0  # the budget runs out inside the search
+            return real_match(out)
+
+        def record_salvage(instance, seed, tours):
+            salvaged.append([list(tour) for tour in tours])
+            return real_rung(instance, seed, tours)
 
         monkeypatch.setattr(
-            tsp_aligner._Certificate, "__call__", expire_then_certify
+            path_cover_module, "max_weight_matching", expire_after_one_node
+        )
+        monkeypatch.setattr(
+            tsp_aligner, "_best_construction_layout", record_salvage
         )
         degraded = 0
         for cfg, edges in procedures(0):
             clock.now = 0.0
             timer = Budget(wall_ms=1000).start(clock=clock)
-            before = len(calls)
-            result = tsp_align(cfg, edges, ALPHA_21164, seed=3, budget=timer)
+            before = len(salvaged)
+            instance = build_alignment_instance(cfg, edges, ALPHA_21164)
+            result = tsp_align(
+                cfg, edges, ALPHA_21164, seed=3, budget=timer,
+                instance=instance,
+            )
             assert sorted(result.layout.order) == sorted(cfg.block_ids)
             assert result.layout.order[0] == cfg.entry
-            if len(calls) > before:
+            if len(salvaged) > before:
                 degraded += 1
                 assert result.degraded == "construction"
                 assert "budget exhausted" in result.warning
-                # The first run's tour was salvaged, so the rung is never
+                (tour,) = salvaged[-1]
+                # The root's cover, not the identity: the rung is never
                 # worse than it.
-                assert result.cost <= calls[-1] + 1e-9
+                assert tour != list(range(instance.n))
+                assert result.cost <= tour_cost(instance.matrix, tour) + 1e-9
             else:
                 assert result.degraded == "none"
         assert degraded > 0
 
-    @pytest.mark.skipif(
-        assignment._scipy_assignment is None, reason="needs scipy to compare"
-    )
     def test_pure_assignment_backend_gives_the_same_layouts(
         self, monkeypatch
     ):
-        def layouts():
-            return [
-                tsp_align(cfg, edges, ALPHA_21164, seed=3).layout.order
-                for seed in PROGRAM_SEEDS
-                for cfg, edges in procedures(seed)
-            ]
+        """tsp layouts and costs are the same with SciPy hidden, on
+        serve-cold's 120 profile shapes under every model."""
 
-        with_scipy = layouts()
+        def outcomes():
+            out = []
+            for program, profile in serve_cold_shapes():
+                for model in STANDARD_MODELS.values():
+                    for proc in program:
+                        edges = profile.procedures.get(proc.name)
+                        if edges is None:
+                            continue
+                        result = tsp_align(proc.cfg, edges, model, seed=3)
+                        out.append((result.layout.order, result.cost.hex()))
+            return out
+
+        visible = outcomes()
         monkeypatch.setattr(assignment, "_scipy_assignment", None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         assert assignment.resolve_assignment_backend() == "pure"
-        assert layouts() == with_scipy
+        assert outcomes() == visible
 
 
 @pytest.mark.usefixtures("no_ambient_chaos")
 class TestCertifiedBound:
     def test_bound_is_independent_of_the_upper_bound_hint(self):
         """The bound takes no upper-bound hint: it is the same float
-        searched cold, on the aligner's instance after the aligner ran,
-        and by the aligner's certificate whatever tour cost that is
-        handed; it is never above the tour's cost, and it is the dense
-        search's optimum wherever that search closes."""
+        searched cold and on the aligner's instance after the aligner
+        ran, it is the aligner's tour cost, and it is the dense search's
+        optimum wherever that search closes."""
         for seed in PROGRAM_SEEDS[:2]:
             for cfg, edges in procedures(seed):
                 instance = build_alignment_instance(cfg, edges, ALPHA_21164)
@@ -175,11 +213,7 @@ class TestCertifiedBound:
                 shared = alignment_lower_bound(
                     cfg, edges, ALPHA_21164, instance=instance
                 )
-                certify = tsp_aligner._Certificate(instance, None)
-                tour = list(range(instance.n))
-                assert certify(tour, tour_cost) == certify(
-                    tour, float("inf")
-                ) == shared == plain <= tour_cost
+                assert shared == plain == tour_cost
                 exact = branch_and_bound(instance.matrix, max_nodes=50_000)
                 if exact.optimal:
                     assert plain == exact.cost
@@ -188,8 +222,8 @@ class TestCertifiedBound:
         self, diamond_cfg, monkeypatch
     ):
         """When the root matching holds no cycle of profitable arcs, its
-        paths join into an optimal tour: the bound takes one node and
-        runs no tour search."""
+        paths join into an optimal tour: the bound and the aligner take
+        one node each and run no tour search."""
         def forbidden(*args, **kwargs):
             raise AssertionError("no search needed")
 
@@ -206,3 +240,6 @@ class TestCertifiedBound:
         bound = alignment_lower_bound(diamond_cfg, edges, ALPHA_21164)
         assert obs.counters()["path_cover.nodes"] == 1
         assert bound == exact_tour(instance.matrix)[1] > 0.0
+        aligned = tsp_align(diamond_cfg, edges, ALPHA_21164)
+        assert obs.counters()["path_cover.nodes"] == 2
+        assert aligned.cost == bound

@@ -1,12 +1,12 @@
-"""The tsp aligner's proof of optimality is the bound.
+"""The tsp aligner's tour is the bound's proof.
 
-The aligner certifies its first run with the path-cover optimum
+The aligner lays out the path-cover search's tour
 (:mod:`repro.tsp.path_cover`) and the bound stage returns that same
-optimum, so the cost the aligner proves is the bound the stage searches.
-The contract: the proof equals the searched bound bit for bit — and,
-since every suite and synth-large tour is optimal, the tour's cost — and
-the ``bound_timeout`` fault site is consulted once per bound task, on the
-serial path and on the pool.
+search's optimum, so the cost the aligner reaches is the bound the stage
+searches.  The contract: the search's certified optimum equals the
+searched bound and the tour's cost bit for bit on every suite and
+synth-large procedure, and the ``bound_timeout`` fault site is consulted
+once per bound task, on the serial path and on the pool.
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ def _procedures():
 @pytest.mark.usefixtures("no_ambient_chaos")
 @pytest.mark.parametrize("model_name", sorted(STANDARD_MODELS))
 def test_reused_bound_equals_the_searched_bound(model_name):
-    """The aligner's certificate and the bound stage return the same
-    float; it is never above the tsp tour's cost, it is the dense
-    search's optimum wherever that search closes, and it is the tour's
-    cost bit for bit on every procedure."""
+    """The search's certified optimum and the bound stage return the same
+    float; it is the dense search's optimum wherever that search closes,
+    and it is the tsp tour's cost bit for bit on every procedure."""
     model = STANDARD_MODELS[model_name]
     procedures = _procedures()
     for label, cfg, edges in procedures:
@@ -76,9 +75,7 @@ def test_reused_bound_equals_the_searched_bound(model_name):
         searched = alignment_lower_bound(
             cfg, edges, model, instance=instance
         )
-        proved = tsp_aligner._Certificate(instance, None)(
-            list(range(instance.n)), tour_cost
-        )
+        proved = tsp_aligner._optimum(instance, None).bound
         assert proved.hex() == searched.hex(), label
         assert searched.hex() == tour_cost.hex(), label
         if instance.n <= 24:

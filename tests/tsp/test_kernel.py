@@ -19,7 +19,6 @@ from repro.budget import Budget
 from repro.errors import SolverBudgetExceeded
 from repro.tsp import (
     QUICK,
-    Effort,
     KernelStats,
     SolverKernel,
     kernel_iterated_three_opt,
@@ -180,74 +179,3 @@ class TestCounters:
         after = obs.counters()
         assert after.get("tsp.runs", 0) - before.get("tsp.runs", 0) == 2
         assert after.get("tsp.kicks", 0) - before.get("tsp.kicks", 0) == 16
-
-
-class TestCertifyAndStop:
-    """``target``/``certify``: stop at a proven optimum, otherwise replay
-    the full-effort trajectory exactly."""
-
-    @staticmethod
-    def _kicks(fn):
-        before = obs.counters().get("tsp.kicks", 0)
-        result = fn()
-        return result, obs.counters().get("tsp.kicks", 0) - before
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_unreached_target_replays_the_full_solve(self, seed):
-        """A target no tour can meet never stops the search: tours, costs
-        and per-run results are bit-identical to ``target=None`` on the
-        whole n=4..60 grid."""
-        effort = Effort("two-starts", starts=("greedy", "identity"),
-                        iterations=12)
-        for n in range(4, 61, 7):
-            m = random_matrix(n, seed)
-            full = solve_dtsp(m, effort=effort, seed=seed)
-            calls = []
-            capped = solve_dtsp(
-                m, effort=effort, seed=seed, target=-1.0,
-                certify=lambda tour, cost: calls.append(cost),
-            )
-            assert capped.tour == full.tour, (n, seed)
-            assert capped.cost == full.cost
-            assert capped.runs == full.runs
-            if n > 12:  # the exact-DP path never certifies
-                assert calls == [pytest.approx(full.runs[0].cost)]
-
-    def test_met_target_stops_kicking_and_skips_remaining_starts(self):
-        m = random_matrix(40, 3)
-        full, full_kicks = self._kicks(lambda: solve_dtsp(m, seed=0))
-        stopped, kicks = self._kicks(
-            lambda: solve_dtsp(m, seed=0, target=full.cost)
-        )
-        assert stopped.cost == pytest.approx(full.cost)
-        assert stopped.cost == pytest.approx(tour_cost(m, stopped.tour))
-        assert kicks < full_kicks
-        assert len(stopped.runs) <= len(full.runs)
-        # Until the stop, the trajectory is the full solve's.
-        for stopped_run, full_run in zip(stopped.runs[:-1], full.runs):
-            assert stopped_run == full_run
-        assert stopped.runs[-1].iterations <= full.runs[0].iterations
-
-    def test_certificate_proving_the_first_run_ends_the_solve(self):
-        m = random_matrix(40, 3)
-        seen = []
-
-        def certify(tour, cost):
-            seen.append((sorted(tour), cost))
-            return cost  # "proved optimal"
-
-        result = solve_dtsp(m, seed=0, target=-1.0, certify=certify)
-        first = solve_dtsp(m, seed=0).runs[0]
-        assert len(result.runs) == 1
-        assert result.runs[0] == first
-        assert seen == [(list(range(40)), pytest.approx(first.cost))]
-        assert result.cost == pytest.approx(first.cost)
-
-    def test_single_start_solves_never_certify(self):
-        m = random_matrix(30, 1)
-        calls = []
-        solve_dtsp(
-            m, effort="quick", seed=0, target=-1.0,
-            certify=lambda tour, cost: calls.append(cost),
-        )
-        assert calls == []
