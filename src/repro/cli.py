@@ -3,8 +3,8 @@
     repro compile FILE [--dot DIR] [--simplify]
     repro run FILE [--inputs 1,2,3 | --input-file F] [--profile-out P.json]
     repro align FILE [--inputs ... | --input-file F | --profile P.json]
-                 [--method tsp] [--model alpha21164] [--effort default]
-                 [--bound] [--cross-profile Q.json] [--jobs N]
+                 [--method tsp] [--model alpha21164] [--bound]
+                 [--cross-profile Q.json] [--jobs N]
                  [--retries N] [--task-timeout-ms MS] [--store PATH]
     repro suite CASE [CASE ...] [--train DATASET] [--budget-ms MS]
                  [--jobs N] [--retries N] [--task-timeout-ms MS]
@@ -56,7 +56,6 @@ from repro.experiments.report import format_table
 from repro.lang import LangError, compile_source, run_and_profile
 from repro.machine.models import STANDARD_MODELS, get_model
 from repro.profiles.edge_profile import ProgramProfile
-from repro.tsp.solve import EFFORTS
 
 
 def _read_source(path: str) -> str:
@@ -221,8 +220,8 @@ def cmd_align(args) -> int:
     score_baseline = None
     for method in methods:
         layouts = align_program(
-            program, training, method=method, model=model,
-            effort=args.effort, jobs=args.jobs, policy=policy,
+            program, training, method=method, model=model, jobs=args.jobs,
+            policy=policy,
         )
         penalty = evaluate_program(
             program, layouts, testing, model, predictors=predictors
@@ -255,8 +254,8 @@ def cmd_align(args) -> int:
 
         method = methods[-1]
         layouts = align_program(
-            program, training, method=method, model=model,
-            effort=args.effort, jobs=args.jobs, policy=policy,
+            program, training, method=method, model=model, jobs=args.jobs,
+            policy=policy,
         )
         for name, report in describe_program(
             program, layouts, testing, model
@@ -430,7 +429,6 @@ def cmd_request(args) -> int:
         "source": _read_source(args.file),
         "method": args.method,
         "model": args.model,
-        "effort": args.effort,
         "seed": args.seed,
     }
     inputs = _parse_inputs(args)
@@ -790,8 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=(*ALIGN_METHODS, "all"))
     p_align.add_argument("--model", default="alpha21164",
                          choices=sorted(STANDARD_MODELS))
-    p_align.add_argument("--effort", default="default",
-                         choices=sorted(EFFORTS))
     p_align.add_argument("--bound", action="store_true",
                          help="also compute the certified lower bound")
     p_align.add_argument("--details", action="store_true",
@@ -888,8 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=tuple(ALIGN_METHODS))
     p_request.add_argument("--model", default="alpha21164",
                            choices=sorted(STANDARD_MODELS))
-    p_request.add_argument("--effort", default="default",
-                           choices=sorted(EFFORTS))
     p_request.add_argument("--seed", type=int, default=0)
     p_request.add_argument("--deadline-ms", type=float, default=None,
                            metavar="MS",

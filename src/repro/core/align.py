@@ -50,7 +50,6 @@ from repro.pipeline.stages import (
 )
 from repro.pipeline.task import ProcedureResult, ProcedureTask
 from repro.profiles.edge_profile import ProgramProfile
-from repro.tsp.solve import DEFAULT, Effort
 
 # -- the built-in aligners ----------------------------------------------------
 
@@ -133,7 +132,6 @@ def _align_tsp(task: ProcedureTask) -> ProcedureResult:
             task.profile,
             task.model,
             predictor=task.predictor,
-            effort=task.effort,
             seed=task.effective_seed,
             budget=task.budget,
             instance=instance,
@@ -146,8 +144,6 @@ def _align_tsp(task: ProcedureTask) -> ProcedureResult:
         cost=alignment.cost,
         exttsp_score=exttsp_score(task.cfg, alignment.layout, task.profile),
         cities=alignment.instance.n,
-        runs_finding_best=alignment.runs_finding_best,
-        runs_total=alignment.runs_total,
         degraded=alignment.degraded,
         warning=alignment.warning,
         instance=alignment.instance,
@@ -225,7 +221,6 @@ class AlignmentReport:
     #: Per-procedure Ext-TSP scores of the emitted layouts (dual pricing;
     #: every aligner fills this, including ``original``).
     exttsp_scores: dict[str, float] = field(default_factory=dict)
-    runs_finding_best: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: Procedures whose layout came from a fallback rung (proc → rung name).
     degraded: dict[str, str] = field(default_factory=dict)
     #: Structured warnings explaining each degradation.
@@ -248,7 +243,6 @@ def align_program(
     *,
     method: str = "tsp",
     model: PenaltyModel = ALPHA_21164,
-    effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | None = None,
     report: AlignmentReport | None = None,
@@ -276,7 +270,6 @@ def align_program(
         profile,
         method=normalize_method(method),
         model=model,
-        effort=effort,
         seed=seed,
         budget=budget,
         jobs=jobs,

@@ -5,8 +5,9 @@ as a layout.  An alignment row costs one default except toward a few CFG
 successors, so the optimum is a maximum-weight path cover over the
 profitable successor arcs (:mod:`repro.tsp.path_cover`), and its paths
 joined in order are an optimal tour.  The paper's iterated 3-Opt
-(:func:`~repro.tsp.solve.solve_dtsp`, exact DP on small procedures) runs
-only when a hand-built model makes that tour miss the cover's floor.
+(:func:`~repro.tsp.solve.solve_dtsp` at its ``default`` preset, exact DP
+on small procedures) runs only when a hand-built model makes that tour
+miss the cover's floor.
 Also exposes the per-procedure certified lower bound — the provable floor
 under any layout's control penalty, which is that same optimum.
 
@@ -47,7 +48,7 @@ from repro.tsp.construction import (
 )
 from repro.tsp.instance import tour_cost
 from repro.tsp.path_cover import PathCover, path_cover
-from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp
+from repro.tsp.solve import solve_dtsp
 
 #: Rung names of the degradation ladder, in order of decreasing quality.
 DEGRADATION_RUNGS = ("none", "construction", "greedy", "original")
@@ -60,8 +61,6 @@ class TspAlignment:
     layout: Layout
     cost: float                     # penalty cycles of the layout
     instance: AlignmentInstance
-    runs_finding_best: int = 0
-    runs_total: int = 0
     #: Which ladder rung produced the layout ("none" = the full TSP solve).
     degraded: str = "none"
     #: Human-readable reason when ``degraded != "none"``.
@@ -112,7 +111,6 @@ def tsp_align(
     model: PenaltyModel,
     *,
     predictor: StaticPredictor | None = None,
-    effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | BudgetTimer | None = None,
     instance: AlignmentInstance | None = None,
@@ -127,7 +125,6 @@ def tsp_align(
     exact (cfg, profile, model, predictor) — the pipeline's content-
     addressed cache passes one in so repeated solves share the matrix.
     """
-    effort = get_effort(effort)
     if instance is None:
         instance = build_alignment_instance(
             cfg, profile, model, predictor=predictor
@@ -146,12 +143,9 @@ def tsp_align(
     try:
         faults.check_solver_timeout()
         cover = _optimum(instance, timer)
-        tour, cost, runs = cover.tour, cover.cost, []
+        tour, cost = cover.tour, cover.cost
         if not cover.optimal:
-            result = solve_dtsp(
-                instance.matrix, effort=effort, seed=seed, budget=timer
-            )
-            runs = result.runs
+            result = solve_dtsp(instance.matrix, seed=seed, budget=timer)
             if result.cost < cost:
                 tour, cost = result.tour, result.cost
         if cost < instance.big:
@@ -159,8 +153,6 @@ def tsp_align(
                 layout=instance.layout_from_cycle(tour),
                 cost=cost,
                 instance=instance,
-                runs_finding_best=sum(r.cost <= cost + 1e-6 for r in runs),
-                runs_total=len(runs),
             )
         # A tour through a forbidden edge (neither the cover's join nor
         # the fallback, with its identity start, needs one): fail safe.

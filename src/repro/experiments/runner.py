@@ -32,10 +32,10 @@ from repro.core.evaluate import evaluate_program, train_predictors
 from repro.core.exttsp import DEFAULT_PARAMS, exttsp_program_score
 from repro.core.layout import ProgramLayout
 from repro.pipeline.artifacts import (
+    EFFORT_SLOT,
     ArtifactCache,
     artifact_cache,
     fingerprint_budget,
-    fingerprint_effort,
     fingerprint_model,
 )
 from repro.pipeline.executor import resolve_jobs
@@ -48,7 +48,6 @@ from repro.machine.timing import TimingBreakdown, simulate_timing
 from repro.lang.vm import run_and_profile
 from repro.profiles.edge_profile import ProgramProfile
 from repro.profiles.trace import CompactTrace
-from repro.tsp.solve import DEFAULT, Effort, get_effort
 from repro.workloads.suite import compile_benchmark, get_benchmark
 
 #: The sweep default: the paper's three methods plus the modern Ext-TSP
@@ -205,7 +204,6 @@ def run_case(
     *,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     model: PenaltyModel = ALPHA_21164,
-    effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | None = None,
     compute_bound: bool = True,
@@ -248,7 +246,6 @@ def run_case(
                         training.profile,
                         method=method,
                         model=model,
-                        effort=effort,
                         seed=seed,
                         budget=budget,
                         report=align_report,
@@ -379,14 +376,13 @@ def case_key(
     *,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     model: PenaltyModel = ALPHA_21164,
-    effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | None = None,
     compute_bound: bool = True,
 ) -> str:
     """Content address of one finished case: the benchmark source, the
-    testing and training inputs, the normalized methods, model, effort,
-    budget, seed, whether the bound is computed, and the Ext-TSP scoring
+    testing and training inputs, the normalized methods, model, budget,
+    seed, whether the bound is computed, and the Ext-TSP scoring
     parameters.
 
     ``jobs`` and ``policy`` are deliberately left out: a case's results
@@ -405,7 +401,7 @@ def case_key(
         spec.inputs(train_dataset),
         ",".join(normalize_method(m) for m in methods),
         fingerprint_model(model),
-        fingerprint_effort(get_effort(effort)),
+        EFFORT_SLOT,
         fingerprint_budget(budget),
         seed,
         compute_bound,
@@ -420,7 +416,6 @@ def sweep_case(
     *,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     model: PenaltyModel = ALPHA_21164,
-    effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | None = None,
     compute_bound: bool = True,
@@ -455,7 +450,6 @@ def sweep_case(
         kwargs = dict(
             methods=tuple(normalize_method(m) for m in methods),
             model=model,
-            effort=effort,
             seed=seed,
             budget=budget,
             compute_bound=compute_bound,

@@ -8,8 +8,9 @@ the paper's columns:
   Python code (:func:`~repro.lang.vm.instrument`),
 * Greedy Program — greedy alignment + materialization,
 * TSP Matrix — §2.2 cost-matrix construction for every procedure,
-* TSP Solver — DTSP solving for every procedure,
-* TSP Program — tour → layout → materialization,
+* TSP Solver — :func:`~repro.core.aligners.tsp_aligner.tsp_align` on every
+  procedure: the layouts ``repro align --method tsp`` emits,
+* TSP Program — materializing those layouts,
 * Profiling Run Time — the instrumented execution itself.
 
 Stage durations are :mod:`repro.obs` spans, not bespoke timers: each stage
@@ -26,17 +27,15 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.budget import Budget
 from repro.core.align import align_program
+from repro.core.aligners.tsp_aligner import tsp_align
 from repro.core.evaluate import train_predictors
 from repro.core.layout import ProgramLayout
 from repro.core.materialize import materialize_program
-from repro.errors import SolverBudgetExceeded
 from repro.lang.lower import compile_source
 from repro.lang.vm import instrument, run_and_profile
 from repro.machine.models import ALPHA_21164, PenaltyModel
 from repro.pipeline.stages import instance_for
 from repro.pipeline.task import procedure_tasks
-from repro.tsp.construction import identity_tour
-from repro.tsp.solve import DEFAULT, Effort, get_effort, solve_dtsp
 from repro.workloads.suite import get_benchmark
 
 STAGE_NAMES = (
@@ -63,8 +62,8 @@ class StageTimes:
     tsp_solver: float = 0.0
     tsp_program: float = 0.0
     profiling_run: float = 0.0
-    #: Procedures whose solve blew the budget and fell back to a salvaged
-    #: or identity tour; surfaced in the row as the ``degraded`` count.
+    #: Procedures whose solve blew the budget and fell down the aligner's
+    #: degradation ladder; surfaced in the row as the ``degraded`` count.
     degraded_procs: list[str] = field(default_factory=list)
 
     #: Table 2 header: row columns in ``as_row`` order.
@@ -84,15 +83,13 @@ def time_stages(
     dataset: str,
     *,
     model: PenaltyModel = ALPHA_21164,
-    effort: Effort | str = DEFAULT,
-    seed: int = 0,
     budget: Budget | None = None,
 ) -> StageTimes:
     """Measure every pipeline stage, end to end, for one case.
 
     ``budget`` bounds each procedure's solve; a procedure that blows it
-    still completes the ``tsp_program`` stage via its salvaged (or
-    identity) tour and is listed in ``times.degraded_procs``.
+    still completes the ``tsp_program`` stage with the layout of the
+    aligner's degradation ladder and is listed in ``times.degraded_procs``.
     """
     times = StageTimes(benchmark=benchmark, dataset=dataset)
     spec = get_benchmark(benchmark)
@@ -130,8 +127,7 @@ def time_stages(
     # The "tsp" method's tasks: the same instance keys and per-task seed
     # stream as the pipeline's align stage.
     tasks = procedure_tasks(
-        program, profile, method="tsp", model=model,
-        effort=get_effort(effort), seed=seed, budget=budget,
+        program, profile, method="tsp", model=model, budget=budget
     )
 
     with stage("tsp_matrix") as sp:
@@ -143,26 +139,23 @@ def time_stages(
     times.tsp_matrix = sp.dur_ms / 1000.0
 
     with stage("tsp_solver") as sp:
-        tours: dict[str, list[int]] = {}
+        layouts = ProgramLayout()
         for task in tasks:
-            instance = instances[task.name]
-            try:
-                tours[task.name] = solve_dtsp(
-                    instance.matrix,
-                    effort=effort,
-                    seed=task.effective_seed,
-                    budget=budget,
-                ).tour
-            except SolverBudgetExceeded as exc:
-                tours[task.name] = exc.best_so_far or identity_tour(instance.n)
+            alignment = tsp_align(
+                task.cfg,
+                task.profile,
+                task.model,
+                instance=instances[task.name],
+                seed=task.effective_seed,
+                budget=budget,
+            )
+            layouts[task.name] = alignment.layout
+            if alignment.degraded != "none":
                 times.degraded_procs.append(task.name)
         sp["degraded"] = len(times.degraded_procs)
     times.tsp_solver = sp.dur_ms / 1000.0
 
     with stage("tsp_program") as sp:
-        layouts = ProgramLayout()
-        for name, instance in instances.items():
-            layouts[name] = instance.layout_from_cycle(tours[name])
         materialize_program(program, layouts, predictors)
     times.tsp_program = sp.dur_ms / 1000.0
     return times

@@ -3,7 +3,7 @@
 Every intermediate artifact of the staged pipeline (cost matrices, Ext-TSP
 merge orders, solved alignments, certified lower bounds, finished sweep
 cases) is a pure function of its inputs: the CFG, the profile slice, the
-machine model, the predictor, the solver effort, the seed, and the budget.
+machine model, the predictor, the seed, and the budget.
 Fingerprinting those inputs yields a stable content address, so
 
 * greedy / tsp / lower-bound passes over the same procedure share one cost
@@ -53,7 +53,6 @@ from repro.errors import ArtifactStoreError
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
 from repro.profiles.edge_profile import EdgeProfile
-from repro.tsp.solve import Effort
 
 STORE_ENV = "REPRO_STORE"
 
@@ -115,14 +114,10 @@ def fingerprint_predictor(predictor: StaticPredictor | None) -> str:
     return _digest(sorted(predictor.predictions.items()))
 
 
-def fingerprint_effort(effort: Effort) -> str:
-    return _digest({
-        "name": effort.name,
-        "starts": list(effort.starts),
-        "iterations": effort.iterations,
-        "neighbors": effort.neighbors,
-        "exact_threshold": effort.exact_threshold,
-    })
+#: The ``align`` and ``case`` key slot a solver-effort preset's digest
+#: once filled, holding the digest the ``default`` preset had, so keys —
+#: and artifacts in persisted stores — stay where they were.
+EFFORT_SLOT = "3966872a730a40102bccc3e9721b31059c7f45d29b711a362e8c11c80a1bc24b"
 
 
 def fingerprint_budget(budget: Budget | None) -> str:

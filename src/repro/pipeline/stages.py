@@ -53,7 +53,7 @@ from repro.core.exttsp import DEFAULT_PARAMS
 from repro.core.layout import ProgramLayout, original_layout
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
-from repro.pipeline.artifacts import ArtifactCache, artifact_cache
+from repro.pipeline.artifacts import EFFORT_SLOT, ArtifactCache, artifact_cache
 from repro.pipeline.executor import (
     SupervisionReport,
     register_handler,
@@ -69,7 +69,6 @@ from repro.pipeline.task import (
     procedure_tasks,
 )
 from repro.profiles.edge_profile import ProgramProfile
-from repro.tsp.solve import DEFAULT, Effort, get_effort
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle is fine at type time
     from repro.core.align import AlignmentReport
@@ -110,7 +109,7 @@ def align_key(task: ProcedureTask) -> str:
         digests.profile,
         digests.model,
         digests.predictor,
-        digests.effort,
+        EFFORT_SLOT,
         task.effective_seed,
         digests.budget,
         DEFAULT_PARAMS.fingerprint(),
@@ -137,8 +136,8 @@ def bound_key(task: BoundTask) -> str:
 def instance_for(task: ProcedureTask) -> AlignmentInstance:
     """The DTSP instance for one procedure, served content-addressed.
 
-    The key covers everything the matrix depends on — effort, seed, and
-    budget deliberately excluded — so every method and every sweep over the
+    The key covers everything the matrix depends on — seed and budget
+    deliberately excluded — so every method and every sweep over the
     same (CFG, profile, model, predictor) shares a single build.
     """
     return artifact_cache().get_or_build(
@@ -154,7 +153,7 @@ def merge_order_for(task: ProcedureTask) -> MergeOrder:
     content-addressed.
 
     The merge reads only the CFG, the profile and the Ext-TSP parameters
-    — method, model, predictor, effort, seed and budget are deliberately
+    — method, model, predictor, seed and budget are deliberately
     excluded — so ``chain-merge`` and ``exttsp`` (merge + climb) over the
     same procedure share a single run.
     """
@@ -313,7 +312,6 @@ def align_procedures(
     *,
     method: str,
     model: PenaltyModel,
-    effort: Effort | str = DEFAULT,
     seed: int = 0,
     budget: Budget | None = None,
     jobs: int | None = None,
@@ -332,7 +330,6 @@ def align_procedures(
         profile,
         method=method,
         model=model,
-        effort=get_effort(effort),
         seed=seed,
         budget=budget,
     )
@@ -357,10 +354,6 @@ def align_procedures(
         if result.cities is not None:
             report.cities[result.name] = result.cities
             report.costs[result.name] = result.cost
-            report.runs_finding_best[result.name] = (
-                result.runs_finding_best,
-                result.runs_total,
-            )
             if result.degraded != "none":
                 report.degraded[result.name] = result.degraded
                 if result.warning:

@@ -1,10 +1,10 @@
 """Typed units of work flowing through the staged alignment pipeline.
 
 A :class:`ProcedureTask` is everything one procedure's alignment depends on
-— CFG, profile slice, machine model, predictor, solver effort, seed, and
-budget — detached from the surrounding :class:`~repro.cfg.graph.Program` so
-it can be fingerprinted for the artifact cache and shipped to a worker
-process.  A :class:`ProcedureResult` is the corresponding output artifact:
+— CFG, profile slice, machine model, predictor, seed, and budget —
+detached from the surrounding :class:`~repro.cfg.graph.Program` so it can
+be fingerprinted for the artifact cache and shipped to a worker process.
+A :class:`ProcedureResult` is the corresponding output artifact:
 the layout plus solver diagnostics.  :class:`BoundTask` and
 :class:`BoundResult` are the same pair for the certified lower bound.
 
@@ -35,13 +35,11 @@ from repro.machine.predictors import StaticPredictor
 from repro.pipeline.artifacts import (
     fingerprint_budget,
     fingerprint_cfg,
-    fingerprint_effort,
     fingerprint_model,
     fingerprint_predictor,
     fingerprint_profile,
 )
 from repro.profiles.edge_profile import EdgeProfile, ProgramProfile
-from repro.tsp.solve import Effort
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle is fine at type time
     from repro.core.costmatrix import AlignmentInstance
@@ -74,21 +72,17 @@ class TaskDigests:
     profile: str
     model: str
     predictor: str
-    effort: str | None
     budget: str
 
 
 def _digests(task: "ProcedureTask | BoundTask") -> TaskDigests:
     """The task's input fingerprints, computed on first use.  A bound task
-    has no predictor (its instance trains on its own profile) and no
-    solver effort."""
-    effort = getattr(task, "effort", None)
+    has no predictor (its instance trains on its own profile)."""
     return TaskDigests(
         cfg=fingerprint_cfg(task.cfg),
         profile=fingerprint_profile(task.profile),
         model=fingerprint_model(task.model),
         predictor=fingerprint_predictor(getattr(task, "predictor", None)),
-        effort=None if effort is None else fingerprint_effort(effort),
         budget=fingerprint_budget(task.budget),
     )
 
@@ -102,7 +96,6 @@ class ProcedureTask:
     profile: EdgeProfile
     method: str
     model: PenaltyModel
-    effort: Effort
     #: Position of the procedure in program order; drives the per-procedure
     #: solver seed and the deterministic merge of parallel results.
     index: int = 0
@@ -133,8 +126,6 @@ class ProcedureResult:
     exttsp_score: float | None = None
     #: City count of the DTSP instance (TSP aligner only).
     cities: int | None = None
-    runs_finding_best: int = 0
-    runs_total: int = 0
     degraded: str = "none"
     warning: str | None = None
     #: The DTSP instance the solve used, carried back so the parent process
@@ -180,7 +171,6 @@ def procedure_tasks(
     *,
     method: str,
     model: PenaltyModel,
-    effort: Effort,
     seed: int = 0,
     predictor_for: dict[str, StaticPredictor] | None = None,
     budget: Budget | None = None,
@@ -193,7 +183,6 @@ def procedure_tasks(
             profile=profile.procedures.get(proc.name, EdgeProfile()),
             method=method,
             model=model,
-            effort=effort,
             index=index,
             seed=seed,
             predictor=(predictor_for or {}).get(proc.name),

@@ -118,7 +118,6 @@ class AlignmentRequest:
     module: CompiledModule = field(repr=False)
     method: str
     model: str
-    effort: str
     seed: int
     inputs: tuple[int, ...]
     #: Explicit, checked profile; ``None`` = profile by running ``inputs``.
@@ -167,6 +166,9 @@ def parse_request(payload) -> AlignmentRequest:
     (or the ``inputs`` that make it), and the normalized method, model,
     effort, seed, bound flag and the payload's *own* ``deadline_ms``, so
     payloads that normalize alike coalesce onto one solve and journal.
+    ``effort`` selects nothing any more (the aligner has no solver knob),
+    but it is still validated and digested, so existing keys and journals
+    stay valid.
     """
     if not isinstance(payload, dict):
         raise UsageError("request body must be a JSON object")
@@ -236,8 +238,7 @@ def parse_request(payload) -> AlignmentRequest:
         "deadline_ms": deadline,
     })
     return AlignmentRequest(
-        key, module, method, model, effort, seed, inputs, profile, deadline,
-        bound,
+        key, module, method, model, seed, inputs, profile, deadline, bound
     )
 
 
@@ -894,7 +895,6 @@ class AlignmentService:
                     profile,
                     method=method_used,
                     model=model,
-                    effort=request.effort,
                     seed=request.seed,
                     budget=plan.budget,
                     jobs=self.config.jobs,

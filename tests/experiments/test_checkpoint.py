@@ -29,7 +29,6 @@ from repro.pipeline.artifacts import (
     reset_artifact_cache,
     set_default_store,
 )
-from repro.tsp.solve import DEFAULT
 
 
 @pytest.fixture(autouse=True)
@@ -92,10 +91,10 @@ class TestCaseArtifactKey:
     def test_train_dataset_normalized(self):
         assert case_key("su2", "sh") == case_key("su2", "sh", "sh")
 
-    def test_spellings_of_model_and_effort_normalized(self):
-        by_object = case_key("su2", "sh", model=ALPHA_21164, effort=DEFAULT)
+    def test_spellings_of_model_and_method_normalized(self):
+        by_object = case_key("su2", "sh", model=ALPHA_21164)
         by_name = case_key(
-            "su2", "sh", model=get_model("alpha21164"), effort="default",
+            "su2", "sh", model=get_model("alpha21164"),
             methods=tuple("dtsp" if m == "tsp" else m for m in DEFAULT_METHODS),
         )
         assert by_object == by_name
@@ -106,11 +105,10 @@ class TestCaseArtifactKey:
             case_key("su2", "sh", "re"),
             case_key("su2", "re"),
             case_key("su2", "sh", methods=("original", "tsp")),
-            case_key("su2", "sh", effort="quick"),
             case_key("su2", "sh", seed=1),
             case_key("su2", "sh", compute_bound=False),
         }
-        assert len(keys) == 7
+        assert len(keys) == 6
 
 
 class TestStateRoundtrip:
@@ -345,7 +343,7 @@ class TestCacheNormalization:
         a, _ = sweep_case("su2", "sh")
         b, b_resumed = sweep_case("su2", "sh", "sh")
         c, c_resumed = sweep_case(
-            "su2", "sh", effort="default",
+            "su2", "sh",
             methods=tuple("dtsp" if m == "tsp" else m for m in DEFAULT_METHODS),
         )
         assert a is b is c

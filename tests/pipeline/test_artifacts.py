@@ -147,7 +147,6 @@ def test_cache_is_bypassed_while_faults_are_armed():
 
 def test_instance_for_shares_matrices_across_clients():
     from repro.pipeline.task import ProcedureTask
-    from repro.tsp.solve import get_effort
 
     reset_artifact_cache()
     proc = make_proc()
@@ -156,7 +155,7 @@ def test_instance_for_shares_matrices_across_clients():
     def task(method):
         return ProcedureTask(
             name="p", cfg=proc.cfg, profile=profile, method=method,
-            model=ALPHA_21164, effort=get_effort("default"),
+            model=ALPHA_21164,
         )
 
     first = instance_for(task("greedy"))

@@ -65,15 +65,11 @@ def test_parallel_matches_serial_on_real_tasks():
     from repro.experiments.runner import profiled_run
     from repro.pipeline.task import procedure_tasks
     from repro.machine.models import ALPHA_21164
-    from repro.tsp.solve import get_effort
     from repro.workloads.suite import compile_benchmark
 
     program = compile_benchmark("com").program
     profile = profiled_run("com", "in").profile
-    tasks = procedure_tasks(
-        program, profile, method="tsp", model=ALPHA_21164,
-        effort=get_effort("quick"),
-    )
+    tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
     serial = _results("align", tasks, jobs=1)
     parallel = _results("align", tasks, jobs=2)
     shutdown_pool()
@@ -94,12 +90,11 @@ def test_pool_tasks_counter_proves_the_pool_ran():
     from repro.experiments.runner import profiled_run
     from repro.machine.models import ALPHA_21164
     from repro.pipeline.task import procedure_tasks
-    from repro.tsp.solve import get_effort
     from repro.workloads.suite import compile_benchmark
 
     tasks = procedure_tasks(
         compile_benchmark("com").program, profiled_run("com", "in").profile,
-        method="greedy", model=ALPHA_21164, effort=get_effort("quick"),
+        method="greedy", model=ALPHA_21164,
     )
 
     def pool_tasks():
@@ -120,15 +115,11 @@ def test_fault_plans_ship_to_workers_and_counters_merge():
     from repro.experiments.runner import profiled_run
     from repro.pipeline.task import procedure_tasks
     from repro.machine.models import ALPHA_21164
-    from repro.tsp.solve import get_effort
     from repro.workloads.suite import compile_benchmark
 
     program = compile_benchmark("com").program
     profile = profiled_run("com", "in").profile
-    tasks = procedure_tasks(
-        program, profile, method="tsp", model=ALPHA_21164,
-        effort=get_effort("quick"),
-    )
+    tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
     with faults.inject_faults(solver_timeout=True) as plan:
         results = _results("align", tasks, jobs=2)
     shutdown_pool()
@@ -146,15 +137,11 @@ def test_nested_plans_innermost_ships_to_workers():
     from repro.experiments.runner import profiled_run
     from repro.pipeline.task import procedure_tasks
     from repro.machine.models import ALPHA_21164
-    from repro.tsp.solve import get_effort
     from repro.workloads.suite import compile_benchmark
 
     program = compile_benchmark("com").program
     profile = profiled_run("com", "in").profile
-    tasks = procedure_tasks(
-        program, profile, method="tsp", model=ALPHA_21164,
-        effort=get_effort("quick"),
-    )
+    tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
     with faults.inject_faults(solver_timeout=True) as outer:
         with faults.inject_faults(solver_timeout=True) as inner:
             _results("align", tasks, jobs=2)
@@ -240,15 +227,11 @@ def test_chunked_pool_matches_serial_on_large_batches():
     from repro.machine.models import ALPHA_21164
     from repro.pipeline.executor import _chunk_size
     from repro.pipeline.task import procedure_tasks
-    from repro.tsp.solve import get_effort
     from repro.workloads.suite import compile_benchmark
 
     program = compile_benchmark("com").program
     profile = profiled_run("com", "in").profile
-    tasks = procedure_tasks(
-        program, profile, method="tsp", model=ALPHA_21164,
-        effort=get_effort("quick"),
-    )
+    tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
     tasks = (tasks * 4)[:20]  # force multi-payload chunks
     assert _chunk_size(len(tasks), 2, RetryPolicy()) > 1
     serial = _results("align", tasks, jobs=1)

@@ -59,14 +59,12 @@ def _merge_task():
     """An ``exttsp`` task for the first profiled procedure."""
     from repro.machine.models import ALPHA_21164
     from repro.pipeline.task import procedure_tasks
-    from repro.tsp.solve import get_effort
 
     program, profile = _program_and_profile()
     return next(
         task
         for task in procedure_tasks(
             program, profile, method="exttsp", model=ALPHA_21164,
-            effort=get_effort("default"),
         )
         if task.profile.total()
     )

@@ -18,10 +18,16 @@ import pytest
 
 from repro.budget import Budget
 from repro.core.align import ALIGN_METHODS, align_program, lower_bound_program
+from repro.core.exttsp import DEFAULT_PARAMS
 from repro.experiments.runner import case_key, profiled_run
 from repro.machine.models import ALPHA_21064, ALPHA_21164
 from repro.pipeline import stages
-from repro.pipeline.artifacts import ArtifactCache, reset_artifact_cache
+from repro.pipeline.artifacts import (
+    EFFORT_SLOT,
+    ArtifactCache,
+    _digest,
+    reset_artifact_cache,
+)
 from repro.pipeline.task import bound_tasks, procedure_tasks
 from repro.tsp.solve import get_effort
 from repro.workloads.suite import compile_benchmark
@@ -36,7 +42,9 @@ CASES = (("com", "in"), ("xli", "q7"))
 #: The defaults, and a variant that moves every other key component.
 #: ``iterations`` is the Held–Karp iteration count the bound keys were
 #: recorded with; the bound no longer takes one, and its key slot hashes
-#: ``repr(None)``.
+#: ``repr(None)``.  ``effort`` is the solver preset the align keys were
+#: recorded with; the aligner no longer takes one, and its key slot holds
+#: the ``default`` preset's digest (``EFFORT_SLOT``).
 VARIANTS = {
     "default": dict(
         model=ALPHA_21164, effort="default", seed=0, budget=None,
@@ -62,6 +70,31 @@ def _recorded_bound_key(task, iterations) -> str:
     return ArtifactCache.key("bound", *parts, repr(iterations), digests.budget)
 
 
+def _preset_digest(name: str) -> str:
+    """The digest a solver-effort preset once put in the align key."""
+    effort = get_effort(name)
+    return _digest({
+        "name": effort.name,
+        "starts": list(effort.starts),
+        "iterations": effort.iterations,
+        "neighbors": effort.neighbors,
+        "exact_threshold": effort.exact_threshold,
+    })
+
+
+def _recorded_align_key(task, effort) -> str:
+    """The task's align key as recorded: the live key rebuilt with the
+    recorded preset's digest in the slot that now holds ``EFFORT_SLOT``,
+    so its other components still meet the golden."""
+    digests = task.digests
+    head = [task.method, digests.cfg, digests.profile, digests.model,
+            digests.predictor]
+    tail = [task.effective_seed, digests.budget, DEFAULT_PARAMS.fingerprint()]
+    key = stages.align_key(task)
+    assert key == ArtifactCache.key("align", *head, EFFORT_SLOT, *tail)
+    return ArtifactCache.key("align", *head, _preset_digest(effort), *tail)
+
+
 def _keys(variant: dict, benchmark: str, dataset: str) -> dict:
     program = compile_benchmark(benchmark).program
     profile = profiled_run(benchmark, dataset).profile
@@ -80,13 +113,14 @@ def _keys(variant: dict, benchmark: str, dataset: str) -> dict:
             continue
         for task in procedure_tasks(
             program, profile, method=method, model=variant["model"],
-            effort=get_effort(variant["effort"]), seed=variant["seed"],
-            budget=variant["budget"],
+            seed=variant["seed"], budget=variant["budget"],
         ):
             if task.name not in procs:
                 continue
             keys = procs[task.name]
-            keys["align"][method] = stages.align_key(task)
+            keys["align"][method] = _recorded_align_key(
+                task, variant["effort"]
+            )
             keys["merge"] = stages.merge_key(task)
             # One cost matrix per procedure, whichever task asks for it.
             assert stages.instance_key(task) == keys["instance"]
@@ -104,6 +138,13 @@ def test_stage_keys_match_recorded(variant, case):
 def test_case_key_matches_recorded():
     recorded = json.loads(GOLDEN.read_text())["case_key"]
     assert case_key("com", "in") == recorded["com.in"]
+
+
+def test_effort_slot_is_the_default_presets_digest():
+    """Default align and case keys stay where they were because the
+    retired effort slot holds exactly what the ``default`` preset put
+    there."""
+    assert EFFORT_SLOT == _preset_digest("default")
 
 
 # -- work: one fingerprint of each input per task ------------------------------

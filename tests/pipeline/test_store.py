@@ -278,14 +278,12 @@ class TestSerialParallelEquivalence:
         from repro.experiments.runner import profiled_run
         from repro.machine.models import ALPHA_21164
         from repro.pipeline.task import procedure_tasks
-        from repro.tsp.solve import get_effort
         from repro.workloads.suite import compile_benchmark
 
         program = compile_benchmark("com").program
         profile = profiled_run("com", "in").profile
         return procedure_tasks(
             program, profile, method="tsp", model=ALPHA_21164,
-            effort=get_effort("quick"),
         )
 
     @pytest.mark.usefixtures("no_ambient_chaos")

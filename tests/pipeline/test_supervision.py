@@ -34,15 +34,11 @@ def _com_tasks(method="tsp"):
     from repro.experiments.runner import profiled_run
     from repro.machine.models import ALPHA_21164
     from repro.pipeline.task import procedure_tasks
-    from repro.tsp.solve import get_effort
     from repro.workloads.suite import compile_benchmark
 
     program = compile_benchmark("com").program
     profile = profiled_run("com", "in").profile
-    return procedure_tasks(
-        program, profile, method=method, model=ALPHA_21164,
-        effort=get_effort("quick"),
-    )
+    return procedure_tasks(program, profile, method=method, model=ALPHA_21164)
 
 
 class TestRetryPolicy:

@@ -67,7 +67,7 @@ def test_tsp_never_loses_to_original(cfg_seed, target, profile_seed):
     baseline = evaluate_layout(
         proc.cfg, original_layout(proc.cfg), profile, ALPHA_21164
     ).total
-    alignment = tsp_align(proc.cfg, profile, ALPHA_21164, effort="quick")
+    alignment = tsp_align(proc.cfg, profile, ALPHA_21164)
     aligned = evaluate_layout(
         proc.cfg, alignment.layout, profile, ALPHA_21164
     ).total

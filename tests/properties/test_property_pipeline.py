@@ -20,7 +20,6 @@ from repro.machine import ALPHA_21164
 from repro.pipeline.stages import align_one, instance_for
 from repro.pipeline.task import ProcedureTask
 from repro.profiles import EdgeProfile
-from repro.tsp.solve import get_effort
 from repro.workloads import GeneratorConfig, random_procedure
 
 
@@ -44,7 +43,6 @@ def tasks_for(proc, profile, seed: int = 0):
             profile=profile,
             method=method,
             model=ALPHA_21164,
-            effort=get_effort("quick"),
             seed=seed,
         )
         for method in ALIGN_METHODS

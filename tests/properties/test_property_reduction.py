@@ -97,7 +97,7 @@ def test_alignment_never_worse_than_original(cfg_seed, profile_seed, target):
 
     proc = build_procedure(cfg_seed, target)
     profile = build_profile(proc, profile_seed)
-    alignment = tsp_align(proc.cfg, profile, ALPHA_21164, effort="quick")
+    alignment = tsp_align(proc.cfg, profile, ALPHA_21164)
     original = evaluate_layout(
         proc.cfg, original_layout(proc.cfg), profile, ALPHA_21164
     ).total

@@ -45,6 +45,23 @@ class TestHappyPath:
         for name, cost in response["costs"].items():
             assert response["bounds"][name] <= cost + 1e-9
 
+    @pytest.mark.usefixtures("no_ambient_chaos")
+    def test_effort_selects_nothing(self, service, payload):
+        """``effort`` is still validated and keyed, but the aligner has no
+        solver knob: payloads that differ only in it get the same layouts
+        and costs, and an unknown one is still refused."""
+        payload.pop("effort", None)
+        answers = [
+            service.align(dict(payload, **extra), timeout=120)
+            for extra in ({}, {"effort": "quick"}, {"effort": "paper"})
+        ]
+        for answer in answers:
+            assert answer["status"] == "ok"
+            assert answer["layouts"] == answers[0]["layouts"]
+            assert answer["costs"] == answers[0]["costs"]
+        with pytest.raises(UsageError, match="unknown effort"):
+            service.align(dict(payload, effort="heroic"), timeout=60)
+
     def test_supplied_profile_matches_inputs_profile(self, service, payload):
         module = compile_source(SERVICE_SOURCE)
         _, profile = run_and_profile(module, payload["inputs"])

@@ -6,7 +6,9 @@ dense branch and bound recorded on every real instance of
 ``bnb_golden.json`` (the suite, synth-large and serve-cold shapes), with
 SciPy importable or hidden and in a pinned number of nodes; it matches
 exact DP on random small alignment instances; an exhausted budget leaves
-the bound at 0.0 and the aligner on its ladder; a hand-built model
+the bound at 0.0 and the aligner on its ladder; the joined tour attains
+the floor on every profiled suite procedure under every shipped model, so
+the aligner runs no 3-Opt there; a hand-built model
 whose successor arcs can cost more than their row's default still gets a
 bound no tour beats; and a cover whose joined tour misses its floor sends
 the aligner to the paper's search.
@@ -25,10 +27,12 @@ from repro.budget import Budget
 from repro.core.aligners.tsp_aligner import alignment_lower_bound, tsp_align
 from repro.core.costmatrix import AlignmentInstance, build_alignment_instance
 from repro.errors import SolverBudgetExceeded
+from repro.experiments.runner import profiled_run
 from repro.machine.models import STANDARD_MODELS, BranchPenalties, PenaltyModel
 from repro.profiles.synthesize import synthesize_profile
 from repro.tsp.exact import exact_tour
 from repro.tsp.path_cover import max_weight_matching, path_cover
+from repro.workloads.suite import all_cases, compile_benchmark
 from repro.workloads.synthetic import random_biases, random_program
 
 from .test_bnb_golden import BACKENDS, _golden, _matrices, _use_backend
@@ -145,6 +149,27 @@ def test_optimum_matches_exact_dp_on_small_instances(model_name):
     assert checked >= 20
 
 
+@pytest.mark.parametrize("model_name", sorted(STANDARD_MODELS))
+def test_cover_tour_attains_its_floor_on_every_suite_procedure(model_name):
+    """The premise of an aligner with no solver knob: on every profiled
+    procedure of every suite case (38 of them), the cover's joined tour
+    attains its floor, so the paper's 3-Opt never runs."""
+    model = STANDARD_MODELS[model_name]
+    checked = 0
+    for benchmark, dataset in all_cases():
+        program = compile_benchmark(benchmark).program
+        profile = profiled_run(benchmark, dataset).profile
+        for proc in program:
+            edges = profile.procedures.get(proc.name)
+            if edges is None or not edges.total():
+                continue
+            instance = build_alignment_instance(proc.cfg, edges, model)
+            cover = path_cover(instance.matrix, *instance.sparse_form())
+            assert cover.optimal, (benchmark, dataset, proc.name)
+            checked += 1
+    assert checked == 38
+
+
 @pytest.mark.usefixtures("no_ambient_chaos")
 def test_exhausted_budget_bounds_at_zero_and_keeps_the_ladder():
     model = STANDARD_MODELS["alpha21164"]
@@ -215,8 +240,9 @@ def test_cover_tour_above_its_floor_falls_back_to_the_kernel():
 
     obs.tracer().reset_counters()
     aligned = tsp_align(cfg, edges, model, instance=instance)
-    assert obs.counters()["path_cover.nodes"] > 0
-    assert aligned.runs_total > 0  # the kernel ran
+    counters = obs.counters()
+    assert counters["path_cover.nodes"] > 0
+    assert counters["tsp.runs"] > 0  # the kernel ran
     assert aligned.degraded == "none"
     assert cover.floor <= aligned.cost < cover.cost
     assert aligned.cost == instance.layout_cost(aligned.layout)
