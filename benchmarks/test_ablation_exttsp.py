@@ -5,8 +5,8 @@ penalty (lower is better, normalized to the original layout) and the
 Ext-TSP score (higher is better, normalized to the all-fall-through
 bound).  The head-to-head shape this asserts: each era's optimizer wins
 its own objective — TSP alignment has the lowest mean penalty, the
-Ext-TSP chain-merge aligner the highest mean score — while neither
-family falls below the Held–Karp penalty floor or above the score bound.
+Ext-TSP path-cover aligner the highest mean score — while neither
+family falls below the path-cover penalty floor or above the score bound.
 """
 
 from repro.core import (
@@ -49,7 +49,7 @@ def compute():
             ).total
             score = exttsp_program_score(program, layouts, profile)
             assert penalty >= bound - 1e-6, (
-                f"{abbr}.{dataset}/{method}: penalty below Held–Karp floor"
+                f"{abbr}.{dataset}/{method}: penalty below the path-cover floor"
             )
             assert score <= score_bound + 1e-6, (
                 f"{abbr}.{dataset}/{method}: score above fall-through bound"
@@ -97,8 +97,8 @@ def test_ablation_exttsp(benchmark, emit):
     # Each era's optimizer wins its own objective.
     assert pen_means["tsp"] <= min(pen_means.values()) + 1e-9
     assert score_means["exttsp"] >= max(score_means.values()) - 1e-9
-    # Refinement is the only difference between the two new aligners, and
-    # it never loses score on the profile it optimizes.
+    # exttsp keeps the merge order wherever that scores higher, so it
+    # never loses score to chain-merge on the profile it optimizes.
     assert score_means["exttsp"] >= score_means["chain-merge"] - 1e-9
     # The 2020 objective is a good proxy for the 1997 one: chasing
     # fall-throughs never does worse than the original layout.

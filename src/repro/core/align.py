@@ -8,8 +8,10 @@ Methods: ``original`` (no reordering), ``greedy`` (Pettis–Hansen frequency
 chaining — the paper's baseline), ``cost-greedy`` (Calder–Grunwald-style),
 ``tsp`` (the paper's near-optimal DTSP alignment), and the modern
 Ext-TSP pair — ``chain-merge`` (greedy chain splits/merges maximizing the
-Ext-TSP gain, à la Newell–Pupyrev) and ``exttsp`` (chain-merge plus a
-single-block hill climb).  Every aligner's layout is priced both ways:
+Ext-TSP gain, à la Newell–Pupyrev) and ``exttsp`` (the maximum-weight path
+cover of the edge counts, exact under the default weights on a procedure
+that fits the windows, or the chain-merge order where that scores
+higher).  Every aligner's layout is priced both ways:
 the paper's control penalty and the Ext-TSP score
 (:mod:`repro.core.exttsp`) travel together on each
 :class:`~repro.pipeline.task.ProcedureResult`.
@@ -26,12 +28,18 @@ per-procedure parallelism (``jobs=``) on top of the same dispatch.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.budget import Budget, RetryPolicy
 from repro.cfg.graph import Program
-from repro.core.aligners.exttsp_merge import MergeStats, exttsp_layout
+from repro.core.aligners.exttsp_merge import (
+    MergeStats,
+    chain_merge_layout,
+    exttsp_layout,
+)
 from repro.core.aligners.greedy import calder_grunwald_layout, pettis_hansen_layout
 from repro.core.aligners.tsp_aligner import tsp_align
 from repro.core.exttsp import exttsp_score
@@ -150,57 +158,57 @@ def _align_tsp(task: ProcedureTask) -> ProcedureResult:
     )
 
 
-def _exttsp_result(task: ProcedureTask, *, refine: bool) -> ProcedureResult:
-    """Run the chain-merging Ext-TSP heuristic and dual-price the layout.
+def _exttsp_result(task: ProcedureTask, layout_of) -> ProcedureResult:
+    """Lay out one procedure with an Ext-TSP aligner of
+    :mod:`~repro.core.aligners.exttsp_merge` and dual-price the layout.
 
     The merge phase comes from the ``merge`` artifact, so ``chain-merge``
     and ``exttsp`` over one procedure run it once; its counts are stored
     with it and reported by every call, hit or miss."""
     stats = MergeStats()
-    with obs.span(
-        "exttsp_solver", proc=task.name, refine=refine
-    ) as sp:
-        layout = exttsp_layout(
-            task.cfg,
-            task.profile,
-            refine=refine,
-            stats=stats,
-            merged=merge_order_for(task),
+    with obs.span("exttsp_solver", proc=task.name, method=task.method) as sp:
+        layout = layout_of(
+            task.cfg, task.profile, stats=stats, merged=merge_order_for(task)
         )
         sp["merges"] = stats.merges
         sp["splits"] = stats.splits
         sp["merge_candidates"] = stats.merge_candidates
-        sp["refine_moves"] = stats.refine_moves
-        sp["refine_candidates"] = stats.refine_candidates
+        sp["merge_kept"] = stats.merge_kept
         sp["score"] = stats.score
     # Deterministic per-task work, so these counters are stable (identical
     # for every worker count), like tsp.runs.
     obs.count("exttsp.merges", stats.merges)
     obs.count("exttsp.splits", stats.splits)
     obs.count("exttsp.merge_candidates", stats.merge_candidates)
-    obs.count("exttsp.refine_moves", stats.refine_moves)
-    obs.count("exttsp.refine_candidates", stats.refine_candidates)
-    return _priced_result(task, layout)
+    obs.count("exttsp.merge_kept", stats.merge_kept)
+    result = _priced_result(task, layout)
+    if stats.warning is None:
+        return result
+    return dataclasses.replace(
+        result, degraded="construction", warning=stats.warning
+    )
 
 
 @register_aligner(
     "exttsp",
     aliases=("ext-tsp", "bolt"),
-    description="Ext-TSP chain merging plus single-block hill climb "
-    "(Newell–Pupyrev's improved basic block reordering)",
+    description="maximum-weight path cover of the Ext-TSP edge counts, "
+    "or the chain-merge order where it scores higher",
 )
 def _align_exttsp(task: ProcedureTask) -> ProcedureResult:
-    return _exttsp_result(task, refine=True)
+    return _exttsp_result(
+        task, functools.partial(exttsp_layout, budget=task.budget)
+    )
 
 
 @register_aligner(
     "chain-merge",
     aliases=("newell-pupyrev", "np"),
     description="greedy chain splits/merges maximizing the Ext-TSP gain "
-    "(the BOLT-style merge phase, without refinement)",
+    "(the BOLT-style merge phase)",
 )
 def _align_chain_merge(task: ProcedureTask) -> ProcedureResult:
-    return _exttsp_result(task, refine=False)
+    return _exttsp_result(task, chain_merge_layout)
 
 
 #: Live view of every registered method name, in registration order.
@@ -252,10 +260,11 @@ def align_program(
     """Align every procedure of ``program`` using ``profile`` as training
     data; returns one layout per procedure.
 
-    ``budget`` is a *per-procedure* solver deadline for the TSP method: each
-    procedure's solve starts a fresh countdown, and a procedure that cannot
-    be solved in time degrades down the aligner's ladder instead of raising
-    (``report.degraded`` records which rung each such procedure used).
+    ``budget`` is a *per-procedure* solver deadline for the ``tsp`` and
+    ``exttsp`` path-cover searches: each procedure's search starts a fresh
+    countdown, and a procedure that cannot be solved in time degrades
+    instead of raising (``report.degraded`` records which rung each such
+    procedure used).
 
     ``jobs`` > 1 solves procedures in parallel worker processes;
     ``jobs=None`` reads ``REPRO_JOBS`` (default 1).  Results — layouts and

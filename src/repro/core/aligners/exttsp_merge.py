@@ -1,4 +1,5 @@
-"""Chain-merging ExtTSP layout heuristic (Newell–Pupyrev / BOLT-style).
+"""Ext-TSP layouts: the chain-merging heuristic (Newell–Pupyrev /
+BOLT-style) and the exact path-cover layout it is the floor of.
 
 Starts from one chain per block and greedily applies the merge with the
 best Ext-TSP gain until no merge improves the objective.  A merge of
@@ -25,19 +26,20 @@ always starts at the entry (the repro's layout contract).  Remaining
 chains are emitted by decreasing execution density (weight per word),
 the BOLT ordering that keeps hot code dense up front.
 
-``exttsp_layout(..., refine=True)`` follows the merge phase with a
-deterministic hill-climb: repeatedly move one block to the position that
-most improves the Ext-TSP score, until a fixed point (or a pass cap).
-The climb scores a move by its *exact* change in executed counts per
-weight class (fall-through, forward, backward), all candidates of one
-removed block in a few NumPy calls, so a move that changes nothing
-gains exactly 0.0.
-The registered ``chain-merge`` method is the pure merge heuristic; the
-``exttsp`` method is merge + refinement.  Both read one merge phase per
-procedure, the pipeline's ``merge`` artifact (:class:`MergeOrder`).
+``exttsp_layout`` (the registered ``exttsp`` method) lays out the
+maximum-weight path cover of the scored edges instead, weighted by their
+counts (:mod:`repro.tsp.path_cover`).  With equal forward and backward
+weights, on a procedure that fits both windows, every edge that does not
+fall through scores the same in any layout, so the cover's layout is
+optimal — the k = 1 case of Mestre–Pupyrev–Umboh.  Elsewhere the merge
+order can score higher, and it is kept when it does, so ``exttsp`` never
+scores below ``chain-merge``, the registered pure merge heuristic.  Both
+read one merge phase per procedure, the pipeline's ``merge`` artifact
+(:class:`MergeOrder`).
 
 Everything here is deterministic — no RNG, ties broken on chain/block
-ids — so results are identical for every worker count and seed.
+ids — so results are identical for every worker count and seed, unless
+a budget cuts the cover's search short.
 """
 
 from __future__ import annotations
@@ -47,21 +49,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.budget import Budget, BudgetTimer
 from repro.cfg.graph import ControlFlowGraph
 from repro.core.exttsp import (
     DEFAULT_PARAMS,
     ExtTSPParams,
     block_size_words,
+    exttsp_score,
+    scored_edges,
 )
 from repro.core.layout import Layout
+from repro.errors import SolverBudgetExceeded
 from repro.profiles.edge_profile import EdgeProfile
+from repro.tsp.path_cover import path_cover
 
 #: Chains longer than this contribute only concatenation candidates (no
 #: split-insertion) — keeps a merge round near-quadratic on big CFGs.
 SPLIT_CAP = 48
-
-#: Hill-climb safety valve: at most this many full improvement passes.
-MAX_REFINE_PASSES = 8
 
 #: Cells (rows × (blocks + edges)) of one scoring batch; a round with
 #: more candidates is scored in several, bounding peak memory.
@@ -76,10 +80,11 @@ class MergeStats:
     splits: int = 0
     #: Candidate sequences the merge phase scored.
     merge_candidates: int = 0
-    refine_moves: int = 0
-    #: Single-block moves the climb scored: (n-1)(n-2) per pass.
-    refine_candidates: int = 0
+    #: Layouts that kept the merge order because it outscored the cover.
+    merge_kept: int = 0
     score: float = 0.0
+    #: Why the cover's search stopped short (its budget expired), if it did.
+    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -349,82 +354,6 @@ def chain_merge_order(
     return order
 
 
-def refine_order(
-    inst: _Instance, order: list[int], *, stats: MergeStats | None = None
-) -> list[int]:
-    """Deterministic best-improvement hill climb over single-block moves.
-
-    Each pass tries every (block, position) move with the entry pinned at
-    position 0, applies the best strictly-improving one, and repeats
-    until a pass finds nothing (or :data:`MAX_REFINE_PASSES` is hit).
-    Moves are scanned removed block first, target position second; the
-    first of equal gains wins.
-
-    A move's gain is exact: the change in executed counts per weight
-    class, priced once by the class weights.  All moves of one removed
-    block are scored together as a ``(n-2, n)`` matrix of candidate
-    orders (a batch per block keeps peak memory at O(n·edges))."""
-    n = len(order)
-    blocks = np.array(order)
-    index = {block_id: i for i, block_id in enumerate(order)}
-    sizes = np.array([inst.sizes[b] for b in order], dtype=np.int64)
-    src = np.array([index[s] for s, _d, _c in inst.edges], dtype=np.intp)
-    dst = np.array([index[d] for _s, d, _c in inst.edges], dtype=np.intp)
-    counts = np.array([c for _s, _d, c in inst.edges])
-    params = inst.params
-
-    def class_counts(candidates: np.ndarray) -> np.ndarray:
-        """Executed counts per class (fall-through, forward, backward)
-        of each candidate order (rows of block indices): shape (3, rows)."""
-        rows = np.arange(len(candidates))[:, None]
-        widths = sizes[candidates]
-        ends = np.cumsum(widths, axis=1)
-        start_of = np.empty_like(ends)
-        end_of = np.empty_like(ends)
-        start_of[rows, candidates] = ends - widths
-        end_of[rows, candidates] = ends
-        gap = start_of[:, dst] - end_of[:, src]
-        classes = np.stack([
-            gap == 0,
-            (gap > 0) & (gap <= params.forward_window),
-            (gap < 0) & (gap >= -params.backward_window),
-        ])
-        return classes @ counts
-
-    current = np.arange(n)
-    slots = np.arange(n)
-    row_ids = np.arange(n - 2)
-    for _pass in range(MAX_REFINE_PASSES):
-        base = class_counts(current[None, :])
-        best: tuple[float, np.ndarray] | None = None
-        for at in range(1, n):
-            # Row r moves the block at slot ``at`` to slot targets[r]; the
-            # other blocks keep their order around it.
-            targets = slots[slots != at][1:]
-            picks = slots - (slots > targets[:, None])
-            picks += picks >= at
-            picks[row_ids, targets] = at
-            candidates = current[picks]
-            delta = class_counts(candidates) - base
-            gains = (
-                params.fallthrough_weight * delta[0]
-                + params.forward_weight * delta[1]
-                + params.backward_weight * delta[2]
-            )
-            for row in np.flatnonzero(gains > 1e-12):
-                gain = float(gains[row])
-                if best is None or gain > best[0] + 1e-12:
-                    best = (gain, candidates[row].copy())
-        if stats is not None:
-            stats.refine_candidates += (n - 1) * (n - 2)
-        if best is None:
-            break
-        current = best[1]
-        if stats is not None:
-            stats.refine_moves += 1
-    return blocks[current].tolist()
-
-
 def _order_score(inst: _Instance, order: list[int]) -> float:
     return _sequence_scores(inst, [[inst.index[b] for b in order]])[0]
 
@@ -456,9 +385,23 @@ def chain_merge_layout(
     params: ExtTSPParams = DEFAULT_PARAMS,
     *,
     stats: MergeStats | None = None,
+    merged: MergeOrder | None = None,
 ) -> Layout:
-    """The pure chain-merge heuristic (the registered ``chain-merge``)."""
-    return exttsp_layout(cfg, profile, params, refine=False, stats=stats)
+    """The merge phase's order (the registered ``chain-merge``).
+
+    ``merged`` is this procedure's merge phase under ``params`` when the
+    caller already has it (the pipeline's ``merge`` artifact); it is run
+    here otherwise.  ``stats`` counts the merge either way, so its
+    merges/splits/candidates describe the layout, not the work done in
+    this call."""
+    if merged is None:
+        merged = merge_phase(cfg, profile, params)
+    if stats is not None:
+        stats.merges += merged.merges
+        stats.splits += merged.splits
+        stats.merge_candidates += merged.candidates
+        stats.score = merged.score
+    return Layout(merged.order)
 
 
 def exttsp_layout(
@@ -466,30 +409,50 @@ def exttsp_layout(
     profile: EdgeProfile,
     params: ExtTSPParams = DEFAULT_PARAMS,
     *,
-    refine: bool = True,
     stats: MergeStats | None = None,
     merged: MergeOrder | None = None,
+    budget: Budget | BudgetTimer | None = None,
 ) -> Layout:
-    """Chain merging, optionally followed by the single-block hill climb
-    (the registered ``exttsp`` method).
+    """The path cover's layout, or the merge order when that scores
+    strictly higher, beyond float rounding (the registered ``exttsp``
+    method).
 
-    ``merged`` is this procedure's merge phase under ``params`` when the
-    caller already has it (the pipeline's ``merge`` artifact); it is run
-    here otherwise.  ``stats`` counts the merge either way, so its
-    merges/splits/candidates describe the layout, not the work done in
-    this call."""
-    inst = None
-    if merged is None:
-        inst = _build(cfg, profile, params)
-        merged = _merge(inst)
-    order, score = list(merged.order), merged.score
-    if refine and len(order) > 2:
-        inst = inst or _build(cfg, profile, params)
-        order = refine_order(inst, order, stats=stats)
-        score = _order_score(inst, order)
+    ``merged`` and ``stats`` are as in :func:`chain_merge_layout`;
+    ``stats.merge_kept`` counts a kept merge order.  ``budget`` bounds
+    the cover's search; once it expires, the best cover found so far
+    competes with the merge order and ``stats.warning`` says why.  Never
+    raises :class:`~repro.errors.SolverBudgetExceeded`."""
+    merge = chain_merge_layout(cfg, profile, params, stats=stats, merged=merged)
+    # The cover's arcs: edges that can fall through (no self-loop, none
+    # into the entry), each gaining its count over a default of 0.  The
+    # cities are numbered in the merge order, so the entry is city 0,
+    # which no arc enters, and the join puts its path first and the
+    # other paths in merge order.  A merge order that already falls
+    # through a maximum cover usually comes back as it is.
+    blocks = merge.order
+    index = {block_id: i for i, block_id in enumerate(blocks)}
+    matrix = np.zeros((len(blocks), len(blocks)))
+    for src, dst, count in scored_edges(cfg, profile):
+        if src != dst and dst != cfg.entry:
+            matrix[index[src], index[dst]] = -count
+    try:
+        tour = path_cover(
+            matrix, np.zeros(len(blocks)), np.argwhere(matrix < 0),
+            budget=budget,
+        ).tour
+    except SolverBudgetExceeded as exc:
+        tour = exc.best_so_far
+        if stats is not None:
+            stats.warning = str(exc)
+    cover = Layout(tuple(blocks[i] for i in tour))
+    cover_score = exttsp_score(cfg, cover, profile, params)
+    merge_score = exttsp_score(cfg, merge, profile, params)
+    # Two layouts of one score can sum it in different float roundings.
+    if merge_score > cover_score + 1e-9 * max(1.0, abs(cover_score)):
+        layout, score = merge, merge_score
+    else:
+        layout, score = cover, cover_score
     if stats is not None:
-        stats.merges += merged.merges
-        stats.splits += merged.splits
-        stats.merge_candidates += merged.candidates
+        stats.merge_kept += layout is merge
         stats.score = score
-    return Layout(tuple(order))
+    return layout

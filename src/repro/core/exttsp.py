@@ -105,7 +105,7 @@ def edge_weight(
     return 0.0
 
 
-def _scored_edges(cfg: ControlFlowGraph, profile: EdgeProfile):
+def scored_edges(cfg: ControlFlowGraph, profile: EdgeProfile):
     """Profiled CFG edges the objective scores: executed, real, and an
     actual successor edge (mirrors the greedy aligners' edge filter)."""
     for (src, dst), count in profile.counts.items():
@@ -125,7 +125,7 @@ def exttsp_score(
     """Ext-TSP score of one procedure's layout (higher is better)."""
     addresses = block_addresses(cfg, layout.order)
     total = 0.0
-    for src, dst, count in _scored_edges(cfg, profile):
+    for src, dst, count in scored_edges(cfg, profile):
         weight = edge_weight(addresses[src][1], addresses[dst][0], params)
         if weight:
             total += count * weight
@@ -141,7 +141,7 @@ def exttsp_max_score(
     through (unachievable whenever a block has two hot successors, but a
     sound normalization denominator)."""
     return params.fallthrough_weight * float(
-        sum(count for _src, _dst, count in _scored_edges(cfg, profile))
+        sum(count for _src, _dst, count in scored_edges(cfg, profile))
     )
 
 

@@ -28,13 +28,13 @@ from repro import obs
 from repro.budget import Budget
 from repro.core.align import align_program
 from repro.core.aligners.tsp_aligner import tsp_align
+from repro.core.costmatrix import build_alignment_instance
 from repro.core.evaluate import train_predictors
 from repro.core.layout import ProgramLayout
 from repro.core.materialize import materialize_program
 from repro.lang.lower import compile_source
 from repro.lang.vm import instrument, run_and_profile
 from repro.machine.models import ALPHA_21164, PenaltyModel
-from repro.pipeline.stages import instance_for
 from repro.pipeline.task import procedure_tasks
 from repro.workloads.suite import get_benchmark
 
@@ -131,11 +131,14 @@ def time_stages(
     )
 
     with stage("tsp_matrix") as sp:
-        # Through the pipeline's content-addressed cache: a warm cache
-        # (e.g. the same case already aligned this session) serves the
-        # matrices instead of rebuilding, and a cold run seeds it for
-        # later passes.
-        instances = {task.name: instance_for(task) for task in tasks}
+        # Built here, not through the pipeline's cache, which the greedy
+        # pass has already filled with these matrices.
+        instances = {
+            task.name: build_alignment_instance(
+                task.cfg, task.profile, task.model, predictor=task.predictor
+            )
+            for task in tasks
+        }
     times.tsp_matrix = sp.dur_ms / 1000.0
 
     with stage("tsp_solver") as sp:

@@ -247,10 +247,10 @@ class EntryLock:
 class ArtifactStore:
     """Crash-safe, content-addressed, on-disk artifact store.
 
-    Layout: ``<root>/v1/<kind>/<aa>/<digest>.art`` where ``aa`` is the
-    first two hex digits of the key digest (keeps directories small).
-    Each entry is a one-line JSON header — ``{"v": 1, "key": ..., "sha":
-    <sha256 of body>}`` — followed by the pickled artifact.  The header is
+    Layout: ``<root>/v<VERSION>/<kind>/<aa>/<digest>.art`` where ``aa`` is
+    the first two hex digits of the key digest (keeps directories small).
+    Each entry is a one-line JSON header — ``{"v": VERSION, "key": ...,
+    "sha": <sha256 of body>}`` — followed by the pickled artifact.  The header is
     parsed and the body checksummed on every read; any mismatch evicts the
     entry and reports a miss.
 
@@ -259,7 +259,10 @@ class ArtifactStore:
     pointed at directories the user controls.
     """
 
-    VERSION = 1
+    #: Bumped when a stored artifact's content changes under an unchanged
+    #: key: 2 since ``exttsp`` lays out the path cover instead of a hill
+    #: climb.
+    VERSION = 2
     SUFFIX = ".art"
 
     def __init__(

@@ -154,8 +154,8 @@ def merge_order_for(task: ProcedureTask) -> MergeOrder:
 
     The merge reads only the CFG, the profile and the Ext-TSP parameters
     — method, model, predictor, seed and budget are deliberately
-    excluded — so ``chain-merge`` and ``exttsp`` (merge + climb) over the
-    same procedure share a single run.
+    excluded — so ``chain-merge`` and ``exttsp`` (whose floor is the
+    merge order) over the same procedure share a single run.
     """
     return artifact_cache().get_or_build(
         merge_key(task), lambda: merge_phase(task.cfg, task.profile)
@@ -354,13 +354,13 @@ def align_procedures(
         if result.cities is not None:
             report.cities[result.name] = result.cities
             report.costs[result.name] = result.cost
-            if result.degraded != "none":
-                report.degraded[result.name] = result.degraded
-                if result.warning:
-                    report.warnings.append(
-                        f"{result.name}: degraded to "
-                        f"{result.degraded!r} ({result.warning})"
-                    )
+        if result.degraded != "none":
+            report.degraded[result.name] = result.degraded
+            if result.warning:
+                report.warnings.append(
+                    f"{result.name}: degraded to "
+                    f"{result.degraded!r} ({result.warning})"
+                )
     if report is not None:
         report.retried += supervision.retried
         report.worker_crashes += supervision.worker_crashes

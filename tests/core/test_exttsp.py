@@ -1,16 +1,22 @@
 """The Ext-TSP objective and the chain-merging aligners built on it."""
 
+import itertools
 import json
 import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from repro.cfg import Terminator, TerminatorKind
+from repro import obs
+from repro.budget import Budget
+from repro.cfg import Program, Terminator, TerminatorKind
 from repro.core import (
     DEFAULT_PARAMS,
+    AlignmentReport,
     ExtTSPParams,
+    align_program,
     chain_merge_layout,
     evaluate_layout,
     exttsp_layout,
@@ -23,8 +29,17 @@ from repro.core.aligners import MergeStats, exttsp_merge
 from repro.core.exttsp import block_addresses, block_size_words, edge_weight
 from repro.core.layout import Layout
 from repro.machine import ALPHA_21164
+from repro.pipeline.artifacts import reset_artifact_cache
+from repro.experiments.runner import profiled_run
 from repro.profiles import EdgeProfile, synthesize_profile
-from repro.workloads.synthetic import random_biases, random_program
+from repro.tsp.path_cover import path_cover
+from repro.workloads.suite import all_cases, compile_benchmark
+from repro.workloads.synthetic import (
+    GeneratorConfig,
+    random_biases,
+    random_procedure,
+    random_program,
+)
 
 
 class TestEdgeWeight:
@@ -249,36 +264,6 @@ def _exact_score(cfg, order, profile, params):
     )
 
 
-def _brute_force_climb(cfg, order, profile, params):
-    """Test oracle: the best-improvement climb re-scoring every candidate
-    order from scratch with exact gains, under the aligner's selection
-    rule (scan removed block then target; accept a gain above 1e-12,
-    replace the best only when beaten by more than 1e-12).  Returns the
-    accepted (exact gain, order) steps."""
-    tolerance = Fraction(1e-12)
-    current = list(order)
-    steps = []
-    for _pass in range(exttsp_merge.MAX_REFINE_PASSES):
-        score = _exact_score(cfg, current, profile, params)
-        best = None
-        for at in range(1, len(current)):
-            rest = current[:at] + current[at + 1:]
-            for to in range(1, len(current)):
-                if to == at:
-                    continue
-                candidate = rest[:to] + [current[at]] + rest[to:]
-                gain = _exact_score(cfg, candidate, profile, params) - score
-                if gain > tolerance and (
-                    best is None or gain > best[0] + tolerance
-                ):
-                    best = (gain, candidate)
-        if best is None:
-            break
-        steps.append(best)
-        current = best[1]
-    return steps
-
-
 def _random_procedures(seed, min_blocks=4, max_blocks=64):
     program = random_program(
         procedures=10, seed=seed, min_blocks=min_blocks, max_blocks=max_blocks
@@ -304,55 +289,186 @@ PARAMS = {
 }
 
 
-class TestRefinement:
-    def test_zero_gain_move_is_not_taken(self):
-        """Regression: the float-gain climb re-summed each candidate's
-        score in a new block order, and on this procedure rounding made
-        one move of exact gain zero clear the 1e-12 threshold (4 moves).
-        Exact class-count gains reach the same score in 3."""
-        (cfg, profile), = [
-            (cfg, profile)
-            for name, cfg, profile in _random_procedures(4)
-            if name == "proc4"
-        ]
-        stats = MergeStats()
-        layout = exttsp_layout(cfg, profile, stats=stats)
-        assert stats.refine_moves == 3
-        assert exttsp_score(cfg, layout, profile) == 28713.100000000013
-        n = len(cfg)
-        # Three improving passes plus the one that finds nothing.
-        assert stats.refine_candidates == 4 * (n - 1) * (n - 2)
+def _brute_force_best(cfg, profile, params):
+    """Test oracle: the highest exact score over every order that starts
+    at the entry."""
+    rest = sorted(set(cfg.block_ids) - {cfg.entry})
+    return max(
+        _exact_score(cfg, [cfg.entry, *perm], profile, params)
+        for perm in itertools.permutations(rest)
+    )
+
+
+def _padded_procedures(seed):
+    """Random procedures padded to blocks of up to 120 words: most
+    outgrow the 640-word backward window, where the cover is no longer
+    exact."""
+    rng = random.Random(seed)
+    program = Program(main="proc0")
+    for index in range(6):
+        config = GeneratorConfig(
+            target_blocks=rng.randrange(8, 40), max_padding=120
+        )
+        program.add(random_procedure(f"proc{index}", rng, config))
+    profile = synthesize_profile(
+        program, random_biases(program, seed + 1), seed=seed + 2,
+        walks_per_procedure=12, max_steps=4000,
+    )
+    return [
+        (proc.cfg, profile.procedures[proc.name])
+        for proc in program
+        if proc.name in profile.procedures
+    ]
+
+
+def _small_procedures(seed):
+    return [
+        (cfg, profile)
+        for _name, cfg, profile in _random_procedures(
+            seed, min_blocks=4, max_blocks=12
+        )
+    ]
+
+
+def _cover_weight(cfg, profile):
+    """The maximum weight of a path cover over the edges that can fall
+    through (no self-loop, none into the entry), weighted by count."""
+    blocks = [cfg.entry, *sorted(set(cfg.block_ids) - {cfg.entry})]
+    index = {block_id: i for i, block_id in enumerate(blocks)}
+    matrix = np.zeros((len(blocks), len(blocks)))
+    for (src, dst), count in profile.counts.items():
+        if (
+            count > 0 and src in cfg and dst in cfg.successors(src)
+            and src != dst and dst != cfg.entry
+        ):
+            matrix[index[src], index[dst]] = -count
+    arcs = np.argwhere(matrix < 0)
+    return -path_cover(matrix, np.zeros(len(blocks)), arcs).floor
+
+
+class TestCoverLayout:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_exact_brute_force(self, seed):
+        """Under the default weights, on procedures far inside both
+        windows, the layout scores the exact maximum over all orders."""
+        checked = 0
+        for _name, cfg, profile in _random_procedures(
+            seed, min_blocks=4, max_blocks=6
+        ):
+            if len(cfg) > 8:
+                continue
+            layout = exttsp_layout(cfg, profile)
+            assert _exact_score(
+                cfg, layout.order, profile, DEFAULT_PARAMS
+            ) == _brute_force_best(cfg, profile, DEFAULT_PARAMS)
+            checked += 1
+        assert checked >= 9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
-    def test_climb_matches_exact_brute_force(self, seed, params, monkeypatch):
-        """Every move the climb takes has an exact gain > 0, and pass by
-        pass it is the move a from-scratch exact re-scoring would pick —
-        from the merge order and from the source order alike."""
-        moves = 0
-        for _name, cfg, profile in _random_procedures(
-            seed, min_blocks=4, max_blocks=12
-        ):
-            inst = exttsp_merge._build(cfg, profile, params)
-            merged = exttsp_merge.chain_merge_order(inst)
-            for start in (merged, list(original_layout(cfg).order)):
-                steps = _brute_force_climb(cfg, start, profile, params)
-                assert all(gain > 0 for gain, _order in steps)
-                for passes, (_gain, expected) in enumerate(steps, 1):
-                    monkeypatch.setattr(
-                        exttsp_merge, "MAX_REFINE_PASSES", passes
-                    )
-                    assert exttsp_merge.refine_order(inst, start) == expected
-                monkeypatch.undo()
-                stats = MergeStats()
-                final = exttsp_merge.refine_order(inst, start, stats=stats)
-                assert final == (steps[-1][1] if steps else start)
-                assert stats.refine_moves == len(steps)
-                n = len(start)
-                passes = min(len(steps) + 1, exttsp_merge.MAX_REFINE_PASSES)
-                assert stats.refine_candidates == passes * (n - 1) * (n - 2)
-                moves += len(steps)
-        assert moves > 0  # the grid exercises real moves, not just no-ops
+    def test_never_below_chain_merge(self, seed, params):
+        """Under every parameter set, on small procedures and on padded
+        ones that outgrow the windows, exttsp scores at least the merge
+        order, up to the float rounding of a tie."""
+        padded = _padded_procedures(seed)
+        assert any(
+            sum(block_size_words(block) for block in cfg)
+            > params.backward_window
+            for cfg, _profile in padded
+        )
+        for cfg, profile in padded + _small_procedures(seed):
+            stats = MergeStats()
+            layout = exttsp_layout(cfg, profile, params, stats=stats)
+            merge = chain_merge_layout(cfg, profile, params)
+            score = exttsp_score(cfg, layout, profile, params)
+            merged = exttsp_score(cfg, merge, profile, params)
+            assert score >= merged or score == pytest.approx(merged, rel=1e-9)
+            assert stats.score == score
+            assert layout == merge or not stats.merge_kept
+
+    def test_merge_order_is_kept_where_it_scores_higher(self):
+        """Where the jump weights differ or the windows are tight, the
+        cover is no longer exact, and on some procedures the merge order
+        outscores it and is kept."""
+        kept = 0
+        for params in (PARAMS["tight"], PARAMS["weighted"]):
+            for seed in range(3):
+                for cfg, profile in _small_procedures(seed):
+                    stats = MergeStats()
+                    layout = exttsp_layout(cfg, profile, params, stats=stats)
+                    if stats.merge_kept:
+                        assert layout == chain_merge_layout(cfg, profile, params)
+                    kept += stats.merge_kept
+        assert kept > 0
+
+    @pytest.mark.usefixtures("no_ambient_chaos", "no_ambient_store")
+    def test_expired_budget_keeps_the_better_of_salvage_and_merge(self):
+        """An exhausted budget stops the cover's search before its first
+        node: the salvaged cover (no arcs yet, the merge order itself)
+        competes with the merge order, the layout stays valid and never
+        below chain-merge, and the aligner flags it degraded."""
+        expired = Budget(max_iterations=0)
+        for _name, cfg, profile in _random_procedures(0, max_blocks=20):
+            stats = MergeStats()
+            layout = exttsp_layout(cfg, profile, stats=stats, budget=expired)
+            layout.check_against(cfg)
+            assert "budget" in stats.warning
+            merge = chain_merge_layout(cfg, profile)
+            assert exttsp_score(cfg, layout, profile) >= exttsp_score(
+                cfg, merge, profile
+            )
+        program = random_program(procedures=3, seed=5, max_blocks=20)
+        profile = synthesize_profile(program, random_biases(program, 6), seed=7)
+        reset_artifact_cache()
+        report = AlignmentReport()
+        align_program(
+            program, profile, method="exttsp", budget=expired, jobs=1,
+            report=report,
+        )
+        assert set(report.degraded.values()) == {"construction"}
+
+
+def _suite_and_synth_large():
+    """``(label, program, profile)`` of the 12 suite cases and of the
+    synth-large program (seed 1997)."""
+    for benchmark, dataset in all_cases():
+        yield (
+            f"{benchmark}.{dataset}",
+            compile_benchmark(benchmark).program,
+            profiled_run(benchmark, dataset).profile,
+        )
+    program = random_program(
+        procedures=12, seed=1997, min_blocks=16, max_blocks=64
+    )
+    profile = synthesize_profile(
+        program, random_biases(program, 1998), seed=1999,
+        walks_per_procedure=12, max_steps=4000,
+    )
+    yield "synth-large", program, profile
+
+
+@pytest.mark.usefixtures("no_ambient_chaos", "no_ambient_store")
+def test_every_workload_procedure_attains_the_cover_bound():
+    """Every suite and synth-large procedure fits both windows, so under
+    the default weights its exttsp layout scores 0.1·Σw + 0.9·(the
+    cover's weight) — no layout scores more — and no merge order is
+    kept."""
+    checked = 0
+    for label, program, profile in _suite_and_synth_large():
+        reset_artifact_cache()  # every procedure aligned, none served
+        obs.tracer().reset_counters()
+        layouts = align_program(program, profile, method="exttsp", jobs=1)
+        assert obs.counters()["exttsp.merge_kept"] == 0, label
+        for proc in program:
+            edges = profile.procedures.get(proc.name)
+            if edges is None or not edges.total():
+                continue
+            total = exttsp_max_score(proc.cfg, edges)
+            bound = 0.1 * total + 0.9 * _cover_weight(proc.cfg, edges)
+            score = exttsp_score(proc.cfg, layouts[proc.name], edges)
+            assert score == pytest.approx(bound, rel=1e-12), (label, proc.name)
+            checked += 1
+    assert checked == 38 + 12
 
 
 def _self_loop_procedures(seed):
@@ -485,16 +601,13 @@ class TestMergeScoring:
         equal a self-contained run's."""
         profile = loop_profile["main"]
         merged = exttsp_merge.merge_phase(loop_cfg, profile)
-        for refine in (False, True):
+        for layout_of in (chain_merge_layout, exttsp_layout):
             own, given = MergeStats(), MergeStats()
-            expected = exttsp_layout(
-                loop_cfg, profile, refine=refine, stats=own
-            )
+            expected = layout_of(loop_cfg, profile, stats=own)
             with monkeypatch.context() as patch:
                 patch.setattr(exttsp_merge, "chain_merge_order", None)
-                layout = exttsp_layout(
-                    loop_cfg, profile, refine=refine, stats=given,
-                    merged=merged,
+                layout = layout_of(
+                    loop_cfg, profile, stats=given, merged=merged
                 )
             assert layout == expected
             assert given == own

@@ -109,8 +109,8 @@ class TestTraceContentDeterminism:
         # The trace is not vacuously equal: real work was recorded.
         assert sum(serial_spans.values()) > 0
         assert serial_counters.get("path_cover.nodes", 0) > 0
-        # Every tour search — the tsp aligner's and the bound's — is a
-        # path-cover span carrying its nodes (the span identities above
+        # Every search — the tsp and exttsp aligners' and the bound's — is
+        # a path-cover span carrying its nodes (the span identities above
         # compare them across worker counts); no 3-Opt run, exact DP or
         # dense search runs.
         searches = [
@@ -125,9 +125,25 @@ class TestTraceContentDeterminism:
         for name in ("tsp.runs", "tsp.kicks"):
             assert name not in serial_counters, name
         assert "bnb.nodes" not in serial_counters
-        # So is the Ext-TSP work: moves and merges scored, not just applied.
-        assert serial_counters["exttsp.refine_candidates"] > 0
+        # So is the Ext-TSP work: merges scored, not just applied, and a
+        # path cover searched under each exttsp procedure, whose layout
+        # never falls back to the merge order on the suite.
         assert serial_counters["exttsp.merge_candidates"] > 0
+        assert serial_counters["exttsp.merge_kept"] == 0
+        assert not any(name.startswith("exttsp.refine") for name in serial_counters)
+        spans = [e for e in traces[1] if e["type"] == "span"]
+        by_id = {e["span_id"]: e for e in spans}
+        under_exttsp = [
+            e for e in spans
+            if e["name"] == "path_cover"
+            and by_id[e["parent_id"]]["name"] == "exttsp_solver"
+        ]
+        exttsp_procs = [
+            e for e in spans
+            if e["name"] == "exttsp_solver"
+            and e["attrs"]["method"] == "exttsp"
+        ]
+        assert len(under_exttsp) == len(exttsp_procs) > 0
         assert (
             serial_counters["align.cache_hits"]
             + serial_counters["align.cache_misses"]

@@ -101,14 +101,14 @@ class TestCollectAbsorb:
         worker.count("untouched", 4)
         with worker.collect() as shipped:
             worker.count("exttsp.splits", 0)
-            worker.count("exttsp.refine_moves", 0)
+            worker.count("exttsp.merge_kept", 0)
         deltas = {e["name"]: e["value"] for e in shipped
                   if e["type"] == "counter"}
-        assert deltas == {"exttsp.refine_moves": 0, "exttsp.splits": 0}
+        assert deltas == {"exttsp.merge_kept": 0, "exttsp.splits": 0}
 
         serial = Tracer()
         serial.count("exttsp.splits", 0)
-        serial.count("exttsp.refine_moves", 0)
+        serial.count("exttsp.merge_kept", 0)
         parent = Tracer()
         parent.absorb(shipped)
         assert parent.counters() == serial.counters()

@@ -57,7 +57,7 @@ class TestStoreBasics:
         assert path.suffix == ".art"
         assert path.parent.name == digest[:2]
         assert path.parent.parent.name == kind
-        assert path.parent.parent.parent.name == "v1"
+        assert path.parent.parent.parent.name == f"v{ArtifactStore.VERSION}"
 
     def test_len_contains_clear(self, store):
         store.put(KEY, 1)

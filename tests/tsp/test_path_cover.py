@@ -7,8 +7,10 @@ dense branch and bound recorded on every real instance of
 SciPy importable or hidden and in a pinned number of nodes; it matches
 exact DP on random small alignment instances; an exhausted budget leaves
 the bound at 0.0 and the aligner on its ladder; the joined tour attains
-the floor on every profiled suite procedure under every shipped model, so
-the aligner runs no 3-Opt there; a hand-built model
+the floor on every profiled suite procedure under every shipped model and
+under random pipeline-shaped ones, whose successor arcs never cost more
+than their row's default, so the aligner runs no 3-Opt there; a hand-built
+model
 whose successor arcs can cost more than their row's default still gets a
 bound no tour beats; and a cover whose joined tour misses its floor sends
 the aligner to the paper's search.
@@ -168,6 +170,46 @@ def test_cover_tour_attains_its_floor_on_every_suite_procedure(model_name):
             assert cover.optimal, (benchmark, dataset, proc.name)
             checked += 1
     assert checked == 38
+
+
+def test_pipeline_models_never_price_a_successor_above_its_default():
+    """The premise of the cover's exactness, for any pipeline-shaped
+    model: under random non-negative ``from_pipeline`` parameters, no
+    CFG-successor arc of a profiled suite procedure costs more than its
+    row's default, so ``sparse_form`` drops none and the joined tour
+    attains the floor."""
+    rng = random.Random(31)
+    models = [
+        PenaltyModel.from_pipeline(
+            f"random{i}",
+            misfetch=rng.uniform(0.0, 8.0),
+            mispredict=rng.uniform(0.0, 20.0),
+            multiway_redirect=rng.uniform(0.0, 12.0),
+        )
+        for i in range(6)
+    ]
+    checked = 0
+    for benchmark, dataset in all_cases():
+        program = compile_benchmark(benchmark).program
+        profile = profiled_run(benchmark, dataset).profile
+        for proc in program:
+            edges = profile.procedures.get(proc.name)
+            if edges is None or not edges.total():
+                continue
+            for model in models:
+                instance = build_alignment_instance(proc.cfg, edges, model)
+                defaults, arcs = instance.sparse_form()
+                index = instance.index_of()
+                for block in proc.cfg.block_ids:
+                    row = index[block]
+                    for succ in proc.cfg.block(block).successors:
+                        assert (
+                            instance.matrix[row, index[succ]] <= defaults[row]
+                        ), (benchmark, dataset, proc.name, model.name)
+                cover = path_cover(instance.matrix, defaults, arcs)
+                assert cover.optimal, (benchmark, dataset, proc.name, model)
+                checked += 1
+    assert checked == 38 * len(models)
 
 
 @pytest.mark.usefixtures("no_ambient_chaos")
