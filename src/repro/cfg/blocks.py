@@ -55,6 +55,9 @@ class Terminator:
     #: Optional payload: for blocks produced by :mod:`repro.lang`, the operand
     #: read to decide the branch (condition variable / switch selector).
     operand: Any = None
+    #: Distinct successor block ids, in first-appearance order (derived
+    #: from ``targets`` once, at construction).
+    successors: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.targets)
@@ -66,11 +69,9 @@ class Terminator:
             raise ValueError("multiway terminator needs at least 1 target")
         if self.kind is TerminatorKind.RETURN and n != 0:
             raise ValueError(f"return terminator takes no targets, got {n}")
-
-    @property
-    def successors(self) -> tuple[int, ...]:
-        """Distinct successor block ids, in first-appearance order."""
-        return tuple(dict.fromkeys(self.targets))
+        object.__setattr__(
+            self, "successors", tuple(dict.fromkeys(self.targets))
+        )
 
     def retargeted(self, mapping: dict[int, int]) -> "Terminator":
         """A copy with every target rewritten through ``mapping``."""

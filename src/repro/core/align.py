@@ -11,10 +11,11 @@ Ext-TSP pair — ``chain-merge`` (greedy chain splits/merges maximizing the
 Ext-TSP gain, à la Newell–Pupyrev) and ``exttsp`` (the maximum-weight path
 cover of the edge counts, exact under the default weights on a procedure
 that fits the windows, or the chain-merge order where that scores
-higher).  Every aligner's layout is priced both ways:
-the paper's control penalty and the Ext-TSP score
-(:mod:`repro.core.exttsp`) travel together on each
-:class:`~repro.pipeline.task.ProcedureResult`.
+higher).  Every aligner's layout carries its Ext-TSP score
+(:mod:`repro.core.exttsp`) on its
+:class:`~repro.pipeline.task.ProcedureResult`; the ``tsp`` result also
+carries its tour cost under the §2.2 DTSP instance, and every layout's
+paper penalty comes from the evaluation stage.
 
 Methods are *registered*, not hard-coded: each built-in below is a
 :func:`~repro.pipeline.registry.register_aligner` entry mapping a
@@ -73,20 +74,13 @@ def _align_original(task: ProcedureTask) -> ProcedureResult:
 
 
 def _priced_result(task: ProcedureTask, layout) -> ProcedureResult:
-    """Wrap a heuristic layout, pricing it both ways: the paper's penalty
-    (the tour cost under the shared DTSP instance) and the Ext-TSP score.
-    The instance comes from (and feeds) the content-addressed cache, so
-    greedy / tsp / lower-bound passes over one procedure all use a single
-    cost matrix; ``cities`` stays unset so these results do not populate
-    TSP solver diagnostics in an :class:`AlignmentReport`.
-    """
-    instance = instance_for(task)
+    """Wrap a heuristic layout with its Ext-TSP score.  Its paper penalty
+    is the evaluation stage's to compute: the result carries no DTSP cost
+    or instance, so heuristics neither build nor look up the matrix."""
     return ProcedureResult(
         name=task.name,
         layout=layout,
-        cost=instance.layout_cost(layout),
         exttsp_score=exttsp_score(task.cfg, layout, task.profile),
-        instance=instance,
     )
 
 
@@ -155,12 +149,13 @@ def _align_tsp(task: ProcedureTask) -> ProcedureResult:
         degraded=alignment.degraded,
         warning=alignment.warning,
         instance=alignment.instance,
+        cover=alignment.cover,
     )
 
 
 def _exttsp_result(task: ProcedureTask, layout_of) -> ProcedureResult:
     """Lay out one procedure with an Ext-TSP aligner of
-    :mod:`~repro.core.aligners.exttsp_merge` and dual-price the layout.
+    :mod:`~repro.core.aligners.exttsp_merge` and score the layout.
 
     The merge phase comes from the ``merge`` artifact, so ``chain-merge``
     and ``exttsp`` over one procedure run it once; its counts are stored

@@ -65,6 +65,9 @@ class TspAlignment:
     degraded: str = "none"
     #: Human-readable reason when ``degraded != "none"``.
     warning: str | None = None
+    #: The path-cover search's result when the search ran to completion;
+    #: its ``bound`` is this instance's certified lower bound.
+    cover: PathCover | None = None
 
 
 def _best_construction_layout(
@@ -124,6 +127,15 @@ def tsp_align(
     ``instance`` optionally supplies a pre-built DTSP instance for this
     exact (cfg, profile, model, predictor) — the pipeline's content-
     addressed cache passes one in so repeated solves share the matrix.
+
+    The search always runs under this call's own ``budget``; a search
+    that completes is returned as ``cover``, so the bound stage need not
+    repeat it.  The 3-Opt fallback runs only when the cover's joined tour
+    misses its floor, which needs a model that is not
+    :attr:`~repro.machine.models.PenaltyModel.fallthrough_monotone`.
+    Every shipped model, and every ``from_pipeline`` one with
+    non-negative parameters, is monotone, so the fallback guards only
+    hand-built models.
     """
     if instance is None:
         instance = build_alignment_instance(
@@ -153,6 +165,7 @@ def tsp_align(
                 layout=instance.layout_from_cycle(tour),
                 cost=cost,
                 instance=instance,
+                cover=cover,
             )
         # A tour through a forbidden edge (neither the cover's join nor
         # the fallback, with its identity start, needs one): fail safe.
@@ -217,6 +230,7 @@ def alignment_lower_bound(
     model: PenaltyModel,
     *,
     instance: AlignmentInstance | None = None,
+    cover: PathCover | None = None,
     budget: Budget | BudgetTimer | None = None,
 ) -> float:
     """Certified lower bound on the procedure's achievable control penalty.
@@ -225,7 +239,9 @@ def alignment_lower_bound(
     profile and machine model.  The bound is the optimum: the cost of the
     tour the path-cover search reconstructs (see
     :mod:`repro.tsp.path_cover`), or the cover's floor in the rare case
-    that tour does not attain it.
+    that tour does not attain it.  ``cover`` supplies a completed search
+    of this procedure's instance (a :attr:`TspAlignment.cover`), which is
+    then read instead of searched again.
 
     Degrades, never raises: on an exhausted budget (or injected fault) the
     loosest certified bound — 0.0, since penalties are non-negative — is
@@ -237,6 +253,8 @@ def alignment_lower_bound(
         faults.check_bound_timeout()
     except SolverBudgetExceeded:
         return 0.0
+    if cover is not None:
+        return cover.bound
     if instance is None:
         instance = build_alignment_instance(cfg, profile, model)
     try:

@@ -60,6 +60,36 @@ class PenaltyModel:
     #: Cycles stalled per instruction-cache miss in the timing simulator.
     icache_miss_cycles: float = 8.0
 
+    @property
+    def fallthrough_monotone(self) -> bool:
+        """Whether no CFG-successor arc of an alignment instance built
+        under this model can cost more than its row's default (the cost
+        when no successor follows), so the path cover's joined tour
+        always attains its floor (:mod:`repro.tsp.path_cover`).  Laying
+        a successor out next changes a block's charges as follows, and
+        none may rise:
+
+        * an unconditional jump is deleted, and a conditional's
+          unpredicted arm falls through without its fixup jump:
+          ``unconditional >= 0``;
+        * a conditional's predicted arm falling through turns its
+          ``p_tt`` into ``p_nn`` and the other arm's ``p_tn +
+          unconditional`` into ``p_nt``;
+        * a multiway branch's predicted target following turns its
+          ``p_tt`` into ``p_nn``; another target following turns that
+          target's ``p_nt`` into ``p_tn``.
+
+        Every :meth:`from_pipeline` model with non-negative parameters
+        meets it."""
+        cond, multi = self.conditional, self.multiway
+        return (
+            self.unconditional >= 0
+            and cond.p_nn <= cond.p_tt
+            and cond.p_nt <= cond.p_tn + self.unconditional
+            and multi.p_nn <= multi.p_tt
+            and multi.p_tn <= multi.p_nt
+        )
+
     @classmethod
     def from_pipeline(
         cls,

@@ -518,6 +518,11 @@ class ArtifactCache:
     caches.  Pass a built :class:`ArtifactStore` to pin one explicitly.
     """
 
+    #: Kinds held in memory only, never in the durable tier: a ``cover``
+    #: hands a tsp solve's search to the bound stage of the same run, and
+    #: the bound read off it is persisted as a ``bound`` artifact.
+    MEMORY_ONLY_KINDS = frozenset({"cover"})
+
     def __init__(
         self,
         max_entries: int | None = None,
@@ -546,6 +551,9 @@ class ArtifactCache:
     def _kind(key: str) -> str:
         return key.split(":", 1)[0]
 
+    def _store_for(self, kind: str) -> ArtifactStore | None:
+        return None if kind in self.MEMORY_ONLY_KINDS else self.store
+
     @property
     def enabled(self) -> bool:
         """Caching (both tiers) is suspended while a fault plan arms any
@@ -565,7 +573,7 @@ class ArtifactCache:
                 stats.hits += 1
                 obs.count(f"cache.{kind}.hits", stable=False)
                 return self._entries[key]
-        store = self.store
+        store = self._store_for(kind)
         if store is not None:
             # Durable tier: checksum-verified read, outside our lock (disk
             # I/O must not serialize in-memory lookups).
@@ -593,7 +601,7 @@ class ArtifactCache:
                 # FIFO eviction: drop the oldest inserted artifact.
                 self._entries.pop(next(iter(self._entries)))
             self._entries[key] = value
-        store = self.store
+        store = self._store_for(self._kind(key))
         if store is not None:
             store.put(key, value)
 
@@ -628,6 +636,29 @@ class ArtifactCache:
                 kind: CacheStats(s.hits, s.misses)
                 for kind, s in self._stats.items()
             }
+
+    def stats_since(
+        self, before: dict[str, CacheStats]
+    ) -> dict[str, CacheStats]:
+        """Per-kind lookups made since ``before`` (a :meth:`stats_by_kind`
+        snapshot); kinds without any are left out."""
+        delta = {}
+        for kind, now in self.stats_by_kind().items():
+            then = before.get(kind, CacheStats())
+            if now.lookups != then.lookups:
+                delta[kind] = CacheStats(
+                    now.hits - then.hits, now.misses - then.misses
+                )
+        return delta
+
+    def absorb_stats(self, stats: dict[str, CacheStats]) -> None:
+        """Add lookups made by another process's cache (a pool worker's
+        :meth:`stats_since`), so hit rates count every lookup of a pass."""
+        with self._lock:
+            for kind, delta in stats.items():
+                mine = self._stats.setdefault(kind, CacheStats())
+                mine.hits += delta.hits
+                mine.misses += delta.misses
 
     def clear(self) -> None:
         with self._lock:

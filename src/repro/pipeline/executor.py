@@ -32,6 +32,9 @@ treats individual failures as routine:
   identity layout, so program-level results degrade gracefully.
 * **Budgets** — a :class:`~repro.budget.Budget` is a per-procedure spec;
   each worker starts its own countdown exactly as the serial loop does.
+* **Cache accounting** — each payload's per-kind artifact-cache lookups
+  in a worker come back with its result and are added to the parent's
+  cache statistics, so hit rates count worker lookups too.
 * **Fault injection** — the armed :class:`~repro.faults.FaultPlan` (if any)
   is shipped to the worker and re-armed around each task, and the worker's
   call/trip counters are merged back into the parent plan.  ``True``-valued
@@ -72,6 +75,7 @@ from repro.errors import (
     UnknownNameError,
     WorkerCrashError,
 )
+from repro.pipeline.artifacts import artifact_cache
 
 JOBS_ENV = "REPRO_JOBS"
 RETRIES_ENV = "REPRO_RETRIES"
@@ -228,7 +232,7 @@ class SupervisionReport:
 
 def _worker_chunk(
     shipped: tuple[dict | None, str, list[tuple[Any, bool]]],
-) -> list[tuple[bool, Any, dict, dict, list[dict]]]:
+) -> list[tuple[bool, Any, dict, dict, list[dict], dict]]:
     """Run a chunk of tasks in one worker process.
 
     Each payload is executed under its *own* re-armed fault plan (or an
@@ -236,8 +240,8 @@ def _worker_chunk(
     ``fork``) and its own observability capture, so per-task fault-trigger
     and event semantics are identical whether the chunk holds one payload
     or twenty.  Returns one ``(ok, result-or-exception, calls, trips,
-    events)`` entry per payload — a payload that raises costs only itself,
-    not its chunk-mates.  A ``crash`` flag (decided in the parent, so
+    events, cache lookups)`` entry per payload — a payload that raises
+    costs only itself, not its chunk-mates.  A ``crash`` flag (decided in the parent, so
     trigger counting is worker-count invariant) kills the process the way
     a real OOM/signal would, losing the chunk's earlier results with it —
     exactly what a real mid-batch crash does.
@@ -251,10 +255,12 @@ def _worker_chunk(
         # there but not here: signal "cannot run in this worker" (the
         # supervisor falls back to serial) rather than a task failure.
         raise UnknownNameError(f"task kind {kind!r} not registered in worker")
-    out: list[tuple[bool, Any, dict, dict, list[dict]]] = []
+    cache = artifact_cache()
+    out: list[tuple[bool, Any, dict, dict, list[dict], dict]] = []
     for payload, crash in entries:
         if crash:
             os._exit(3)
+        before = cache.stats_by_kind()
         with obs.collect() as events:
             with faults.inject_faults(**(spec or {})) as plan:
                 try:
@@ -262,7 +268,7 @@ def _worker_chunk(
                 except Exception as exc:  # noqa: BLE001 — shipped to parent
                     ok, value = False, exc
         calls, trips = plan.counters()
-        out.append((ok, value, calls, trips, events))
+        out.append((ok, value, calls, trips, events, cache.stats_since(before)))
     return out
 
 
@@ -573,7 +579,7 @@ def _run_parallel(
                     _record_failure(report.outcomes[index], exc, policy)
             else:
                 for index, entry in zip(indices, entries):
-                    ok, value, calls, trips, events = entry
+                    ok, value, calls, trips, events, lookups = entry
                     outcome = report.outcomes[index]
                     if not ok:
                         # The payload raised in the worker.  Counters and
@@ -584,10 +590,11 @@ def _run_parallel(
                         continue
                     if plan is not None:
                         plan.merge_counts(calls, trips)
-                    # Only successful attempts ship events back, so a
-                    # retried task contributes one attempt's worth of
-                    # events.
+                    # Only successful attempts ship events (and cache
+                    # lookups) back, so a retried task contributes one
+                    # attempt's worth of them.
                     obs.absorb(events)
+                    artifact_cache().absorb_stats(lookups)
                     # Proof that the pool really ran: a jobs comparison
                     # whose runs all took the serial path compares nothing.
                     obs.count("executor.pool_tasks", stable=False)

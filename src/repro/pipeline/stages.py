@@ -16,7 +16,7 @@ task), and every stage uses the process-wide
 
 * The **cost-matrix stage** (:func:`instance_for`) builds the §2.2 DTSP
   instance, content-addressed by (CFG, profile, model, predictor) — so
-  greedy/tsp/lower-bound passes over the same procedure share one matrix.
+  tsp and lower-bound passes over the same procedure share one matrix.
 * The **merge stage** (:func:`merge_order_for`) runs the Ext-TSP merge
   phase once per (CFG, profile, Ext-TSP parameters), shared by the
   ``chain-merge`` and ``exttsp`` aligners.
@@ -24,9 +24,11 @@ task), and every stage uses the process-wide
   (:func:`run_bound_tasks`: certified per-procedure path-cover floors)
   are one cached-stage loop, :func:`_run_cached`, fanning cache misses
   out over worker processes
-  (:mod:`repro.pipeline.executor`).  Results merge in task order, so
-  layouts, bounds, reports, stored cases, and tables are identical for
-  any worker count.
+  (:mod:`repro.pipeline.executor`).  A tsp solve carries its completed
+  path-cover search back, and the bound stage reads a procedure's bound
+  off it (:func:`_reused_bound`) instead of searching again.  Results
+  merge in task order, so layouts, bounds, reports, stored cases, and
+  tables are identical for any worker count.
 * The **evaluate stage** (:func:`evaluate_procedures`) is the single
   penalty-evaluation code path — ``evaluate_program`` delegates here, and
   the DTSP tour cost of an instance provably equals this stage's control
@@ -82,6 +84,19 @@ def instance_key(task: ProcedureTask | BoundTask) -> str:
     digests = task.digests
     return ArtifactCache.key(
         "instance",
+        digests.cfg,
+        digests.profile,
+        digests.model,
+        digests.predictor,
+    )
+
+
+def cover_key(task: ProcedureTask | BoundTask) -> str:
+    # The instance's own key components: a completed search of the
+    # instance is valid under any seed or budget.
+    digests = task.digests
+    return ArtifactCache.key(
+        "cover",
         digests.cfg,
         digests.profile,
         digests.model,
@@ -171,7 +186,9 @@ class _CachedStage:
     (which also names its span and counters), the worker-executable
     ``solve``, the cache ``key``, which tasks are ``trivial`` (solved
     inline, never cached or dispatched), the ``stand_in`` result of a
-    quarantined task, and a hook called on each freshly ``stored`` one."""
+    quarantined task, a hook called on each freshly ``stored`` one, and
+    ``reuse``, which resolves a cache miss in the parent from another
+    stage's artifact (``None``: dispatch it)."""
 
     kind: str
     solve: Callable[[Any], Any]
@@ -179,6 +196,7 @@ class _CachedStage:
     trivial: Callable[[Any], bool]
     stand_in: Callable[[Any, str | None], Any]
     stored: Callable[[Any, Any], None] = lambda task, result: None
+    reuse: Callable[[Any], Any] = lambda task: None
 
 
 def _run_cached(
@@ -189,8 +207,9 @@ def _run_cached(
     policy: RetryPolicy | None,
     supervision: SupervisionReport | None,
 ) -> list:
-    """Resolve trivial tasks inline → scan the cache → supervised solve of
-    the misses → store.  Returns one result per task, in task order.
+    """Resolve trivial tasks inline → scan the cache → resolve what misses
+    can be reused in the parent → supervised solve of the rest → store.
+    Returns one result per task, in task order.
 
     A task that exhausts its retry budget yields ``stage.stand_in`` and is
     deliberately NOT cached — a later run with a healthier environment
@@ -219,14 +238,30 @@ def _run_cached(
         obs.count(f"{stage.kind}.cache_hits", hits)
         obs.count(f"{stage.kind}.cache_misses", len(misses))
 
-        if misses:
+        # Reuse runs here, in the parent, at every worker count, so what
+        # it resolves (and any fault site it consults) is the same for
+        # every ``jobs``.
+        unsolved = []
+        for i, key in misses:
+            result = stage.reuse(tasks[i])
+            if result is None:
+                unsolved.append((i, key))
+                continue
+            results[i] = result
+            cache.put(key, result)
+        reused = len(misses) - len(unsolved)
+        sp["reused"] = reused
+        if reused:
+            obs.count(f"{stage.kind}.reused", reused)
+
+        if unsolved:
             report = run_tasks_supervised(
-                stage.kind, [tasks[i] for i, _ in misses], jobs=jobs,
+                stage.kind, [tasks[i] for i, _ in unsolved], jobs=jobs,
                 policy=policy,
             )
             if supervision is not None:
                 supervision.merge_from(report)
-            for (i, key), outcome in zip(misses, report.outcomes):
+            for (i, key), outcome in zip(unsolved, report.outcomes):
                 if outcome.quarantined:
                     results[i] = stage.stand_in(tasks[i], outcome.error)
                     continue
@@ -268,11 +303,15 @@ def quarantined_result(task: ProcedureTask, error: str | None) -> ProcedureResul
     )
 
 
-def _seed_instance(task: ProcedureTask, result: ProcedureResult) -> None:
-    """Seed the cost-matrix cache from a worker's build, so the bound stage
-    (and other methods) reuse it."""
+def _seed_caches(task: ProcedureTask, result: ProcedureResult) -> None:
+    """Seed the cache with what a tsp solve carries back — its instance
+    and its completed search — for the bound stage over the same
+    procedure (:func:`_reused_bound`, :func:`bound_one`)."""
+    cache = artifact_cache()
     if result.instance is not None:
-        artifact_cache().put(instance_key(task), result.instance)
+        cache.put(instance_key(task), result.instance)
+    if result.cover is not None:
+        cache.put(cover_key(task), result.cover)
 
 
 def _is_trivial(task: ProcedureTask) -> bool:
@@ -285,7 +324,7 @@ _ALIGN = _CachedStage(
     key=align_key,
     trivial=_is_trivial,
     stand_in=quarantined_result,
-    stored=_seed_instance,
+    stored=_seed_caches,
 )
 
 
@@ -436,6 +475,23 @@ def bound_one(task: BoundTask) -> BoundResult:
 register_handler("bound", bound_one)
 
 
+def _reused_bound(task: BoundTask) -> BoundResult | None:
+    """The bound of a procedure whose instance the tsp aligner has already
+    searched to completion, read off that search; ``None`` when no
+    completed search is cached (the task is then dispatched and
+    searched).  An aligner task with an explicit predictor searched
+    another instance, under another key, so it never feeds a bound."""
+    cover = artifact_cache().get(cover_key(task))
+    if cover is None:
+        return None
+    return BoundResult(
+        task.name,
+        alignment_lower_bound(
+            task.cfg, task.profile, task.model, cover=cover
+        ),
+    )
+
+
 _BOUND = _CachedStage(
     kind="bound",
     solve=bound_one,
@@ -444,6 +500,7 @@ _BOUND = _CachedStage(
     # 0.0 is the loosest certified bound, so program totals stay
     # well-defined (and conservative).
     stand_in=lambda task, error: BoundResult(task.name, 0.0, quarantined=True),
+    reuse=_reused_bound,
 )
 
 

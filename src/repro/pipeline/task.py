@@ -43,6 +43,7 @@ from repro.profiles.edge_profile import EdgeProfile, ProgramProfile
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle is fine at type time
     from repro.core.costmatrix import AlignmentInstance
+    from repro.tsp.path_cover import PathCover
 
 
 def derive_seed(seed: int, method: str, index: int) -> int:
@@ -130,8 +131,12 @@ class ProcedureResult:
     warning: str | None = None
     #: The DTSP instance the solve used, carried back so the parent process
     #: can seed its cost-matrix cache (matrices on alignment instances are
-    #: small).  ``None`` for aligners that never build one.
+    #: small).  TSP aligner only: the heuristics never build one.
     instance: "AlignmentInstance | None" = None
+    #: The instance's completed path-cover search (TSP aligner only),
+    #: carried back so the parent's bound stage reads its bound instead of
+    #: searching again.  ``None`` when the search was cut short.
+    cover: "PathCover | None" = None
     #: Whether this result was served from the artifact cache.
     from_cache: bool = False
     #: Whether the task was poisoned (failed its whole retry budget) and

@@ -819,9 +819,11 @@ class AlignmentService:
         Recomputes the freshly parsed request's profile and path-cover
         floors and runs the full response verifier over the recorded
         layouts and costs — the journal is treated as untrusted bytes,
-        exactly like a solver's output.  Returns the violation list
-        (empty = serve), or ``None`` when the record cannot even be
-        reconstructed (``request`` is a parse error).
+        exactly like a solver's output.  The verifier walks each layout
+        itself: a record carries no per-procedure evaluated penalty.
+        Returns the violation list (empty = serve), or ``None`` when the
+        record cannot even be reconstructed (``request`` is a parse
+        error).
         """
         if not isinstance(request, AlignmentRequest):
             return None
@@ -936,6 +938,10 @@ class AlignmentService:
                     model,
                     costs=dict(report.costs),
                     bounds=bounds,
+                    penalties={
+                        name: breakdown.total
+                        for name, breakdown in penalty.per_procedure.items()
+                    },
                 )
             elapsed_ms = (time.monotonic() - start) * 1000.0
             sp["degraded"] = len(degraded)

@@ -10,7 +10,9 @@ module enforces them *per response*:
    (:meth:`Layout.check_against`).
 2. **Cost agreement** — the cost the aligner reported for a procedure
    equals the evaluation stage's control penalty for the same layout
-   (§2.2's reduction: two walks over one model must not drift).
+   (§2.2's reduction: two walks over one model must not drift).  The
+   service passes the penalties it serves, so what it checks is what
+   the response carries.
 3. **Bound sanity** — when a path-cover floor is available, no reported
    cost may sit below it (a "better than provably possible" layout is a
    corrupt cost matrix or a broken solver, not a miracle).
@@ -50,13 +52,17 @@ def verify_layouts(
     *,
     costs: dict[str, float] | None = None,
     bounds: dict[str, float] | None = None,
+    penalties: dict[str, float] | None = None,
 ) -> list[str]:
     """Check every response invariant; return violations (empty = serve).
 
     ``costs`` are the aligner-reported per-procedure tour costs (absent
     entries — trivial or quarantined procedures — skip the agreement
     check but still get permutation checks).  ``bounds`` are certified
-    path-cover floors when the request asked for them.
+    path-cover floors when the request asked for them.  ``penalties``
+    are the evaluation stage's per-procedure penalties of these layouts
+    (the ones a response serves); without them each layout is walked
+    here.
     """
     violations: list[str] = []
     for proc in program:
@@ -73,12 +79,15 @@ def verify_layouts(
         edge_profile = profile.procedures.get(name)
         if edge_profile is None:
             continue
-        try:
-            evaluated = evaluate_layout(
-                program[name].cfg, layouts[name], edge_profile, model
-            ).total
-        except LayoutError:
-            continue  # permutation violation already recorded
+        if penalties is not None:
+            evaluated = penalties[name]
+        else:
+            try:
+                evaluated = evaluate_layout(
+                    program[name].cfg, layouts[name], edge_profile, model
+                ).total
+            except LayoutError:
+                continue  # permutation violation already recorded
         if not _close(cost, evaluated):
             violations.append(
                 f"{name}: aligner cost {cost!r} != evaluator penalty "

@@ -167,6 +167,42 @@ def test_instance_for_shares_matrices_across_clients():
     assert artifact_cache().stats("instance").lookups == 0
 
 
+@pytest.mark.usefixtures("no_ambient_chaos")
+def test_worker_cache_lookups_count_in_the_parent(force_pool):
+    """Lookups a pool worker makes come back with its results: at jobs=4
+    the parent's per-kind stats count the workers' instance lookups (one
+    per tsp task), as the serial run counts its own."""
+    from repro.experiments.runner import profiled_run
+    from repro.pipeline.executor import shutdown_pool
+    from repro.pipeline.stages import run_align_tasks
+    from repro.pipeline.task import procedure_tasks
+    from repro.workloads.suite import compile_benchmark
+
+    program = compile_benchmark("esp").program
+    profile = profiled_run("esp", "ti").profile
+    tasks = [
+        task
+        for task in procedure_tasks(
+            program, profile, method="tsp", model=ALPHA_21164
+        )
+        if task.profile.total()
+    ]
+    assert len(tasks) > 1
+    lookups = {}
+    for jobs in (1, 4):
+        shutdown_pool()  # fresh workers, with empty caches
+        reset_artifact_cache()
+        run_align_tasks(tasks, jobs=jobs)
+        lookups[jobs] = {
+            kind: (stats.hits, stats.misses)
+            for kind, stats in artifact_cache().stats_by_kind().items()
+        }
+    assert force_pool() > 0
+    assert lookups[4]["instance"] == lookups[1]["instance"] == (0, len(tasks))
+    assert lookups[4] == lookups[1]
+    reset_artifact_cache()
+
+
 # -- bound keying -------------------------------------------------------------
 
 

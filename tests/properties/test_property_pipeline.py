@@ -1,10 +1,11 @@
 """Property-based tests of the staged pipeline's core invariants.
 
-The central one is the paper's reduction itself: the DTSP tour cost a
-pipeline stage reports for a layout equals the control penalty the
-evaluation stage computes for that layout — for *every* registered method.
-``ProcedureResult.cost`` and ``evaluate_layout`` are two walks over the
-same model, and they must never drift apart.
+The central one is the paper's reduction itself: the DTSP tour cost of a
+layout under the §2.2 instance equals the control penalty the evaluation
+stage computes for that layout — for *every* registered method's layout,
+and for the cost the tsp aligner reports (``ProcedureResult.cost``).  The
+instance and ``evaluate_layout`` are two walks over the same model, and
+they must never drift apart.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import evaluate_layout
 from repro.core.align import ALIGN_METHODS
+from repro.core.costmatrix import build_alignment_instance
 from repro.machine import ALPHA_21164
 from repro.pipeline.stages import align_one, instance_for
 from repro.pipeline.task import ProcedureTask
@@ -56,25 +58,28 @@ def tasks_for(proc, profile, seed: int = 0):
     profile_seed=st.integers(0, 10_000),
 )
 def test_tour_cost_equals_evaluated_penalty(cfg_seed, target, profile_seed):
-    """§2.2's reduction, end to end: every method's reported layout cost
-    (a tour cost under the DTSP instance) equals the evaluation stage's
-    control penalty for the same layout — exactly, not approximately."""
+    """§2.2's reduction, end to end: every method's layout, priced as a
+    tour under the DTSP instance, costs the evaluation stage's control
+    penalty for the same layout — exactly, not approximately — and so
+    does the tour cost the tsp aligner reports."""
     proc, profile = make_case(cfg_seed, target, profile_seed)
+    instance = build_alignment_instance(proc.cfg, profile, ALPHA_21164)
     for task in tasks_for(proc, profile):
         result = align_one(task)
         result.layout.check_against(proc.cfg)
         evaluated = evaluate_layout(
             proc.cfg, result.layout, profile, ALPHA_21164
         ).total
-        if result.cost is not None:
-            assert result.cost == evaluated, (
-                f"{task.method}: tour cost {result.cost} != "
-                f"evaluated penalty {evaluated}"
-            )
-        # Results without a priced cost (the trivial path) still evaluate:
-        # the layout must be the no-op one, costing the original penalty.
-        if result.cost is None:
-            assert profile.total() == 0 or task.method == "original"
+        priced = instance.layout_cost(result.layout)
+        assert priced == evaluated, (
+            f"{task.method}: tour cost {priced} != "
+            f"evaluated penalty {evaluated}"
+        )
+        # Only the tsp aligner reports a cost, on every non-trivial task.
+        if task.method == "tsp" and profile.total():
+            assert result.cost == evaluated, task.method
+        else:
+            assert result.cost is None, task.method
 
 
 @settings(max_examples=15, deadline=None)
@@ -113,16 +118,19 @@ def test_every_method_is_priced_both_ways(cfg_seed, target, profile_seed):
 def test_layout_cost_agrees_for_any_instance_client(
     cfg_seed, target, profile_seed
 ):
-    """All instance clients price layouts identically: pricing a method's
-    layout under a freshly built instance gives the same number the
-    pipeline attached to the result (matrix construction is a pure
-    function of its fingerprinted inputs)."""
+    """All instance clients price layouts identically: every method's
+    layout costs the same under the cost-matrix stage's instance and a
+    freshly built one, and the tsp result's cost is that price (matrix
+    construction is a pure function of its fingerprinted inputs)."""
     proc, profile = make_case(cfg_seed, target, profile_seed)
     if profile.total() == 0:
         return
     tasks = tasks_for(proc, profile)
-    instance = instance_for(tasks[0])
+    staged = instance_for(tasks[0])
+    fresh = build_alignment_instance(proc.cfg, profile, ALPHA_21164)
     for task in tasks:
         result = align_one(task)
+        price = staged.layout_cost(result.layout)
+        assert fresh.layout_cost(result.layout) == price, task.method
         if result.cost is not None:
-            assert instance.layout_cost(result.layout) == result.cost
+            assert result.cost == price, task.method

@@ -155,6 +155,34 @@ class TestQuarantine:
         assert service.stats.quarantined == 1
         assert service.snapshot()["counters"]["service.quarantined"] == 1
 
+    def test_served_penalty_that_disagrees_with_the_cost_is_quarantined(
+        self, fresh_tracer, payload, monkeypatch
+    ):
+        """The verifier checks the penalty the response would serve: an
+        evaluation stage that priced main one jump dearer than the tsp
+        tour's cost quarantines the response."""
+        import repro.service.core as core_mod
+        from repro.core.costmodel import CostBreakdown
+
+        evaluate = core_mod.evaluate_program
+
+        def dearer(*args, **kwargs):
+            penalty = evaluate(*args, **kwargs)
+            penalty.per_procedure["main"] += CostBreakdown(jump=1.0)
+            return penalty
+
+        monkeypatch.setattr(core_mod, "evaluate_program", dearer)
+        service = AlignmentService(ServiceConfig(capacity=2)).start()
+        try:
+            response = service.align(payload, timeout=120)
+        finally:
+            assert service.drain(timeout=30)
+        assert response["status"] == "quarantined"
+        (violation,) = response["violations"]
+        assert violation.startswith("main: aligner cost ")
+        assert "!= evaluator penalty" in violation
+        assert service.stats.quarantined == 1
+
     def test_verification_can_be_disabled(self, payload):
         service = AlignmentService(
             ServiceConfig(capacity=2, verify=False)

@@ -9,8 +9,9 @@ exact DP on random small alignment instances; an exhausted budget leaves
 the bound at 0.0 and the aligner on its ladder; the joined tour attains
 the floor on every profiled suite procedure under every shipped model and
 under random pipeline-shaped ones, whose successor arcs never cost more
-than their row's default, so the aligner runs no 3-Opt there; a hand-built
-model
+than their row's default, so the aligner runs no 3-Opt there; every such
+model, and any hand-built one, that is ``fallthrough_monotone`` prices no
+successor arc above its default; a hand-built model
 whose successor arcs can cost more than their row's default still gets a
 bound no tour beats; and a cover whose joined tour misses its floor sends
 the aligner to the paper's search.
@@ -23,6 +24,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.budget import Budget
@@ -188,6 +191,7 @@ def test_pipeline_models_never_price_a_successor_above_its_default():
         )
         for i in range(6)
     ]
+    assert all(model.fallthrough_monotone for model in models)
     checked = 0
     for benchmark, dataset in all_cases():
         program = compile_benchmark(benchmark).program
@@ -210,6 +214,74 @@ def test_pipeline_models_never_price_a_successor_above_its_default():
                 assert cover.optimal, (benchmark, dataset, proc.name, model)
                 checked += 1
     assert checked == 38 * len(models)
+
+
+_CYCLES = st.floats(0.0, 50.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(misfetch=_CYCLES, mispredict=_CYCLES, redirect=_CYCLES)
+def test_pipeline_models_are_fallthrough_monotone(
+    misfetch, mispredict, redirect
+):
+    """The premise the cover's exactness rests on holds for every
+    pipeline-shaped model with non-negative parameters, and not for the
+    hand-built ``SKEWED``, whose conditional ``p_nt`` (9) exceeds
+    ``p_tn + unconditional`` (3)."""
+    model = PenaltyModel.from_pipeline(
+        "random", misfetch=misfetch, mispredict=mispredict,
+        multiway_redirect=redirect,
+    )
+    assert model.fallthrough_monotone
+    assert all(m.fallthrough_monotone for m in STANDARD_MODELS.values())
+    assert not SKEWED.fallthrough_monotone
+
+
+_SMALL_PROCEDURES = _procedures(5, min_blocks=4, max_blocks=14)
+#: Whole cycles and dyadic shares keep every charge exact, so the
+#: comparison below is the model's, not float rounding's.
+_WHOLE = st.integers(0, 50).map(float)
+_SHARE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    taken=st.tuples(_WHOLE, _WHOLE, _WHOLE, _WHOLE, _WHOLE),
+    shares=st.tuples(_SHARE, _SHARE, _SHARE, _SHARE),
+)
+def test_monotone_models_never_price_a_successor_above_its_default(
+    taken, shares
+):
+    """``fallthrough_monotone`` is sufficient: under any hand-built model
+    that meets it (drawn here with each cheaper charge a share of the
+    dearer one it is bounded by), no CFG-successor arc costs more than
+    its row's default, so the joined tour attains the floor."""
+    c_tt, c_tn, m_tt, m_nt, unconditional = taken
+    model = PenaltyModel(
+        "drawn",
+        conditional=BranchPenalties(
+            p_tt=c_tt,
+            p_tn=c_tn,
+            p_nt=(c_tn + unconditional) * shares[0],
+            p_nn=c_tt * shares[1],
+        ),
+        multiway=BranchPenalties(
+            p_tt=m_tt, p_tn=m_nt * shares[2], p_nt=m_nt, p_nn=m_tt * shares[3]
+        ),
+        unconditional=unconditional,
+    )
+    assert model.fallthrough_monotone
+    for cfg, edges in _SMALL_PROCEDURES:
+        instance = build_alignment_instance(cfg, edges, model)
+        defaults, arcs = instance.sparse_form()
+        index = instance.index_of()
+        for block in cfg.block_ids:
+            for succ in cfg.block(block).successors:
+                if succ == cfg.entry:
+                    continue
+                row = index[block]
+                assert instance.matrix[row, index[succ]] <= defaults[row]
+        assert path_cover(instance.matrix, defaults, arcs).optimal
 
 
 @pytest.mark.usefixtures("no_ambient_chaos")
