@@ -4,17 +4,20 @@ How much tour quality does each level of solver machinery buy, at what
 cost?  Construction heuristics (NN, greedy-edge), AP + Karp patching, one
 3-Opt descent from the compiler order, and iterated 3-Opt (default and the
 appendix's 10-run "paper" budget), measured on alignment DTSP instances
-against the branch-and-bound optimum.  The 3-Opt rungs run on the solver
+against the path-cover optimum.  The 3-Opt rungs run on the solver
 kernel.
 """
 
 import random
 import time
 
-from repro.experiments import esp_scale_instances, format_table
+from repro.experiments import (
+    certified_optimum,
+    esp_scale_instances,
+    format_table,
+)
 from repro.tsp import (
     SolverKernel,
-    branch_and_bound,
     greedy_edge_tour,
     identity_tour,
     kernel_iterated_three_opt,
@@ -49,26 +52,21 @@ def solve(level, matrix, seed):
 
 def compute():
     instances = [
-        (name, matrix)
-        for name, matrix in esp_scale_instances(procedures=20, seed=11)
-        if matrix.shape[0] >= 8
+        (name, instance.matrix, certified_optimum(instance))
+        for name, instance in esp_scale_instances(procedures=20, seed=11)
+        if instance.n >= 8
     ]
-    optima = {}
-    for name, matrix in instances:
-        result = branch_and_bound(matrix, max_nodes=30_000)
-        optima[name] = result.cost if result.optimal else None
 
     rows = []
     mean_gaps = {}
     for level in LADDER:
         gaps = []
         started = time.perf_counter()
-        for index, (name, matrix) in enumerate(instances):
+        for index, (_, matrix, optimum) in enumerate(instances):
             cost = solve(level, matrix, seed=index)
-            optimum = optima[name]
-            if optimum is not None and optimum > 0:
+            if optimum > 0:
                 gaps.append((cost - optimum) / optimum)
-            elif optimum is not None:
+            else:
                 gaps.append(0.0 if cost <= 1e-9 else 1.0)
         elapsed = time.perf_counter() - started
         mean_gap = sum(gaps) / len(gaps)

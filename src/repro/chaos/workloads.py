@@ -195,9 +195,7 @@ def run_service_burst(
         hedge_after_ms=None,
         probe_interval_s=0.02,
         wedge_timeout_s=0.25,
-        service=ServiceConfig(
-            capacity=config.capacity, jobs=max(1, config.jobs), verify=True
-        ),
+        service=ServiceConfig(capacity=config.capacity, jobs=max(1, config.jobs)),
     ))
     tier.start()
     result = WorkloadResult()

@@ -408,7 +408,6 @@ def cmd_serve(args) -> int:
             default_deadline_ms=args.deadline_ms,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
-            verify=not args.no_verify,
             journal_compact_bytes=args.journal_compact_bytes,
         ),
     ))
@@ -838,9 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="fallback-served requests before an open "
                               "breaker admits a half-open probe (default 5)")
-    p_serve.add_argument("--no-verify", action="store_true",
-                         help="skip per-response layout verification "
-                              "(benchmarking only; verification is cheap)")
     p_serve.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes per align pass "
                               "(default: $REPRO_JOBS or 1)")

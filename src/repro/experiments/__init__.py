@@ -4,6 +4,7 @@ from repro.experiments.appendix import (
     AppendixStats,
     InstanceQuality,
     analyze_instances,
+    certified_optimum,
     esp_scale_instances,
 )
 from repro.experiments.crossval import (
@@ -63,6 +64,7 @@ __all__ = [
     "arithmetic_mean",
     "case_key",
     "case_lower_bound",
+    "certified_optimum",
     "case_to_dict",
     "cases_to_json",
     "cross_validate",

@@ -308,8 +308,6 @@ class ServiceConfig:
     breaker_threshold: int = 3
     #: Fallback-served requests before an open breaker probes.
     breaker_cooldown: int = 5
-    #: Run the layout verifier on every response.
-    verify: bool = True
     #: Write-ahead request journal path; ``None`` = no durability (and no
     #: idempotent coalescing — dedup semantics exist only when the journal
     #: gives duplicate payloads a persistent identity).
@@ -929,20 +927,18 @@ class AlignmentService:
                 for proc in program:
                     degraded.setdefault(proc.name, "breaker_fallback")
 
-            violations: list[str] = []
-            if self.config.verify:
-                violations = verify_layouts(
-                    program,
-                    layouts,
-                    profile,
-                    model,
-                    costs=dict(report.costs),
-                    bounds=bounds,
-                    penalties={
-                        name: breakdown.total
-                        for name, breakdown in penalty.per_procedure.items()
-                    },
-                )
+            violations = verify_layouts(
+                program,
+                layouts,
+                profile,
+                model,
+                costs=dict(report.costs),
+                bounds=bounds,
+                penalties={
+                    name: breakdown.total
+                    for name, breakdown in penalty.per_procedure.items()
+                },
+            )
             elapsed_ms = (time.monotonic() - start) * 1000.0
             sp["degraded"] = len(degraded)
             sp["violations"] = len(violations)
@@ -977,7 +973,7 @@ class AlignmentService:
             return {
                 **base,
                 "status": "ok",
-                "verified": bool(self.config.verify),
+                "verified": True,
                 "layouts": {
                     name: list(layout.order)
                     for name, layout in layouts.layouts.items()

@@ -159,7 +159,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             pending = self.server.tier.submit(payload)
-            response = pending.result(self.server.request_timeout_s)
+            response = pending.result(DEFAULT_REQUEST_TIMEOUT_S)
         except TimeoutError as exc:
             self._send(500, {"status": "error", "error": str(exc)})
         except BaseException as exc:  # noqa: BLE001 — typed mapping below
@@ -191,16 +191,9 @@ class AlignmentHTTPServer(ThreadingHTTPServer):
     # shed with a typed 429 instead of a kernel connection reset.
     request_queue_size = 128
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        tier: ShardSupervisor,
-        *,
-        request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-    ):
+    def __init__(self, address: tuple[str, int], tier: ShardSupervisor):
         super().__init__(address, ServiceRequestHandler)
         self.tier = tier
-        self.request_timeout_s = request_timeout_s
 
 
 def serve(

@@ -5,11 +5,9 @@ that solves alignment instances exactly."""
 
 from repro.tsp.branch_and_bound import BnBResult, branch_and_bound
 from repro.tsp.assignment import (
-    ASSIGNMENT_BACKENDS,
     CycleCover,
     assignment_bound,
     assignment_cycle_cover,
-    resolve_assignment_backend,
     solve_assignment,
 )
 from repro.tsp.construction import (
@@ -55,7 +53,6 @@ from repro.tsp.solve import (
 from repro.tsp.symmetrize import SymmetrizedInstance, directed_tour_to_sym, symmetrize
 
 __all__ = [
-    "ASSIGNMENT_BACKENDS",
     "BnBResult",
     "BoundResult",
     "branch_and_bound",
@@ -87,7 +84,6 @@ __all__ = [
     "identity_tour",
     "kernel_iterated_three_opt",
     "minimum_one_tree",
-    "resolve_assignment_backend",
     "nearest_neighbor_tour",
     "out_neighbor_lists",
     "patched_tour",

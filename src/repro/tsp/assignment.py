@@ -12,12 +12,9 @@ The from-scratch solver is the O(n³) shortest-augmenting-path Hungarian
 algorithm with row/column potentials (the same scheme as Jonker–Volgenant),
 implemented with numpy inner loops; its potentials let branch and bound
 re-optimize a subproblem from its parent's solution
-(:meth:`PureAssignment.resolve`).  When SciPy is importable its C
-``linear_sum_assignment`` is used instead for the *value*-consuming callers
-(bounds, branch and bound); both backends find a minimum-cost matching, so
-the optimal total is identical, but tie-broken matchings may differ — code
-whose *output structure* feeds deterministic downstream results (patching)
-pins ``backend="pure"``.
+(:meth:`PureAssignment.resolve`).  It is the only solver: pure Python and
+numpy, so every matching — and the patched tours and branch-and-bound
+searches built on it — is the same on every host.
 """
 
 from __future__ import annotations
@@ -27,83 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import UnknownNameError
 from repro.tsp.instance import check_matrix
 
-try:  # SciPy is optional: CI images carry only numpy + pytest.
-    from scipy.optimize import linear_sum_assignment as _scipy_assignment
-except ImportError:  # pragma: no cover - exercised on scipy-less installs
-    _scipy_assignment = None
 
-#: Backend choices for :func:`solve_assignment`.
-ASSIGNMENT_BACKENDS = ("auto", "scipy", "pure")
-
-
-def resolve_assignment_backend(backend: str | None = None) -> str:
-    """Resolve an assignment backend name to a concrete implementation.
-
-    ``auto`` (the default) picks SciPy's C solver when importable, else the
-    pure-python Hungarian; asking for ``scipy`` without scipy installed is
-    an error rather than a silent fallback.
-    """
-    choice = backend or "auto"
-    if choice not in ASSIGNMENT_BACKENDS:
-        known = ", ".join(ASSIGNMENT_BACKENDS)
-        raise UnknownNameError(
-            f"unknown assignment backend {choice!r} (known: {known})"
-        )
-    if choice == "scipy" and _scipy_assignment is None:
-        raise UnknownNameError(
-            "assignment backend 'scipy' requested but scipy is not installed"
-        )
-    if choice == "auto":
-        return "scipy" if _scipy_assignment is not None else "pure"
-    return choice
-
-
-def solve_assignment(
-    cost: np.ndarray, *, backend: str | None = None
-) -> tuple[np.ndarray, float]:
+def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-cost perfect matching rows→columns.
 
     Returns ``(match, total)`` where ``match[i]`` is the column assigned to
-    row ``i``.  The minimum *total* is backend-independent; the matching
-    itself is only guaranteed identical across environments with
-    ``backend="pure"``.
+    row ``i``.
     """
-    match, total, _ = assignment_solver(backend)(check_matrix(cost), None)
-    return match, total
-
-
-def assignment_solver(backend: str | None = None):
-    """The resolved backend's solver, ``solve(cost, parent) -> (match,
-    total, state)``, for callers that validate one matrix and then solve
-    many derived from it (branch and bound): it checks nothing.
-
-    The pure backend returns its :class:`PureAssignment` as ``state`` and,
-    given a ``parent`` state whose costs ``cost`` only raises, re-optimizes
-    from it (:meth:`PureAssignment.resolve`).  SciPy solves from scratch,
-    which in C is cheaper than any warm start here, and returns no state.
-    """
-    if resolve_assignment_backend(backend) == "scipy":
-        return _scipy_solve
-    return _pure_solve
-
-
-def _scipy_solve(cost: np.ndarray, parent: None = None):
-    rows, cols = _scipy_assignment(cost)
-    match = np.asarray(cols, dtype=np.int64)
-    return match, float(cost[rows, cols].sum()), None
-
-
-def _pure_solve(cost: np.ndarray, parent: "PureAssignment | None" = None):
-    solution = PureAssignment(cost) if parent is None else parent.resolve(cost)
-    return solution.match, solution.total, solution
+    solution = PureAssignment(check_matrix(cost))
+    return solution.match, solution.total
 
 
 class PureAssignment:
-    """The pure backend's optimal matching together with the row/column
-    potentials that prove it optimal.
+    """An optimal matching together with the row/column potentials that
+    prove it optimal.
 
     :meth:`resolve` re-optimizes after costs *rise* — branch and bound only
     ever forbids arcs — by re-inserting just the rows whose matched arc got
@@ -216,16 +152,14 @@ class CycleCover:
         return len(self.cycles()) == 1
 
 
-def assignment_cycle_cover(
-    matrix: np.ndarray, *, backend: str | None = None
-) -> CycleCover:
+def assignment_cycle_cover(matrix: np.ndarray) -> CycleCover:
     """Solve the AP relaxation of the DTSP (self-edges forbidden)."""
     matrix = check_matrix(matrix)
     n = matrix.shape[0]
     forbid = float(np.abs(matrix).max()) * n * 4.0 + 1.0
     work = matrix.copy()
     np.fill_diagonal(work, forbid)
-    match, total = solve_assignment(work, backend=backend)
+    match, total = solve_assignment(work)
     return CycleCover(successor=match, cost=total)
 
 

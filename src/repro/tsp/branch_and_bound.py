@@ -5,16 +5,16 @@ each node; if the cycle cover is a single tour it is optimal for the node,
 otherwise branch on the arcs of the shortest subtour (child k forbids arc k
 and commits arcs 1..k-1).  Given a good upper bound — the cost of an
 iterated 3-Opt tour — this certifies optimality on general matrices the
-bitmask DP (n ≤ 16) cannot reach.  The appendix bench uses it to measure
-true AP/HK gaps, as do ablation A2 and the benchmark's bound probes.  It
-never runs a heuristic of its own.  Alignment instances have a sparser
-structure, and the aligner and the bound stage search that instead
-(:mod:`repro.tsp.path_cover`).
+bitmask DP (n ≤ 16) cannot reach.  Only the benchmark's bound probes
+still time it; it never runs a heuristic of its own.  Alignment instances
+have a sparser structure, and the aligner, the bound stage, the appendix
+and ablation A2 search that instead (:mod:`repro.tsp.path_cover`).
 
 The node loop is lean on purpose — a search can take thousands of nodes
-(serve-cold's ``xli`` instances take 8 399): the root matrix is validated
-once and each node calls the resolved assignment backend directly, reads
-its cycles from one ``tolist()``, and builds an expansion's children from
+(serve-cold's ``com`` instances take 4 157): the root matrix is validated
+once, each later node re-optimizes its parent's assignment
+(:meth:`~repro.tsp.assignment.PureAssignment.resolve`) and reads its
+cycles from one ``tolist()``, and an expansion's children are built from
 one running matrix that gains a commit per arc.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.budget import Budget, BudgetTimer, ensure_timer
-from repro.tsp.assignment import assignment_solver
+from repro.tsp.assignment import PureAssignment
 from repro.tsp.instance import check_matrix, tour_cost
 
 
@@ -93,14 +93,13 @@ def branch_and_bound(
 
     nodes = 0
     optimal = True
-    solve = assignment_solver()
     # Each stack entry is the modified matrix of the subproblem (self-loops
-    # forbidden) with its parent's pure-backend solution to warm-start
-    # from.  Matrices are small (alignment instances are a few hundred
-    # cities at most), so copying beats bookkeeping.
+    # forbidden) with its parent's solution to warm-start from.  Matrices
+    # are small (alignment instances are a few hundred cities at most), so
+    # copying beats bookkeeping.
     root = matrix.copy()
     np.fill_diagonal(root, forbid)
-    stack: list[tuple[np.ndarray, object]] = [(root, None)]
+    stack: list[tuple[np.ndarray, PureAssignment | None]] = [(root, None)]
     eps = 1e-9
 
     with obs.span("bnb", cities=n) as sp:
@@ -110,10 +109,14 @@ def branch_and_bound(
                 break
             work, parent = stack.pop()
             nodes += 1
-            match, total, solution = solve(work, parent)
+            solution = (
+                PureAssignment(work) if parent is None
+                else parent.resolve(work)
+            )
+            total = solution.total
             if total >= best_cost - eps or total >= forbid:
                 continue
-            successor = match.tolist()
+            successor = solution.match.tolist()
             cycles = _cycles(successor)
             if len(cycles) == 1:
                 tour = cycles[0]

@@ -18,9 +18,7 @@ from repro.tsp.instance import check_matrix, tour_cost, tour_from_successors
 def patched_tour(matrix: np.ndarray) -> tuple[list[int], float]:
     """AP + cycle patching; returns (tour, cost)."""
     matrix = check_matrix(matrix)
-    # The patched tour feeds solver starts, so its *structure* (not just its
-    # cost) must not depend on which assignment backend is installed.
-    cover = assignment_cycle_cover(matrix, backend="pure")
+    cover = assignment_cycle_cover(matrix)
     successor = cover.successor.copy()
     cycles = cover.cycles()
 

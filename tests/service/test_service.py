@@ -183,17 +183,6 @@ class TestQuarantine:
         assert "!= evaluator penalty" in violation
         assert service.stats.quarantined == 1
 
-    def test_verification_can_be_disabled(self, payload):
-        service = AlignmentService(
-            ServiceConfig(capacity=2, verify=False)
-        ).start()
-        try:
-            response = service.align(payload, timeout=120)
-        finally:
-            assert service.drain(timeout=30)
-        assert response["status"] == "ok"
-        assert response["verified"] is False
-
 
 class TestConfig:
     def test_default_deadline_applies_when_request_has_none(self, payload):

@@ -2,10 +2,12 @@
 
 ``bnb_golden.json`` holds ``(nodes, cost, optimal, tour)`` of
 :func:`~repro.tsp.branch_and_bound` on random, tie-heavy and real
-alignment instances, for each assignment backend, recorded before the
-node loop was rewritten.  The search order is part of the contract: the
-same node count means the same subproblems in the same order, and so the
-same appendix-bench and bound-probe results and ``bnb.nodes`` totals.
+alignment instances, recorded before the node loop was rewritten, under
+each instance's ``pure`` key (the pure-Python Hungarian every node
+solves, :class:`~repro.tsp.assignment.PureAssignment`).  The search
+order is part of the contract: the same node count means the same
+subproblems in the same order, and so the same bound-probe results and
+``bnb.nodes`` totals.
 
 The real instances are every profiled procedure of the suite cases, of
 the ``synth-large`` benchmark program and of the ``serve-cold``
@@ -27,7 +29,6 @@ import json
 import pathlib
 
 import numpy as np
-import pytest
 
 from repro.budget import Budget
 from repro.core.costmatrix import build_alignment_instance
@@ -35,13 +36,11 @@ from repro.experiments.runner import profiled_run
 from repro.lang import compile_source
 from repro.machine.models import ALPHA_21164
 from repro.profiles.synthesize import synthesize_profile
-from repro.tsp import assignment, branch_and_bound, solve_dtsp
+from repro.tsp import branch_and_bound, solve_dtsp
 from repro.workloads.suite import SUITE, all_cases, compile_benchmark
 from repro.workloads.synthetic import random_biases, random_program
 
 GOLDEN = pathlib.Path(__file__).with_name("bnb_golden.json")
-
-BACKENDS = ("scipy", "pure")
 
 #: Node caps of the two recorded runs on a real instance: the bound's,
 #: and the certificate's per city.
@@ -193,30 +192,17 @@ def _heuristic(matrix) -> tuple[list[int], float]:
     return [int(c) for c in solved.tour], float(solved.cost)
 
 
-def _use_backend(monkeypatch, backend: str) -> None:
-    if backend == "pure":
-        monkeypatch.setattr(assignment, "_scipy_assignment", None)
-    elif assignment._scipy_assignment is None:
-        pytest.skip("needs scipy")
-    assert assignment.resolve_assignment_backend() == backend
-
-
 def record() -> None:  # pragma: no cover - run by hand
     recorded = {}
-    original = assignment._scipy_assignment
     for name, matrix, kind in _matrices():
         tour, cost = _heuristic(matrix)
-        entry = {"kind": kind, "input_tour": tour, "input_cost": cost}
-        for backend in BACKENDS:
-            assignment._scipy_assignment = (
-                original if backend == "scipy" else None
-            )
-            entry[backend] = {
+        recorded[name] = {
+            "kind": kind, "input_tour": tour, "input_cost": cost,
+            "pure": {
                 label: _run(matrix, kwargs)
                 for label, kwargs in _calls(name, matrix, kind, tour, cost)
-            }
-        assignment._scipy_assignment = original
-        recorded[name] = entry
+            },
+        }
     GOLDEN.write_text(json.dumps(recorded, indent=0, sort_keys=True) + "\n")
 
 
@@ -224,19 +210,17 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_branch_and_bound_matches_recorded_search(monkeypatch, backend):
+def test_branch_and_bound_matches_recorded_search():
     golden = _golden()
-    _use_backend(monkeypatch, backend)
     names = set()
     for name, matrix, kind in _matrices():
         names.add(name)
         entry = golden[name]
         tour, cost = entry["input_tour"], entry["input_cost"]
         calls = dict(_calls(name, matrix, kind, tour, cost))
-        assert set(calls) == set(entry[backend]), name
+        assert set(calls) == set(entry["pure"]), name
         for label, kwargs in calls.items():
-            assert _run(matrix, kwargs) == entry[backend][label], (
+            assert _run(matrix, kwargs) == entry["pure"][label], (
                 name, label,
             )
     assert names == set(golden)

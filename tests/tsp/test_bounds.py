@@ -10,7 +10,6 @@ from repro.tsp import (
     held_karp_bound_directed,
     held_karp_bound_symmetric,
     minimum_one_tree,
-    resolve_assignment_backend,
     solve_assignment,
 )
 
@@ -117,45 +116,32 @@ class TestAssignment:
 
 
 class TestAssignmentBackends:
-    def test_resolution(self):
-        from repro.tsp.assignment import _scipy_assignment
-
-        assert resolve_assignment_backend("pure") == "pure"
-        expected = "scipy" if _scipy_assignment is not None else "pure"
-        assert resolve_assignment_backend() == expected
-        assert resolve_assignment_backend("auto") == expected
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="assignment backend"):
-            solve_assignment(random_matrix(5, 0), backend="gpu")
-
     def test_backends_agree_on_the_optimal_total(self):
-        pytest.importorskip("scipy")
+        """SciPy's C solver, when installed, is an oracle for the
+        Hungarian's optimal total at sizes from 2 to 40."""
+        scipy_optimize = pytest.importorskip("scipy.optimize")
         for n in (2, 3, 6, 15, 40):
             for seed in (0, 1):
                 m = random_matrix(n, seed)
-                match_pure, total_pure = solve_assignment(m, backend="pure")
-                match_sp, total_sp = solve_assignment(m, backend="scipy")
-                assert total_sp == pytest.approx(total_pure)
-                # Both are true matchings achieving their reported totals.
-                for match in (match_pure, match_sp):
-                    assert sorted(match.tolist()) == list(range(n))
-                assert m[np.arange(n), match_sp].sum() == pytest.approx(
-                    total_sp
-                )
+                match, total = solve_assignment(m)
+                rows, cols = scipy_optimize.linear_sum_assignment(m)
+                assert total == pytest.approx(m[rows, cols].sum())
+                # A true matching achieving its reported total.
+                assert sorted(match.tolist()) == list(range(n))
+                assert m[np.arange(n), match].sum() == pytest.approx(total)
 
     def test_cycle_cover_pure_backend_is_environment_invariant(self):
-        """The pure matching (what patching consumes) is a deterministic
+        """The matching (what patching consumes) is a deterministic
         function of the matrix alone."""
         m = random_matrix(12, 3)
-        a = assignment_cycle_cover(m, backend="pure")
-        b = assignment_cycle_cover(m, backend="pure")
+        a = assignment_cycle_cover(m)
+        b = assignment_cycle_cover(m)
         assert a.successor.tolist() == b.successor.tolist()
         assert a.cost == b.cost
 
     def test_pure_resolve_after_costs_rise_matches_a_fresh_solve(self):
-        """Warm-started re-optimization (what branch and bound does on the
-        pure backend) reaches the same optimal total as solving anew."""
+        """Warm-started re-optimization (what branch and bound does at
+        every node) reaches the same optimal total as solving anew."""
         from repro.tsp.assignment import PureAssignment
 
         rng = np.random.default_rng(5)
@@ -169,21 +155,9 @@ class TestAssignmentBackends:
                 dearer[rng.integers(0, n), :] += 50.0
                 solution = solution.resolve(dearer)
                 m = dearer
-                _, fresh = solve_assignment(m, backend="pure")
+                _, fresh = solve_assignment(m)
                 assert solution.total == pytest.approx(fresh)
                 assert sorted(solution.match.tolist()) == list(range(n))
                 assert m[np.arange(n), solution.match].sum() == (
                     pytest.approx(solution.total)
                 )
-
-    def test_scipy_backend_explicitly_requested_without_scipy(self):
-        from repro.tsp import assignment as mod
-
-        original = mod._scipy_assignment
-        mod._scipy_assignment = None
-        try:
-            assert resolve_assignment_backend() == "pure"
-            with pytest.raises(KeyError, match="not installed"):
-                resolve_assignment_backend("scipy")
-        finally:
-            mod._scipy_assignment = original

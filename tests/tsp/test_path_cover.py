@@ -1,10 +1,10 @@
 """The path-cover search solves alignment instances exactly.
 
 Its sparse matcher finds the optimum SciPy's dense assignment solver
-finds on random tie-heavy instances; the search's optimum is the one the
-dense branch and bound recorded on every real instance of
-``bnb_golden.json`` (the suite, synth-large and serve-cold shapes), with
-SciPy importable or hidden and in a pinned number of nodes; it matches
+finds on random tie-heavy instances (when SciPy is installed); the
+search's optimum is the one the dense branch and bound recorded on every
+real instance of ``bnb_golden.json`` (the suite, synth-large and
+serve-cold shapes), in a pinned number of nodes; it matches
 exact DP on random small alignment instances; an exhausted budget leaves
 the bound at 0.0 and the aligner on its ladder; the joined tour attains
 the floor on every profiled suite procedure under every shipped model and
@@ -40,10 +40,10 @@ from repro.tsp.path_cover import max_weight_matching, path_cover
 from repro.workloads.suite import all_cases, compile_benchmark
 from repro.workloads.synthetic import random_biases, random_program
 
-from .test_bnb_golden import BACKENDS, _golden, _matrices, _use_backend
+from .test_bnb_golden import _golden, _matrices
 
-#: Subproblems the search solves over the 60 real golden instances, with
-#: or without SciPy.  The dense search took 7 367 (pure) or 25 935 (SciPy).
+#: Subproblems the search solves over the 60 real golden instances.  The
+#: dense search took 7 367.
 GOLDEN_NODES = 409
 
 #: A conditional taken-mispredict dearer than a predicted-taken miss plus
@@ -119,17 +119,15 @@ def test_matcher_matches_dense_assignment_on_tie_heavy_instances():
 
 
 @pytest.mark.usefixtures("no_ambient_chaos")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_optimum_matches_the_recorded_dense_search(monkeypatch, backend):
+def test_optimum_matches_the_recorded_dense_search():
     golden = _golden()
-    _use_backend(monkeypatch, backend)
     obs.tracer().reset_counters()
     real = 0
     for name, matrix, kind in _matrices():
         if kind != "real":
             continue
         real += 1
-        recorded = golden[name][backend]["bound"]
+        recorded = golden[name]["pure"]["bound"]
         assert recorded["optimal"], name
         cover = _cover(matrix)
         assert cover.optimal, name
