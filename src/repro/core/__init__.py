@@ -3,8 +3,8 @@
 Public surface:
 
 * :func:`align_program` / :func:`lower_bound_program` — the top-level API,
-* the aligner registry (:func:`register_aligner` / :func:`get_aligner`;
-  ``ALIGN_METHODS`` is a live view over it),
+* the seven method names (``ALIGN_METHODS``, a tuple) and
+  :func:`normalize_method`, which resolves an alias to its canonical name,
 * the cost model and matrix construction (§2.2),
 * layout representation, materialization, and analytic evaluation,
 * the individual aligners (greedy baselines + TSP).
@@ -16,13 +16,6 @@ from repro.core.align import (
     LowerBoundReport,
     align_program,
     lower_bound_program,
-)
-from repro.pipeline.registry import (
-    AlignerSpec,
-    get_aligner,
-    normalize_method,
-    register_aligner,
-    unregister_aligner,
 )
 from repro.core.aligners import (
     alignment_lower_bound,
@@ -77,10 +70,10 @@ from repro.core.materialize import (
     materialize_procedure,
     materialize_program,
 )
+from repro.pipeline.stages import normalize_method
 
 __all__ = [
     "ALIGN_METHODS",
-    "AlignerSpec",
     "AlignmentInstance",
     "AlignmentReport",
     "CostBreakdown",
@@ -111,7 +104,6 @@ __all__ = [
     "exttsp_program_score",
     "exttsp_score",
     "lower_bound_program",
-    "get_aligner",
     "materialize_procedure",
     "materialize_program",
     "normalize_method",
@@ -119,7 +111,6 @@ __all__ = [
     "original_program_layout",
     "pettis_hansen_layout",
     "pettis_hansen_procedure_order",
-    "register_aligner",
     "reorder_program",
     "split_hot_cold",
     "split_program_hot_cold",
@@ -127,5 +118,4 @@ __all__ = [
     "terminator_cost",
     "train_predictors",
     "tsp_align",
-    "unregister_aligner",
 ]

@@ -26,14 +26,14 @@ always starts at the entry (the repro's layout contract).  Remaining
 chains are emitted by decreasing execution density (weight per word),
 the BOLT ordering that keeps hot code dense up front.
 
-``exttsp_layout`` (the registered ``exttsp`` method) lays out the
+``exttsp_layout`` (the ``exttsp`` method) lays out the
 maximum-weight path cover of the scored edges instead, weighted by their
 counts (:mod:`repro.tsp.path_cover`).  With equal forward and backward
 weights, on a procedure that fits both windows, every edge that does not
 fall through scores the same in any layout, so the cover's layout is
 optimal — the k = 1 case of Mestre–Pupyrev–Umboh.  Elsewhere the merge
 order can score higher, and it is kept when it does, so ``exttsp`` never
-scores below ``chain-merge``, the registered pure merge heuristic.  Both
+scores below ``chain-merge``, the pure merge heuristic.  Both
 read one merge phase per procedure, the pipeline's ``merge`` artifact
 (:class:`MergeOrder`).
 
@@ -387,7 +387,7 @@ def chain_merge_layout(
     stats: MergeStats | None = None,
     merged: MergeOrder | None = None,
 ) -> Layout:
-    """The merge phase's order (the registered ``chain-merge``).
+    """The merge phase's order (the ``chain-merge`` method).
 
     ``merged`` is this procedure's merge phase under ``params`` when the
     caller already has it (the pipeline's ``merge`` artifact); it is run
@@ -414,7 +414,7 @@ def exttsp_layout(
     budget: Budget | BudgetTimer | None = None,
 ) -> Layout:
     """The path cover's layout, or the merge order when that scores
-    strictly higher, beyond float rounding (the registered ``exttsp``
+    strictly higher, beyond float rounding (the ``exttsp``
     method).
 
     ``merged`` and ``stats`` are as in :func:`chain_merge_layout`;

@@ -39,8 +39,7 @@ from repro.pipeline.artifacts import (
     fingerprint_model,
 )
 from repro.pipeline.executor import resolve_jobs
-from repro.pipeline.registry import normalize_method
-from repro.pipeline.stages import run_bound_tasks
+from repro.pipeline.stages import normalize_method, run_bound_tasks
 from repro.pipeline.task import bound_tasks
 from repro.machine.icache import DirectMappedICache
 from repro.machine.models import ALPHA_21164, PenaltyModel

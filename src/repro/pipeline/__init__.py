@@ -6,8 +6,6 @@ artifacts (see :mod:`repro.pipeline.stages` for the stage graph and
 
 * :mod:`repro.pipeline.task` — typed work units (:class:`ProcedureTask`,
   :class:`ProcedureResult`, :class:`BoundTask`, :class:`BoundResult`).
-* :mod:`repro.pipeline.registry` — the aligner registry;
-  ``ALIGN_METHODS`` is a live view over it.
 * :mod:`repro.pipeline.artifacts` — the content-addressed artifact cache
   (in-memory tier plus the on-disk :class:`ArtifactStore`, ``--store`` /
   ``REPRO_STORE``).
@@ -16,7 +14,8 @@ artifacts (see :mod:`repro.pipeline.stages` for the stage graph and
   crashes and task timeouts are detected, retried under a
   :class:`~repro.budget.RetryPolicy`, and poison tasks are quarantined.
 * :mod:`repro.pipeline.stages` — the stages themselves: cost-matrix,
-  align, evaluate, and lower-bound.
+  align, evaluate, and lower-bound; and the table of the seven aligners
+  the align stage dispatches (``ALIGN_METHODS``, :func:`normalize_method`).
 """
 
 from repro.pipeline.artifacts import (
@@ -44,22 +43,15 @@ from repro.pipeline.executor import (
     run_tasks_supervised,
     shutdown_pool,
 )
-from repro.pipeline.registry import (
-    AlignerSpec,
-    MethodsView,
-    aligner_names,
-    get_aligner,
-    normalize_method,
-    register_aligner,
-    unregister_aligner,
-)
 from repro.pipeline.stages import (
+    ALIGN_METHODS,
     align_one,
     align_procedures,
     bound_one,
     evaluate_procedures,
     instance_for,
     lower_bound_procedures,
+    normalize_method,
     run_align_tasks,
     run_bound_tasks,
 )
@@ -95,19 +87,14 @@ __all__ = [
     "resolve_policy",
     "run_tasks_supervised",
     "shutdown_pool",
-    "AlignerSpec",
-    "MethodsView",
-    "aligner_names",
-    "get_aligner",
-    "normalize_method",
-    "register_aligner",
-    "unregister_aligner",
+    "ALIGN_METHODS",
     "align_one",
     "align_procedures",
     "bound_one",
     "evaluate_procedures",
     "instance_for",
     "lower_bound_procedures",
+    "normalize_method",
     "run_align_tasks",
     "run_bound_tasks",
     "BoundResult",

@@ -47,9 +47,9 @@ treats individual failures as routine:
   retry is never re-targeted.
 * **Degradation** — if the pool cannot be created, a task cannot be
   shipped (pickling, fork failure, interpreter shutdown), or a worker
-  cannot resolve what the parent dispatched (an aligner registered only
-  in the parent process after the pool forked), execution falls back to
-  the serial path instead of failing the run.
+  has no handler for the task kind (one registered with
+  :func:`register_handler` in the parent after the pool forked),
+  execution falls back to the serial path instead of failing the run.
 
 ``jobs=None`` resolves through the ``REPRO_JOBS`` environment variable
 (default 1), so ``REPRO_JOBS=4 pytest`` exercises the parallel path across
@@ -86,7 +86,8 @@ R = TypeVar("R")
 
 #: Registered task-kind handlers: kind -> callable(payload) -> result.
 #: Stage modules register their handlers at import time; workers import
-#: :mod:`repro.core.align` (below) which pulls every built-in handler in.
+#: :mod:`repro.pipeline.stages` (below), which registers the built-in
+#: ``align`` and ``bound`` handlers.
 _HANDLERS: dict[str, Callable[[Any], Any]] = {}
 
 
@@ -247,7 +248,7 @@ def _worker_chunk(
     exactly what a real mid-batch crash does.
     """
     spec, kind, entries = shipped
-    import repro.core.align  # noqa: F401 — populates registry + handlers
+    import repro.pipeline.stages  # noqa: F401 — registers align + bound
 
     handler = _HANDLERS.get(kind)
     if handler is None:
@@ -563,12 +564,10 @@ def _run_parallel(
                     killed_pool = True
                     abandon_pool()
             except UnknownNameError:
-                # The worker cannot resolve what the parent dispatched —
-                # e.g. an aligner registered only in the parent process
-                # after the pool forked.  Environmental, not a task
-                # failure: uncharge and finish the batch serially, where
-                # the parent's registry applies (a genuinely unknown name
-                # still fails — and quarantines — on the serial path).
+                # The worker has no handler for this task kind: one
+                # registered in the parent after the pool forked.
+                # Environmental, not a task failure: uncharge and finish
+                # the batch serially, where the parent's handler runs.
                 for index in indices:
                     report.outcomes[index].attempts -= 1
                 unshippable = True

@@ -20,7 +20,10 @@ task), and every stage uses the process-wide
 * The **merge stage** (:func:`merge_order_for`) runs the Ext-TSP merge
   phase once per (CFG, profile, Ext-TSP parameters), shared by the
   ``chain-merge`` and ``exttsp`` aligners.
-* The **align stage** (:func:`run_align_tasks`) and the **bound stage**
+* The **align stage** (:func:`run_align_tasks`) runs each task through
+  its method's aligner, one entry of the method table ``_ALIGNERS``
+  (``ALIGN_METHODS`` lists its names, :func:`normalize_method` resolves
+  aliases).  It and the **bound stage**
   (:func:`run_bound_tasks`: certified per-procedure path-cover floors)
   are one cached-stage loop, :func:`_run_cached`, fanning cache misses
   out over worker processes
@@ -43,16 +46,25 @@ aligners, and fault-injection plans are shipped to workers by the executor.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
 from repro.budget import Budget, RetryPolicy
 from repro.cfg.graph import Program
-from repro.core.aligners.exttsp_merge import MergeOrder, merge_phase
-from repro.core.aligners.tsp_aligner import alignment_lower_bound
+from repro.core.aligners.exttsp_merge import (
+    MergeOrder,
+    MergeStats,
+    chain_merge_layout,
+    exttsp_layout,
+    merge_phase,
+)
+from repro.core.aligners.greedy import calder_grunwald_layout, pettis_hansen_layout
+from repro.core.aligners.tsp_aligner import alignment_lower_bound, tsp_align
 from repro.core.costmatrix import AlignmentInstance, build_alignment_instance
-from repro.core.exttsp import DEFAULT_PARAMS
+from repro.core.exttsp import DEFAULT_PARAMS, exttsp_score
 from repro.core.layout import ProgramLayout, original_layout
+from repro.errors import UnknownNameError
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
 from repro.pipeline.artifacts import EFFORT_SLOT, ArtifactCache, artifact_cache
@@ -61,7 +73,6 @@ from repro.pipeline.executor import (
     register_handler,
     run_tasks_supervised,
 )
-from repro.pipeline.registry import get_aligner
 from repro.pipeline.task import (
     BoundResult,
     BoundTask,
@@ -274,8 +285,157 @@ def _run_cached(
 # -- align stage --------------------------------------------------------------
 
 
+def _priced_result(task: ProcedureTask, layout) -> ProcedureResult:
+    """Wrap a heuristic layout with its Ext-TSP score.  Its paper penalty
+    is the evaluation stage's to compute: the result carries no DTSP cost
+    or instance, so heuristics neither build nor look up the matrix."""
+    return ProcedureResult(
+        name=task.name,
+        layout=layout,
+        exttsp_score=exttsp_score(task.cfg, layout, task.profile),
+    )
+
+
+def _align_original(task: ProcedureTask) -> ProcedureResult:
+    return _priced_result(task, original_layout(task.cfg))
+
+
+def _align_greedy(task: ProcedureTask) -> ProcedureResult:
+    return _priced_result(
+        task, pettis_hansen_layout(task.cfg, task.profile)
+    )
+
+
+def _align_cost_greedy(task: ProcedureTask) -> ProcedureResult:
+    return _priced_result(
+        task,
+        calder_grunwald_layout(task.cfg, task.profile, task.model),
+    )
+
+
+def _align_cg_exhaustive(task: ProcedureTask) -> ProcedureResult:
+    return _priced_result(
+        task,
+        calder_grunwald_layout(
+            task.cfg, task.profile, task.model, exhaustive_edges=15
+        ),
+    )
+
+
+def _align_tsp(task: ProcedureTask) -> ProcedureResult:
+    instance = instance_for(task)
+    with obs.span("tsp_solver", proc=task.name) as sp:
+        alignment = tsp_align(
+            task.cfg,
+            task.profile,
+            task.model,
+            predictor=task.predictor,
+            seed=task.effective_seed,
+            budget=task.budget,
+            instance=instance,
+        )
+        sp["cities"] = alignment.instance.n
+        sp["degraded"] = alignment.degraded
+    return ProcedureResult(
+        name=task.name,
+        layout=alignment.layout,
+        cost=alignment.cost,
+        exttsp_score=exttsp_score(task.cfg, alignment.layout, task.profile),
+        cities=alignment.instance.n,
+        degraded=alignment.degraded,
+        warning=alignment.warning,
+        instance=alignment.instance,
+        cover=alignment.cover,
+    )
+
+
+def _exttsp_result(task: ProcedureTask, layout_of) -> ProcedureResult:
+    """Lay out one procedure with an Ext-TSP aligner of
+    :mod:`~repro.core.aligners.exttsp_merge` and score the layout.
+
+    The merge phase comes from the ``merge`` artifact, so ``chain-merge``
+    and ``exttsp`` over one procedure run it once; its counts are stored
+    with it and reported by every call, hit or miss."""
+    stats = MergeStats()
+    with obs.span("exttsp_solver", proc=task.name, method=task.method) as sp:
+        layout = layout_of(
+            task.cfg, task.profile, stats=stats, merged=merge_order_for(task)
+        )
+        sp["merges"] = stats.merges
+        sp["splits"] = stats.splits
+        sp["merge_candidates"] = stats.merge_candidates
+        sp["merge_kept"] = stats.merge_kept
+        sp["score"] = stats.score
+    # Deterministic per-task work, so these counters are stable (identical
+    # for every worker count), like tsp.runs.
+    obs.count("exttsp.merges", stats.merges)
+    obs.count("exttsp.splits", stats.splits)
+    obs.count("exttsp.merge_candidates", stats.merge_candidates)
+    obs.count("exttsp.merge_kept", stats.merge_kept)
+    result = _priced_result(task, layout)
+    if stats.warning is None:
+        return result
+    return dataclasses.replace(
+        result, degraded="construction", warning=stats.warning
+    )
+
+
+def _align_exttsp(task: ProcedureTask) -> ProcedureResult:
+    return _exttsp_result(
+        task, functools.partial(exttsp_layout, budget=task.budget)
+    )
+
+
+def _align_chain_merge(task: ProcedureTask) -> ProcedureResult:
+    return _exttsp_result(task, chain_merge_layout)
+
+
+#: The alignment methods by canonical name, in the order the CLI, sweeps
+#: and reports list them.  Adding a method is one entry here.
+_ALIGNERS: dict[str, Callable[[ProcedureTask], ProcedureResult]] = {
+    "original": _align_original,
+    "greedy": _align_greedy,
+    "cost-greedy": _align_cost_greedy,
+    "cg-exhaustive": _align_cg_exhaustive,
+    "tsp": _align_tsp,
+    "exttsp": _align_exttsp,
+    "chain-merge": _align_chain_merge,
+}
+
+#: Other spellings of a method, accepted wherever a method name is.
+_ALIASES = {
+    "pettis-hansen": "greedy",
+    "ph": "greedy",
+    "calder-grunwald": "cost-greedy",
+    "cg": "cost-greedy",
+    "dtsp": "tsp",
+    "ext-tsp": "exttsp",
+    "bolt": "exttsp",
+    "newell-pupyrev": "chain-merge",
+    "np": "chain-merge",
+}
+
+ALIGN_METHODS = tuple(_ALIGNERS)
+
+
+def normalize_method(name: str) -> str:
+    """Resolve a method name or alias to its canonical form; every caller
+    normalizes before a cache boundary, so an alias never reaches a key.
+
+    Raises :class:`~repro.errors.UnknownNameError` (a ``ValueError``) for
+    unknown names, listing the methods.
+    """
+    candidate = name.strip().lower() if isinstance(name, str) else name
+    canonical = _ALIASES.get(candidate, candidate)
+    if canonical not in _ALIGNERS:
+        raise UnknownNameError(
+            f"unknown method {name!r}; choose from {ALIGN_METHODS}"
+        )
+    return canonical
+
+
 def align_one(task: ProcedureTask) -> ProcedureResult:
-    """Run one task through its registered aligner (no caching: pure compute;
+    """Run one task through its method's aligner (no caching: pure compute;
     this is the function worker processes execute)."""
     if task.method != "original" and task.profile.total() == 0:
         # No training data: every method keeps the original layout (the
@@ -284,7 +444,7 @@ def align_one(task: ProcedureTask) -> ProcedureResult:
         return ProcedureResult(
             task.name, original_layout(task.cfg), exttsp_score=0.0
         )
-    return get_aligner(task.method).fn(task)
+    return _ALIGNERS[task.method](task)
 
 
 register_handler("align", align_one)
@@ -358,7 +518,8 @@ def align_procedures(
     report: AlignmentReport | None = None,
 ) -> ProgramLayout:
     """Align every procedure of ``program``: the full task → solve → layout
-    pipeline behind :func:`repro.core.align.align_program`.
+    pipeline behind :func:`repro.core.align.align_program`.  ``method`` may
+    be an alias; its tasks carry the canonical name.
 
     ``report`` is populated from solver diagnostics in program order,
     keeping its contents deterministic and independent of worker count; it
@@ -367,7 +528,7 @@ def align_procedures(
     tasks = procedure_tasks(
         program,
         profile,
-        method=method,
+        method=normalize_method(method),
         model=model,
         seed=seed,
         budget=budget,

@@ -64,7 +64,7 @@ from repro.lang import CompiledModule, compile_source, run_and_profile
 from repro.machine.models import get_model
 from repro.pipeline.artifacts import fingerprint_cfg, fingerprint_profile
 from repro.pipeline.executor import shutdown_pool
-from repro.pipeline.registry import normalize_method
+from repro.pipeline.stages import normalize_method
 from repro.profiles.edge_profile import ProgramProfile
 from repro.service.admission import AdmissionGate
 from repro.service.breaker import (
@@ -393,7 +393,6 @@ class ServiceStats:
     deduped: int = 0
     #: Completed journal entries re-verified and served after a restart.
     recovered: int = 0
-    latencies_ms: list[float] = field(default_factory=list)
 
 
 class AlignmentService:
@@ -942,7 +941,6 @@ class AlignmentService:
             elapsed_ms = (time.monotonic() - start) * 1000.0
             sp["degraded"] = len(degraded)
             sp["violations"] = len(violations)
-            self.stats.latencies_ms.append(elapsed_ms)
 
             base = {
                 "id": pending.request_id,

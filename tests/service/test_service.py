@@ -1,5 +1,7 @@
 """End-to-end AlignmentService behaviour (no HTTP, no subprocess)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import (
@@ -9,6 +11,7 @@ from repro.errors import (
 )
 from repro.lang import LangError, compile_source, run_and_profile
 from repro.service import AlignmentService, ServiceConfig
+from repro.service.core import ServiceStats
 
 from .conftest import SERVICE_SOURCE
 
@@ -228,6 +231,29 @@ class TestSnapshot:
         assert snapshot["counters"]["service.completed"] == 1
         assert "tsp" in snapshot["breakers"]
         assert snapshot["drained"] is False
+
+    def test_stats_are_int_counters_after_requests(self, payload, tmp_path):
+        """Response accounting is a fixed set of counters: nothing in it
+        grows with the number of requests a long-lived service answers."""
+        service = AlignmentService(ServiceConfig(
+            capacity=4, journal_path=str(tmp_path / "journal.jsonl")
+        )).start()
+        try:
+            for seed in range(3):
+                service.align(dict(payload, seed=seed), timeout=120)
+            service.align(payload, timeout=120)  # a dedup hit
+            with pytest.raises(UsageError):
+                service.align({"source": ""}, timeout=120)
+        finally:
+            assert service.drain(timeout=30)
+        fields = dataclasses.fields(ServiceStats)
+        assert fields
+        for field in fields:
+            value = getattr(service.stats, field.name)
+            assert type(value) is int, (field.name, value)
+        assert service.stats.completed == 3
+        assert service.stats.deduped == 1
+        assert service.stats.failed == 1
 
     def test_drain_is_idempotent_and_counted(self, fresh_tracer, payload):
         service = AlignmentService(ServiceConfig(capacity=2)).start()
