@@ -99,9 +99,9 @@ def _validated_program(module) -> Program:
 
 
 def _supervision_policy(args):
-    """Build the executor's retry policy from CLI flags (``None`` defers
-    to ``$REPRO_RETRIES`` / ``$REPRO_TASK_TIMEOUT_MS``)."""
-    from repro.pipeline.executor import resolve_policy
+    """Build the executor's retry policy from CLI flags (``None`` when
+    neither is given: the executor's default policy applies)."""
+    from repro.budget import RetryPolicy
 
     retries = getattr(args, "retries", None)
     if retries is not None and retries < 0:
@@ -114,7 +114,10 @@ def _supervision_policy(args):
         )
     if retries is None and timeout is None:
         return None
-    return resolve_policy(retries=retries, task_timeout_ms=timeout)
+    return RetryPolicy(
+        retries=RetryPolicy.retries if retries is None else retries,
+        task_timeout_ms=timeout,
+    )
 
 
 def _install_store(args) -> None:
@@ -740,12 +743,12 @@ def cmd_journal_verify(args) -> int:
 def _add_supervision_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="retry budget per procedure task before it is "
-                             "quarantined (default: $REPRO_RETRIES or 2)")
+                             "quarantined (default: 2)")
     parser.add_argument("--task-timeout-ms", type=float, default=None,
                         metavar="MS",
                         help="per-task deadline; a task over it is retried, "
                              "then quarantined with its identity layout "
-                             "(default: $REPRO_TASK_TIMEOUT_MS or none)")
+                             "(default: none)")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="on-disk artifact store ('auto' = ~/.cache/repro,"
                              " 'off' disables; default: $REPRO_STORE)")

@@ -10,8 +10,9 @@ artifacts (see :mod:`repro.pipeline.stages` for the stage graph and
   (in-memory tier plus the on-disk :class:`ArtifactStore`, ``--store`` /
   ``REPRO_STORE``).
 * :mod:`repro.pipeline.executor` — supervised per-procedure parallel
-  execution with a serial fallback (``jobs=`` / ``REPRO_JOBS``): worker
-  crashes and task timeouts are detected, retried under a
+  execution with a serial fallback (``jobs=`` / ``REPRO_JOBS``): each
+  stage hands :func:`run_tasks_supervised` its solve function, worker
+  crashes and task timeouts are detected and retried under the caller's
   :class:`~repro.budget.RetryPolicy`, and poison tasks are quarantined.
 * :mod:`repro.pipeline.stages` — the stages themselves: cost-matrix,
   align, evaluate, and lower-bound; and the table of the seven aligners
@@ -33,13 +34,9 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.executor import (
     JOBS_ENV,
-    RETRIES_ENV,
-    TASK_TIMEOUT_ENV,
     SupervisionReport,
     TaskOutcome,
-    register_handler,
     resolve_jobs,
-    resolve_policy,
     run_tasks_supervised,
     shutdown_pool,
 )
@@ -78,13 +75,9 @@ __all__ = [
     "resolve_store_path",
     "set_default_store",
     "JOBS_ENV",
-    "RETRIES_ENV",
-    "TASK_TIMEOUT_ENV",
     "SupervisionReport",
     "TaskOutcome",
-    "register_handler",
     "resolve_jobs",
-    "resolve_policy",
     "run_tasks_supervised",
     "shutdown_pool",
     "ALIGN_METHODS",

@@ -45,16 +45,20 @@ treats individual failures as routine:
   for scheduled triggers, sampled once per task at its first dispatch,
   so they stay deterministic at any worker count and a sabotaged task's
   retry is never re-targeted.
-* **Degradation** — if the pool cannot be created, a task cannot be
-  shipped (pickling, fork failure, interpreter shutdown), or a worker
-  has no handler for the task kind (one registered with
-  :func:`register_handler` in the parent after the pool forked),
-  execution falls back to the serial path instead of failing the run.
+* **Degradation** — if the pool cannot be created or a submit fails
+  (fork failure, interpreter shutdown), execution falls back to the
+  serial path instead of failing the run.  A payload that cannot be
+  pickled is *not* such a case: its chunk fails in the pool like any
+  other attempt, so the payload is retried and quarantined, and its
+  chunk-mates are each charged the failed attempt.  Every pipeline
+  payload is a picklable dataclass.
 
+The handler is passed in: a module-level callable, which pickles by
+reference, so a worker runs exactly the function the caller named.
 ``jobs=None`` resolves through the ``REPRO_JOBS`` environment variable
 (default 1), so ``REPRO_JOBS=4 pytest`` exercises the parallel path across
-the whole suite without touching call sites.  ``REPRO_RETRIES`` and
-``REPRO_TASK_TIMEOUT_MS`` likewise seed the default retry policy.
+the whole suite without touching call sites.  The retry policy comes only
+from the caller (``None`` = :data:`~repro.budget.DEFAULT_RETRY_POLICY`).
 """
 
 from __future__ import annotations
@@ -66,33 +70,14 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 from repro import faults, obs
-from repro.budget import RetryPolicy
-from repro.errors import (
-    TaskTimeoutError,
-    UnknownNameError,
-    WorkerCrashError,
-)
+from repro.budget import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.errors import TaskTimeoutError, WorkerCrashError
 from repro.pipeline.artifacts import artifact_cache
 
 JOBS_ENV = "REPRO_JOBS"
-RETRIES_ENV = "REPRO_RETRIES"
-TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT_MS"
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Registered task-kind handlers: kind -> callable(payload) -> result.
-#: Stage modules register their handlers at import time; workers import
-#: :mod:`repro.pipeline.stages` (below), which registers the built-in
-#: ``align`` and ``bound`` handlers.
-_HANDLERS: dict[str, Callable[[Any], Any]] = {}
-
-
-def register_handler(kind: str, fn: Callable[[Any], Any]) -> None:
-    _HANDLERS[kind] = fn
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -104,46 +89,6 @@ def resolve_jobs(jobs: int | None) -> int:
         except ValueError:
             jobs = 1
     return max(1, jobs)
-
-
-def resolve_policy(
-    policy: RetryPolicy | None = None,
-    *,
-    retries: int | None = None,
-    task_timeout_ms: float | None = None,
-) -> RetryPolicy:
-    """Normalize supervision knobs: an explicit policy wins; individual
-    overrides apply on top of the environment-seeded default."""
-    if policy is None:
-        policy = _env_policy()
-    updates = {}
-    if retries is not None:
-        updates["retries"] = max(0, retries)
-    if task_timeout_ms is not None:
-        updates["task_timeout_ms"] = task_timeout_ms
-    if updates:
-        policy = dataclasses.replace(policy, **updates)
-    return policy
-
-
-def _env_policy() -> RetryPolicy:
-    retries = RetryPolicy.retries
-    raw = os.environ.get(RETRIES_ENV, "").strip()
-    if raw:
-        try:
-            retries = max(0, int(raw))
-        except ValueError:
-            pass
-    timeout_ms = None
-    raw = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-    if raw:
-        try:
-            timeout_ms = float(raw)
-            if timeout_ms <= 0:
-                timeout_ms = None
-        except ValueError:
-            pass
-    return RetryPolicy(retries=retries, task_timeout_ms=timeout_ms)
 
 
 # -- supervision records ------------------------------------------------------
@@ -196,27 +141,6 @@ class SupervisionReport:
     def quarantined(self) -> list[TaskOutcome]:
         return [o for o in self.outcomes if o.quarantined]
 
-    def quarantine_report(
-        self, labels: "Sequence[str] | None" = None
-    ) -> list[dict]:
-        """JSON-shaped quarantine entries, one per poisoned task."""
-        report = []
-        for outcome in self.quarantined:
-            label = (
-                labels[outcome.index]
-                if labels is not None and outcome.index < len(labels)
-                else str(outcome.index)
-            )
-            report.append({
-                "task": label,
-                "attempts": outcome.attempts,
-                "error": outcome.error,
-                "error_type": outcome.error_type,
-                "worker_crashes": outcome.worker_crashes,
-                "timeouts": outcome.timeouts,
-            })
-        return report
-
     def merge_from(self, other: "SupervisionReport") -> None:
         """Fold another batch's outcomes in (stages run several batches —
         e.g. align then bound — against one report)."""
@@ -232,9 +156,9 @@ class SupervisionReport:
 
 
 def _worker_chunk(
-    shipped: tuple[dict | None, str, list[tuple[Any, bool]]],
+    shipped: tuple[dict | None, Callable[[Any], Any], list[tuple[Any, bool]]],
 ) -> list[tuple[bool, Any, dict, dict, list[dict], dict]]:
-    """Run a chunk of tasks in one worker process.
+    """Run ``handler`` on a chunk of payloads in one worker process.
 
     Each payload is executed under its *own* re-armed fault plan (or an
     inert empty plan, which also shadows any plan inherited across
@@ -247,15 +171,7 @@ def _worker_chunk(
     a real OOM/signal would, losing the chunk's earlier results with it —
     exactly what a real mid-batch crash does.
     """
-    spec, kind, entries = shipped
-    import repro.pipeline.stages  # noqa: F401 — registers align + bound
-
-    handler = _HANDLERS.get(kind)
-    if handler is None:
-        # The parent resolved this kind before dispatching, so it exists
-        # there but not here: signal "cannot run in this worker" (the
-        # supervisor falls back to serial) rather than a task failure.
-        raise UnknownNameError(f"task kind {kind!r} not registered in worker")
+    spec, handler, entries = shipped
     cache = artifact_cache()
     out: list[tuple[bool, Any, dict, dict, list[dict], dict]] = []
     for payload, crash in entries:
@@ -401,7 +317,7 @@ def _dispatch_faults(outcome: TaskOutcome) -> BaseException | None:
 
 
 def _run_serial(
-    kind: str,
+    handler: Callable[[Any], Any],
     payloads: Sequence[Any],
     policy: RetryPolicy,
     report: SupervisionReport,
@@ -410,7 +326,6 @@ def _run_serial(
     """The in-process path — same supervision semantics as the pool path
     (dispatch-order fault counting, retry budget, quarantine), so results
     are identical at any worker count."""
-    handler = _HANDLERS[kind]
     for index, payload in enumerate(payloads):
         outcome = report.outcomes[index]
         while not outcome.ok and not outcome.quarantined:
@@ -429,7 +344,7 @@ def _run_serial(
 
 
 def _run_parallel(
-    kind: str,
+    handler: Callable[[Any], Any],
     payloads: Sequence[Any],
     jobs: int,
     policy: RetryPolicy,
@@ -471,7 +386,7 @@ def _run_parallel(
                     entries = [(payloads[i], False) for i in batch]
                     futures.append((
                         tuple(batch),
-                        pool.submit(_worker_chunk, (spec, kind, entries)),
+                        pool.submit(_worker_chunk, (spec, handler, entries)),
                     ))
                     batch.clear()
 
@@ -494,7 +409,7 @@ def _run_parallel(
                     _flush()
                     futures.append(((index,), pool.submit(
                         _worker_chunk,
-                        (spec, kind, [(payloads[index], True)]),
+                        (spec, handler, [(payloads[index], True)]),
                     )))
                     continue
                 batch.append(index)
@@ -515,7 +430,6 @@ def _run_parallel(
             else None
         )
         killed_pool = False
-        unshippable = False
         for indices, fut in futures:
             try:
                 if killed_pool and not fut.done():
@@ -563,17 +477,9 @@ def _run_parallel(
                 if isinstance(exc, BrokenProcessPool):
                     killed_pool = True
                     abandon_pool()
-            except UnknownNameError:
-                # The worker has no handler for this task kind: one
-                # registered in the parent after the pool forked.
-                # Environmental, not a task failure: uncharge and finish
-                # the batch serially, where the parent's handler runs.
-                for index in indices:
-                    report.outcomes[index].attempts -= 1
-                unshippable = True
             except Exception as exc:  # noqa: BLE001 — chunk infrastructure
-                # (e.g. result unpicklable) failed; task-level exceptions
-                # come back *inside* entries, not here.
+                # (e.g. an unpicklable payload or result) failed; task-level
+                # exceptions come back *inside* entries, not here.
                 for index in indices:
                     _record_failure(report.outcomes[index], exc, policy)
             else:
@@ -599,8 +505,6 @@ def _run_parallel(
                     obs.count("executor.pool_tasks", stable=False)
                     outcome.result = value
                     outcome.ok = True
-        if unshippable:
-            return False
         pending = [
             o.index
             for o in report.outcomes
@@ -610,26 +514,29 @@ def _run_parallel(
 
 
 def run_tasks_supervised(
-    kind: str,
+    handler: Callable[[Any], Any],
     payloads: Sequence[Any],
     *,
+    kind: str,
     jobs: int | None = None,
     policy: RetryPolicy | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> SupervisionReport:
-    """Execute ``payloads`` under the registered ``kind`` handler with full
-    supervision, returning a :class:`SupervisionReport` whose ``outcomes``
-    line up with ``payloads``.
+    """Execute ``handler`` on each of ``payloads`` with full supervision,
+    returning a :class:`SupervisionReport` whose ``outcomes`` line up with
+    ``payloads``.
 
     Never raises for task failures: a task that exhausts its retry budget
     is quarantined in the report (``outcome.quarantined``), and everything
-    else completes.  ``jobs`` > 1 fans out over the process pool; 1 (or a
-    single payload, or a pool failure) runs the serial path in-process.
+    else completes.  ``handler`` must be a module-level callable for the
+    pool path (workers receive it by reference); ``kind`` only labels the
+    ``executor:batch`` span.  ``jobs`` > 1 fans out over the process pool;
+    1 (or a single payload, or a pool failure) runs the serial path
+    in-process.  ``policy=None`` means :data:`DEFAULT_RETRY_POLICY`.
     ``sleep`` is injectable so tests observe backoff without waiting.
     """
-    _ = _HANDLERS[kind]  # unknown kinds fail fast, before any dispatch
     jobs = resolve_jobs(jobs)
-    policy = resolve_policy(policy)
+    policy = policy or DEFAULT_RETRY_POLICY
     report = SupervisionReport(
         outcomes=[TaskOutcome(index=i) for i in range(len(payloads))]
     )
@@ -650,9 +557,9 @@ def run_tasks_supervised(
     with obs.span("executor:batch", kind=kind, tasks=len(payloads)) as sp:
         if not (
             want_pool
-            and _run_parallel(kind, payloads, jobs, policy, report, sleep)
+            and _run_parallel(handler, payloads, jobs, policy, report, sleep)
         ):
-            _run_serial(kind, payloads, policy, report, sleep)
+            _run_serial(handler, payloads, policy, report, sleep)
         sp["retried"] = report.retried
         sp["quarantined"] = len(report.quarantined)
     # Counters mirror the report exactly (they are *read from* it), so the

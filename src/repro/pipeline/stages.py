@@ -68,11 +68,7 @@ from repro.errors import UnknownNameError
 from repro.machine.models import PenaltyModel
 from repro.machine.predictors import StaticPredictor
 from repro.pipeline.artifacts import EFFORT_SLOT, ArtifactCache, artifact_cache
-from repro.pipeline.executor import (
-    SupervisionReport,
-    register_handler,
-    run_tasks_supervised,
-)
+from repro.pipeline.executor import SupervisionReport, run_tasks_supervised
 from repro.pipeline.task import (
     BoundResult,
     BoundTask,
@@ -193,13 +189,14 @@ def merge_order_for(task: ProcedureTask) -> MergeOrder:
 
 @dataclasses.dataclass(frozen=True)
 class _CachedStage:
-    """What one stage brings to :func:`_run_cached`: its executor ``kind``
-    (which also names its span and counters), the worker-executable
-    ``solve``, the cache ``key``, which tasks are ``trivial`` (solved
-    inline, never cached or dispatched), the ``stand_in`` result of a
-    quarantined task, a hook called on each freshly ``stored`` one, and
-    ``reuse``, which resolves a cache miss in the parent from another
-    stage's artifact (``None``: dispatch it)."""
+    """What one stage brings to :func:`_run_cached`: its ``kind`` label
+    (which names its spans and counters), the module-level ``solve`` the
+    executor runs (shipped to workers by reference), the cache ``key``,
+    which tasks are ``trivial`` (solved inline, never cached or
+    dispatched), the ``stand_in`` result of a quarantined task, a hook
+    called on each freshly ``stored`` one, and ``reuse``, which resolves a
+    cache miss in the parent from another stage's artifact (``None``:
+    dispatch it)."""
 
     kind: str
     solve: Callable[[Any], Any]
@@ -267,8 +264,8 @@ def _run_cached(
 
         if unsolved:
             report = run_tasks_supervised(
-                stage.kind, [tasks[i] for i, _ in unsolved], jobs=jobs,
-                policy=policy,
+                stage.solve, [tasks[i] for i, _ in unsolved],
+                kind=stage.kind, jobs=jobs, policy=policy,
             )
             if supervision is not None:
                 supervision.merge_from(report)
@@ -445,9 +442,6 @@ def align_one(task: ProcedureTask) -> ProcedureResult:
             task.name, original_layout(task.cfg), exttsp_score=0.0
         )
     return _ALIGNERS[task.method](task)
-
-
-register_handler("align", align_one)
 
 
 def quarantined_result(task: ProcedureTask, error: str | None) -> ProcedureResult:
@@ -631,9 +625,6 @@ def bound_one(task: BoundTask) -> BoundResult:
             budget=task.budget,
         ),
     )
-
-
-register_handler("bound", bound_one)
 
 
 def _reused_bound(task: BoundTask) -> BoundResult | None:

@@ -300,7 +300,7 @@ class ServiceConfig:
     capacity: int = 16
     #: Worker processes per align pass (``None`` = ``$REPRO_JOBS``).
     jobs: int | None = None
-    #: Supervision policy (``None`` = env defaults per align call).
+    #: Supervision policy (``None`` = the executor's default policy).
     policy: RetryPolicy | None = None
     #: Deadline applied to requests that do not carry their own.
     default_deadline_ms: float | None = None

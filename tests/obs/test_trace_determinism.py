@@ -23,11 +23,7 @@ from repro.pipeline.artifacts import (
     ArtifactStore,
     reset_artifact_cache,
 )
-from repro.pipeline.executor import (
-    register_handler,
-    run_tasks_supervised,
-    shutdown_pool,
-)
+from repro.pipeline.executor import run_tasks_supervised, shutdown_pool
 
 NO_SLEEP = lambda seconds: None  # noqa: E731
 
@@ -178,9 +174,8 @@ class TestCounterReconciliation:
                 raise ValueError("poison")
             return n
 
-        register_handler("t-obs-flaky", flaky)
         report = run_tasks_supervised(
-            "t-obs-flaky", [0, 1, 13], jobs=1,
+            flaky, [0, 1, 13], kind="t-obs-flaky", jobs=1,
             policy=RetryPolicy(retries=2), sleep=NO_SLEEP,
         )
         counters = obs.counters()
@@ -193,11 +188,11 @@ class TestCounterReconciliation:
         assert len(report.quarantined) == 1  # the poison task
 
     def test_executor_counters_accumulate_across_batches(self):
-        register_handler("t-obs-clean", lambda n: n)
         for _ in range(2):
             with faults.inject_faults(worker_crash=1):
                 run_tasks_supervised(
-                    "t-obs-clean", [1, 2], jobs=1, sleep=NO_SLEEP,
+                    lambda n: n, [1, 2], kind="t-obs-clean", jobs=1,
+                    sleep=NO_SLEEP,
                 )
         counters = obs.counters()
         assert counters["executor.retried"] == 2

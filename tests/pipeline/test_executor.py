@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
-import pytest
+import os
 
 from repro import faults
 from repro.pipeline.executor import (
     JOBS_ENV,
-    register_handler,
     resolve_jobs,
     run_tasks_supervised,
     shutdown_pool,
 )
+from repro.pipeline.stages import align_one
 
 
-def _results(kind, payloads, **kwargs):
+def _results(handler, payloads, **kwargs):
     """Run a batch that must quarantine nothing; its results in order."""
-    report = run_tasks_supervised(kind, payloads, **kwargs)
+    report = run_tasks_supervised(handler, payloads, kind="test", **kwargs)
     assert not report.quarantined
     return [outcome.result for outcome in report.outcomes]
+
+
+def worker_pid(payload):
+    """Module-level, so it pickles by reference into pool workers."""
+    return os.getpid()
 
 
 def test_resolve_jobs_explicit_wins(monkeypatch):
@@ -40,28 +45,32 @@ def test_resolve_jobs_defaults_and_clamps(monkeypatch):
 
 def test_serial_path_runs_in_process():
     seen = []
-    register_handler("test-serial", lambda x: seen.append(x) or x * 2)
-    assert _results("test-serial", [1, 2, 3], jobs=1) == [2, 4, 6]
+    results = _results(lambda x: seen.append(x) or x * 2, [1, 2, 3], jobs=1)
+    assert results == [2, 4, 6]
     assert seen == [1, 2, 3]
 
 
 def test_single_payload_stays_serial_even_with_jobs():
     # A lone task is not worth a round-trip through the pool.
     marker = object()     # unpicklable closure result proves in-process run
-    register_handler("test-single", lambda x: (x, marker))
-    [(value, got)] = _results("test-single", [5], jobs=4)
+    [(value, got)] = _results(lambda x: (x, marker), [5], jobs=4)
     assert value == 5 and got is marker
 
 
-def test_unknown_kind_raises():
-    with pytest.raises(KeyError):
-        run_tasks_supervised("test-unregistered-kind", [1], jobs=1)
+def test_handed_in_handler_runs_in_pool_workers(force_pool, no_ambient_chaos):
+    """The handler travels with the batch, so a function the workers never
+    imported at fork time still runs in them, not in the parent."""
+    before = force_pool()
+    pids = _results(worker_pid, list(range(8)), jobs=2)
+    shutdown_pool()
+    assert all(pid != os.getpid() for pid in pids)
+    assert force_pool() > before
 
 
 def test_parallel_matches_serial_on_real_tasks():
     """The pool path must return exactly what the serial path returns, in
-    order — exercised on real alignment tasks (module-level handlers, so
-    they pickle into workers)."""
+    order — exercised on real alignment tasks (``align_one`` is
+    module-level, so it pickles into workers)."""
     from repro.experiments.runner import profiled_run
     from repro.pipeline.task import procedure_tasks
     from repro.machine.models import ALPHA_21164
@@ -70,8 +79,8 @@ def test_parallel_matches_serial_on_real_tasks():
     program = compile_benchmark("com").program
     profile = profiled_run("com", "in").profile
     tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
-    serial = _results("align", tasks, jobs=1)
-    parallel = _results("align", tasks, jobs=2)
+    serial = _results(align_one, tasks, jobs=1)
+    parallel = _results(align_one, tasks, jobs=2)
     shutdown_pool()
     assert [r.name for r in serial] == [r.name for r in parallel]
     for a, b in zip(serial, parallel):
@@ -84,8 +93,6 @@ def test_pool_tasks_counter_proves_the_pool_ran():
     """``executor.pool_tasks`` counts tasks finished in a pool worker, so a
     ``jobs > 1`` run that took the serial shortcut (one usable core) is
     visible as such."""
-    import os
-
     from repro import obs
     from repro.experiments.runner import profiled_run
     from repro.machine.models import ALPHA_21164
@@ -101,9 +108,9 @@ def test_pool_tasks_counter_proves_the_pool_ran():
         return obs.counters().get("executor.pool_tasks", 0)
 
     before = pool_tasks()
-    _results("align", tasks, jobs=1)
+    _results(align_one, tasks, jobs=1)
     assert pool_tasks() == before
-    _results("align", tasks, jobs=2)
+    _results(align_one, tasks, jobs=2)
     shutdown_pool()
     expected = len(tasks) if (os.cpu_count() or 1) > 1 else 0
     assert pool_tasks() - before == expected
@@ -121,7 +128,7 @@ def test_fault_plans_ship_to_workers_and_counters_merge():
     profile = profiled_run("com", "in").profile
     tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
     with faults.inject_faults(solver_timeout=True) as plan:
-        results = _results("align", tasks, jobs=2)
+        results = _results(align_one, tasks, jobs=2)
     shutdown_pool()
     solvable = [t for t in tasks if t.profile.total() and len(t.cfg) > 2]
     assert plan.trips("solver") >= len(solvable) > 0
@@ -144,7 +151,7 @@ def test_nested_plans_innermost_ships_to_workers():
     tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
     with faults.inject_faults(solver_timeout=True) as outer:
         with faults.inject_faults(solver_timeout=True) as inner:
-            _results("align", tasks, jobs=2)
+            _results(align_one, tasks, jobs=2)
     shutdown_pool()
     assert inner.trips("solver") > 0
     assert outer.trips("solver") == 0
@@ -202,16 +209,15 @@ def test_chunk_size_is_deterministic_and_capped(monkeypatch):
 def test_worker_chunk_isolates_payload_failures():
     """Inside one chunk each payload gets its own outcome entry: a raising
     payload ships its exception back without poisoning its chunk-mates."""
-    from repro.pipeline.executor import _worker_chunk, register_handler
+    from repro.pipeline.executor import _worker_chunk
 
     def fussy(x):
         if x == 2:
             raise ValueError("payload 2 is cursed")
         return x * 10
 
-    register_handler("test-chunk-fussy", fussy)
     entries = [(x, False) for x in (1, 2, 3)]
-    out = _worker_chunk((None, "test-chunk-fussy", entries))
+    out = _worker_chunk((None, fussy, entries))
     assert [ok for ok, *_ in out] == [True, False, True]
     assert out[0][1] == 10 and out[2][1] == 30
     assert isinstance(out[1][1], ValueError)
@@ -234,8 +240,8 @@ def test_chunked_pool_matches_serial_on_large_batches():
     tasks = procedure_tasks(program, profile, method="tsp", model=ALPHA_21164)
     tasks = (tasks * 4)[:20]  # force multi-payload chunks
     assert _chunk_size(len(tasks), 2, RetryPolicy()) > 1
-    serial = _results("align", tasks, jobs=1)
-    parallel = _results("align", tasks, jobs=2)
+    serial = _results(align_one, tasks, jobs=1)
+    parallel = _results(align_one, tasks, jobs=2)
     shutdown_pool()
     assert [r.name for r in serial] == [r.name for r in parallel]
     for a, b in zip(serial, parallel):

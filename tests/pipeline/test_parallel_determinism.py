@@ -245,8 +245,8 @@ def test_suite_cli_output_identical_across_worker_counts(capsys, monkeypatch):
 
 
 def test_method_aliases_share_one_memo_entry():
-    """The ``case`` key normalizes method spellings through the registry,
-    so aliases share one cached case."""
+    """The ``case`` key normalizes method spellings through the method
+    table, so aliases share one cached case."""
     a, _ = sweep_case("com", "in", methods=("original", "dtsp"))
     b, resumed = sweep_case("com", "in", methods=("original", "tsp"))
     assert a is b and resumed

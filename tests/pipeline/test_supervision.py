@@ -6,14 +6,8 @@ import pytest
 
 from repro import faults
 from repro.budget import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.pipeline.executor import (
-    RETRIES_ENV,
-    TASK_TIMEOUT_ENV,
-    register_handler,
-    resolve_policy,
-    run_tasks_supervised,
-    shutdown_pool,
-)
+from repro.pipeline.executor import run_tasks_supervised, shutdown_pool
+from repro.pipeline.stages import align_one
 
 NO_SLEEP = lambda seconds: None  # noqa: E731 — tests never really back off
 
@@ -25,9 +19,15 @@ only_own_faults = pytest.mark.usefixtures("no_ambient_chaos")
 
 def _clean(tasks):
     """A serial batch that must quarantine nothing; its results in order."""
-    report = run_tasks_supervised("align", tasks, jobs=1, sleep=NO_SLEEP)
+    report = run_tasks_supervised(
+        align_one, tasks, kind="align", jobs=1, sleep=NO_SLEEP
+    )
     assert not report.quarantined
     return [outcome.result for outcome in report.outcomes]
+
+
+def _always_fails(n):
+    raise RuntimeError(f"task {n} always fails")
 
 
 def _com_tasks(method="tsp"):
@@ -59,26 +59,20 @@ class TestRetryPolicy:
             RetryPolicy(task_timeout_ms=0)
 
 
-class TestResolvePolicy:
-    def test_environment_seeds_the_default(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "250")
-        policy = resolve_policy()
-        assert policy.retries == 5
-        assert policy.task_timeout_ms == 250.0
-
-    def test_garbage_environment_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "many")
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "-3")
-        policy = resolve_policy()
-        assert policy.retries == DEFAULT_RETRY_POLICY.retries
-        assert policy.task_timeout_ms is None
-
-    def test_explicit_overrides_win(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        assert resolve_policy(retries=1).retries == 1
-        pinned = RetryPolicy(retries=7)
-        assert resolve_policy(pinned) is pinned
+class TestOneRetryBudget:
+    @only_own_faults
+    def test_environment_does_not_configure_retries(self, monkeypatch):
+        """The retry policy comes only from the caller: variables that
+        once seeded it change nothing, so one process applies one budget."""
+        monkeypatch.setenv("REPRO_RETRIES", "5")
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT_MS", "1")
+        report = run_tasks_supervised(
+            _always_fails, [0], kind="test", jobs=1, sleep=NO_SLEEP,
+        )
+        [outcome] = report.outcomes
+        assert outcome.quarantined
+        assert outcome.attempts == DEFAULT_RETRY_POLICY.max_attempts
+        assert report.timeouts == 0
 
 
 class TestSerialSupervision:
@@ -92,10 +86,9 @@ class TestSerialSupervision:
                 raise RuntimeError("transient")
             return n * 10
 
-        register_handler("t-flaky", flaky)
         report = run_tasks_supervised(
-            "t-flaky", [7], jobs=1, policy=RetryPolicy(retries=3),
-            sleep=NO_SLEEP,
+            flaky, [7], kind="t-flaky", jobs=1,
+            policy=RetryPolicy(retries=3), sleep=NO_SLEEP,
         )
         [outcome] = report.outcomes
         assert outcome.ok and outcome.result == 70
@@ -103,14 +96,14 @@ class TestSerialSupervision:
         assert not outcome.quarantined
 
     def test_poison_task_quarantines_and_batch_survives(self):
-        register_handler(
-            "t-poison",
-            lambda n: (_ for _ in ()).throw(ValueError("always bad"))
-            if n == 2 else n,
-        )
+        def poison(n):
+            if n == 2:
+                raise ValueError("always bad")
+            return n
+
         report = run_tasks_supervised(
-            "t-poison", [1, 2, 3], jobs=1, policy=RetryPolicy(retries=1),
-            sleep=NO_SLEEP,
+            poison, [1, 2, 3], kind="t-poison", jobs=1,
+            policy=RetryPolicy(retries=1), sleep=NO_SLEEP,
         )
         assert [o.ok for o in report.outcomes] == [True, False, True]
         poisoned = report.outcomes[1]
@@ -122,12 +115,8 @@ class TestSerialSupervision:
 
     def test_backoff_schedule_observed_through_injected_sleep(self):
         delays = []
-        register_handler(
-            "t-always-bad",
-            lambda n: (_ for _ in ()).throw(RuntimeError("no")),
-        )
         run_tasks_supervised(
-            "t-always-bad", [0], jobs=1,
+            _always_fails, [0], kind="t-always-bad", jobs=1,
             policy=RetryPolicy(retries=3, backoff_base_ms=10,
                                backoff_cap_ms=20),
             sleep=delays.append,
@@ -135,53 +124,31 @@ class TestSerialSupervision:
         assert delays == [0.010, 0.020, 0.020]
 
     def test_zero_retries_fails_fast(self):
-        register_handler(
-            "t-fragile", lambda n: (_ for _ in ()).throw(OSError("io")),
-        )
         report = run_tasks_supervised(
-            "t-fragile", [0], jobs=1, policy=RetryPolicy(retries=0),
-            sleep=NO_SLEEP,
+            _always_fails, [0], kind="t-fragile", jobs=1,
+            policy=RetryPolicy(retries=0), sleep=NO_SLEEP,
         )
         assert report.outcomes[0].attempts == 1
         assert report.outcomes[0].quarantined
 
     def test_exhausted_task_is_quarantined_with_its_last_error(self):
-        register_handler(
-            "t-strict", lambda n: (_ for _ in ()).throw(RuntimeError("bad")),
-        )
         report = run_tasks_supervised(
-            "t-strict", [0], jobs=1, policy=RetryPolicy(retries=1),
-            sleep=NO_SLEEP,
+            _always_fails, [0], kind="t-strict", jobs=1,
+            policy=RetryPolicy(retries=1), sleep=NO_SLEEP,
         )
         [outcome] = report.outcomes
         assert outcome.quarantined
         assert outcome.attempts == 2
-        assert "bad" in outcome.error
-
-    @only_own_faults
-    def test_quarantine_report_is_structured(self):
-        register_handler(
-            "t-report",
-            lambda n: (_ for _ in ()).throw(ValueError("boom"))
-            if n else n,
-        )
-        report = run_tasks_supervised(
-            "t-report", [0, 1], jobs=1, policy=RetryPolicy(retries=0),
-            sleep=NO_SLEEP,
-        )
-        [entry] = report.quarantine_report(labels=["good", "bad"])
-        assert entry["task"] == "bad"
-        assert entry["error_type"] == "ValueError"
-        assert entry["attempts"] == 1
+        assert "always fails" in outcome.error
 
 
 class TestInjectedDispatchFaults:
     @only_own_faults
     def test_worker_crash_is_retried_transparently(self):
-        register_handler("t-crashy", lambda n: n + 1)
         with faults.inject_faults(worker_crash=2) as plan:
             report = run_tasks_supervised(
-                "t-crashy", [10, 20, 30], jobs=1, sleep=NO_SLEEP,
+                lambda n: n + 1, [10, 20, 30], kind="t-crashy", jobs=1,
+                sleep=NO_SLEEP,
             )
         assert [o.result for o in report.outcomes] == [11, 21, 31]
         assert plan.trips("worker_crash") == 1
@@ -189,20 +156,19 @@ class TestInjectedDispatchFaults:
         assert report.retried == 1
 
     def test_periodic_crashes_still_converge(self):
-        register_handler("t-periodic", lambda n: n)
         with faults.inject_faults(worker_crash="%3") as plan:
             report = run_tasks_supervised(
-                "t-periodic", list(range(6)), jobs=1, sleep=NO_SLEEP,
+                lambda n: n, list(range(6)), kind="t-periodic", jobs=1,
+                sleep=NO_SLEEP,
             )
         assert all(o.ok for o in report.outcomes)
         assert plan.trips("worker_crash") >= 2
 
     @only_own_faults
     def test_simulated_timeout_counts_and_retries(self):
-        register_handler("t-slow", lambda n: n)
         with faults.inject_faults(task_timeout=1):
             report = run_tasks_supervised(
-                "t-slow", [1, 2], jobs=1, sleep=NO_SLEEP,
+                lambda n: n, [1, 2], kind="t-slow", jobs=1, sleep=NO_SLEEP,
             )
         assert all(o.ok for o in report.outcomes)
         assert report.timeouts == 1
@@ -210,11 +176,10 @@ class TestInjectedDispatchFaults:
 
     @only_own_faults
     def test_unrelenting_timeouts_quarantine(self):
-        register_handler("t-stuck", lambda n: n)
         with faults.inject_faults(task_timeout=True):
             report = run_tasks_supervised(
-                "t-stuck", [1], jobs=1, policy=RetryPolicy(retries=1),
-                sleep=NO_SLEEP,
+                lambda n: n, [1], kind="t-stuck", jobs=1,
+                policy=RetryPolicy(retries=1), sleep=NO_SLEEP,
             )
         assert report.outcomes[0].quarantined
         assert report.outcomes[0].timeouts == 2
@@ -228,7 +193,9 @@ class TestParallelSupervision:
         tasks = _com_tasks()
         clean = _clean(tasks)
         before = force_pool()
-        report = run_tasks_supervised("align", tasks, jobs=2, sleep=NO_SLEEP)
+        report = run_tasks_supervised(
+            align_one, tasks, kind="align", jobs=2, sleep=NO_SLEEP
+        )
         assert force_pool() > before
         assert all(o.ok and o.attempts == 1 for o in report.outcomes)
         for expect, outcome in zip(clean, report.outcomes):
@@ -247,7 +214,7 @@ class TestParallelSupervision:
         before = force_pool()
         with faults.inject_faults(worker_crash=1) as plan:
             report = run_tasks_supervised(
-                "align", tasks, jobs=2, sleep=NO_SLEEP,
+                align_one, tasks, kind="align", jobs=2, sleep=NO_SLEEP,
             )
         shutdown_pool()
         assert force_pool() > before
@@ -265,7 +232,8 @@ class TestParallelSupervision:
         tasks = _com_tasks()
         with faults.inject_faults(task_timeout=True):
             report = run_tasks_supervised(
-                "align", tasks, jobs=2, policy=RetryPolicy(retries=1),
+                align_one, tasks, kind="align", jobs=2,
+                policy=RetryPolicy(retries=1),
                 sleep=NO_SLEEP,
             )
         shutdown_pool()
@@ -278,7 +246,9 @@ class TestChaosMode:
         tasks = _com_tasks()
         clean = _clean(tasks)
         monkeypatch.setenv(faults.CHAOS_ENV, "worker_crash=%3")
-        report = run_tasks_supervised("align", tasks, jobs=1, sleep=NO_SLEEP)
+        report = run_tasks_supervised(
+            align_one, tasks, kind="align", jobs=1, sleep=NO_SLEEP
+        )
         monkeypatch.setenv(faults.CHAOS_ENV, "")
         assert all(o.ok for o in report.outcomes)
         assert report.worker_crashes >= 1
